@@ -24,12 +24,10 @@ Two entry points:
   written; a schema violation fails the run.
 
 Schema v3 adds the scaling section: the ``uniform-scale`` runs sweep
-object count × verify-kernel backend (every available backend of
-:mod:`repro.geometry.kernels`) at fixed paper density, recording the
-step-time-versus-object-count curve per backend.  ``--scale`` overrides
-the size list — the manual ``bench-scale`` CI job uses it to push the
-sweep to 500k objects.  Backends must reproduce each other's per-step
-result and test counts exactly; a divergence fails the run.
+object count at fixed paper density, recording the
+step-time-versus-object-count curve.  ``--scale`` overrides the size
+list — the manual ``bench-scale`` CI job uses it to push the sweep to
+500k objects.
 
 Schema v4 adds the checkpoint section: the ``uniform-checkpoint``
 scenario runs the same trajectory with durable checkpointing off and on
@@ -64,11 +62,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.core import ThermalJoin  # noqa: E402
 from repro.datasets import IntermittentTranslation  # noqa: E402
 from repro.experiments.workloads import scaled_neural, scaled_uniform  # noqa: E402
-from repro.geometry.kernels import (  # noqa: E402
-    available_backends,
-    resolve_backend_name,
-    set_backend,
-)
 from repro.joins import PBSMJoin, PlaneSweepJoin  # noqa: E402
 from repro.geometry import pack_pairs  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -217,7 +210,6 @@ def _run_matrix_inner(config):
                         "workload": workload,
                         "algorithm": algorithm.name,
                         "executor": executor,
-                        "kernel_backend": resolve_backend_name(),
                         "checkpoint_every": 0,
                         "n_objects": len(dataset),
                         "n_steps": len(records),
@@ -270,7 +262,6 @@ def _incremental_runs(config):
                     "workload": workload,
                     "algorithm": label,
                     "executor": "serial",
-                    "kernel_backend": resolve_backend_name(),
                     "checkpoint_every": 0,
                     "n_objects": len(dataset),
                     "n_steps": len(records),
@@ -289,54 +280,34 @@ def _incremental_runs(config):
 
 
 def _scaling_runs(config):
-    """Scaling section (schema v3): object count × kernel backend.
+    """Scaling section (schema v3): step time versus object count.
 
     THERMAL-JOIN runs the same uniform trajectory at paper density for
-    every size in ``config["scale_sizes"]``, once per available verify-
-    kernel backend, recording the step-time-versus-object-count curve
-    per backend.  The numpy oracle defines each size's reference series;
-    any other backend diverging from it fails the run immediately.
+    every size in ``config["scale_sizes"]``, recording the
+    step-time-versus-object-count curve.
     """
     runs = []
     n_steps = config.get("scale_steps", config["n_steps"])
-    sizes = config.get("scale_sizes", ())
-    for size in sizes:
-        reference = None
-        for backend in available_backends():
-            previous = set_backend(backend)
-            try:
-                dataset, motion = scaled_uniform(size, seed=7)
-                algorithm = ThermalJoin(count_only=True, executor="serial")
-                runner = SimulationRunner(dataset, motion, algorithm)
-                records = runner.run(n_steps)
-                if runner.failure is not None:
-                    raise runner.failure
-                counts = tuple(
-                    (record.n_results, record.overlap_tests) for record in records
-                )
-                if reference is None:
-                    reference = counts
-                elif reference != counts:
-                    raise AssertionError(
-                        f"kernel backend {backend!r} changed the "
-                        f"uniform-scale series at n={size}"
-                    )
-                runs.append(
-                    {
-                        "workload": "uniform-scale",
-                        "algorithm": algorithm.name,
-                        "executor": "serial",
-                        "kernel_backend": backend,
-                        "checkpoint_every": 0,
-                        "n_objects": len(dataset),
-                        "n_steps": len(records),
-                        "steps": [step_record_to_json(record) for record in records],
-                        "aggregates": run_aggregates(runner),
-                    }
-                )
-                algorithm.executor.close()
-            finally:
-                set_backend(previous)
+    for size in config.get("scale_sizes", ()):
+        dataset, motion = scaled_uniform(size, seed=7)
+        algorithm = ThermalJoin(count_only=True, executor="serial")
+        runner = SimulationRunner(dataset, motion, algorithm)
+        records = runner.run(n_steps)
+        if runner.failure is not None:
+            raise runner.failure
+        runs.append(
+            {
+                "workload": "uniform-scale",
+                "algorithm": algorithm.name,
+                "executor": "serial",
+                "checkpoint_every": 0,
+                "n_objects": len(dataset),
+                "n_steps": len(records),
+                "steps": [step_record_to_json(record) for record in records],
+                "aggregates": run_aggregates(runner),
+            }
+        )
+        algorithm.executor.close()
     return runs
 
 
@@ -383,7 +354,6 @@ def _checkpoint_runs(config):
                 "workload": "uniform-checkpoint",
                 "algorithm": label,
                 "executor": "serial",
-                "kernel_backend": resolve_backend_name(),
                 "checkpoint_every": every,
                 "n_objects": len(dataset),
                 "n_steps": len(records),
@@ -462,7 +432,6 @@ def _service_runs(config):
             "workload": "uniform-service",
             "algorithm": "thermal-join-service",
             "executor": "serial",
-            "kernel_backend": resolve_backend_name(),
             "checkpoint_every": 0,
             "n_objects": n_objects,
             "n_steps": len(steps),
@@ -689,17 +658,9 @@ def test_smoke_matrix_is_schema_valid(tmp_path):
     ]
     assert "shard_failed" in shard_events and "shard_rehomed" in shard_events
 
-    # Schema v3: every run names its kernel backend, and the scaling
-    # section covers (every size) × (every available backend).
-    assert all(run["kernel_backend"] for run in plain["runs"])
+    # Schema v3: the scaling section covers every size.
     scale_runs = [run for run in plain["runs"] if run["workload"] == "uniform-scale"]
-    seen = {(run["n_objects"], run["kernel_backend"]) for run in scale_runs}
-    expected = {
-        (size, backend)
-        for size in SMOKE["scale_sizes"]
-        for backend in available_backends()
-    }
-    assert seen == expected
+    assert sorted(run["n_objects"] for run in scale_runs) == sorted(SMOKE["scale_sizes"])
     assert all(
         step["join_seconds"] >= 0 for run in scale_runs for step in run["steps"]
     )

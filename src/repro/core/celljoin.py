@@ -1,4 +1,4 @@
-"""Cell-pair join: sequential reference + kernel-dispatch entry points.
+"""Cell-pair join: sequential reference + batched kernel entry points.
 
 Both the P-Grid external join and the T-Grid cell-pair join use the same
 "optimized variant of the plane-sweep approach" (Section 4.2.1): before
@@ -17,10 +17,10 @@ point assignment.
 
 :func:`join_sorted_lists` is the sequential one-cell-pair formulation,
 kept as the readable reference (and oracle for the kernel tests).  The
-batched entry points delegate to the dispatchable verify kernels of
-:mod:`repro.geometry.kernels` — backend selected via ``REPRO_KERNELS``;
-chunk-level parallelism belongs to the engine executors, which schedule
-many independent tasks, not to a thread pool inside one task.
+batched entry points delegate to the verify kernels of
+:mod:`repro.geometry.kernels`; chunk-level parallelism belongs to the
+engine executors, which schedule many independent tasks, not to a
+thread pool inside one task.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ def join_cell_pairs_batched(
 
     Semantically identical to calling :func:`join_sorted_lists` for each
     ``(pair_a[k], pair_b[k])`` cell pair — same pair set, same
-    plane-sweep overlap-test accounting, same enclosure shortcut —
-    evaluated by whichever kernel backend ``REPRO_KERNELS`` selects.
+    plane-sweep overlap-test accounting, same enclosure shortcut.
     Returns ``(tests, shortcut_pairs)`` summed over all cell pairs.
     """
     return cell_pair_sweep(

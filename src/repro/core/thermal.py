@@ -50,7 +50,7 @@ from repro.engine import (
     JoinPlan,
     JoinTask,
     chunk_by_volume,
-    execute_delta_step,
+    execute_step,
     incremental_from_env,
 )
 from repro.geometry import MaintainedPairSet
@@ -776,7 +776,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self._incr["incremental_steps"] = int(self._incr["incremental_steps"]) + 1
         maintained = self._maintained
         assert maintained is not None
-        result = execute_delta_step(
+        result = execute_step(
             self, dataset, delta, maintained, on_maintained=self._incr.update
         )
         self._maintained_version = delta.version

@@ -67,7 +67,6 @@ from repro.engine.engine import DEFAULT_PARTITION_TASKS, execute_step
 from repro.engine.incremental import (
     INCREMENTAL_ENV_VAR,
     ChurnPolicy,
-    execute_delta_step,
     incremental_from_env,
     moved_groups,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "SweepStripTask",
     "chunk_by_volume",
     "execute_step",
-    "execute_delta_step",
     "ChurnPolicy",
     "INCREMENTAL_ENV_VAR",
     "incremental_from_env",

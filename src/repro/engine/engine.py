@@ -10,17 +10,29 @@ invariant.  Robustness events drained from the executor (task retries,
 timeouts, pool rebuilds and degradations) land in
 ``JoinStatistics.events``/``task_retries`` so runs that survived a
 fault stay visibly marked in every figure and benchmark downstream.
+
+Given a :class:`~repro.datasets.delta.MotionDelta` and a
+:class:`~repro.geometry.pairs.MaintainedPairSet`, the same driver runs
+an incremental step instead: the partition stage asks for the
+algorithm's ``delta_plan`` (re-verify tasks for moved objects only) and
+the merge stage patches the maintained set — pairs incident to a moved
+object are dropped and the re-verified ones merged back in.  Pairs
+between two settled objects cannot have changed, so the patched set is
+exactly the full re-join's result.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.geometry import PairAccumulator
 
 if TYPE_CHECKING:
     from repro.datasets import SpatialDataset
+    from repro.datasets.delta import MotionDelta
+    from repro.geometry.pairs import MaintainedPairSet
     from repro.joins.base import JoinResult, SpatialJoinAlgorithm
 
 __all__ = ["execute_step", "DEFAULT_PARTITION_TASKS"]
@@ -33,11 +45,24 @@ DEFAULT_PARTITION_TASKS = 8
 
 
 def execute_step(
-    algorithm: SpatialJoinAlgorithm, dataset: SpatialDataset
+    algorithm: SpatialJoinAlgorithm,
+    dataset: SpatialDataset,
+    delta: MotionDelta | None = None,
+    maintained: MaintainedPairSet | None = None,
+    on_maintained: Callable[[dict[str, Any]], None] | None = None,
 ) -> JoinResult:
-    """Run one full join step for ``algorithm`` through the engine.
+    """Run one join step for ``algorithm`` through the engine.
 
-    Returns a :class:`~repro.joins.base.JoinResult`.
+    Returns a :class:`~repro.joins.base.JoinResult`.  Without ``delta``
+    the step is a full join.  With ``delta`` (and the ``maintained``
+    pair set it bridges from) the step re-verifies only the moved
+    objects and patches ``maintained`` in place; its tasks always
+    materialise their pairs, since the maintained set needs them, while
+    the *returned* result honours ``count_only`` as usual.
+    ``on_maintained`` (if given) receives the maintenance counters
+    (``pairs_reused``, ``pairs_dropped``, ``pairs_reverified``,
+    ``pairs_added``, ``maintained_pairs``) before the metrics-registry
+    snapshot, so algorithms can surface them through their providers.
 
     When a tracer is active (:func:`repro.obs.get_tracer`), one span is
     opened per stage plus one recorded per executed task — task timings
@@ -48,15 +73,24 @@ def execute_step(
     from repro.joins.base import JoinResult, JoinStatistics
     from repro.obs import get_tracer
 
+    if (delta is None) != (maintained is None):
+        raise ValueError("an incremental step needs both delta and maintained")
+    # Delta tasks always materialise: the maintained set needs the pairs.
+    count_only = algorithm.count_only and delta is None
+
     executor = algorithm.executor
     tracer = get_tracer()
     traced = tracer.enabled
     step_span = None
     if traced:
         tracer.begin_step()
-        step_cm = tracer.span(
-            "step", counters={"algorithm": algorithm.name, "n_objects": len(dataset)}
-        )
+        step_counters: dict[str, Any] = {
+            "algorithm": algorithm.name,
+            "n_objects": len(dataset),
+        }
+        if delta is not None:
+            step_counters["mode"] = "incremental"
+        step_cm = tracer.span("step", counters=step_counters)
         step_span = step_cm.__enter__()
 
     try:
@@ -65,26 +99,30 @@ def execute_step(
             algorithm._build(dataset)  # prepare: index build / refresh
         t1 = time.perf_counter()
         with tracer.span("partition", parent=step_span) as partition_span:
-            plan = algorithm.plan(dataset)  # partition: emit independent tasks
+            # partition: emit independent tasks
+            if delta is None:
+                plan = algorithm.plan(dataset)
+            else:
+                plan = algorithm.delta_plan(dataset, delta)
             if partition_span is not None:
                 partition_span.counters["n_tasks"] = len(plan.tasks)
         t2 = time.perf_counter()
         with tracer.span("verify", parent=step_span) as verify_span:
-            results = executor.run(plan.tasks, plan.context, algorithm.count_only)
+            results = executor.run(plan.tasks, plan.context, count_only)
             events = executor.drain_events()  # robustness: retries, downgrades
         t3 = time.perf_counter()
 
-        # merge: shards → canonical pairs, counters → aggregate statistics.
+        # merge: shards → canonical pairs (patched into the maintained
+        # set on an incremental step), counters → aggregate statistics.
         with tracer.span("merge", parent=step_span):
-            merged = PairAccumulator(count_only=algorithm.count_only)
-            overlap_tests = 0
-            task_counters = []
+            merged = PairAccumulator(count_only=count_only)
             for task_result in results:
                 merged.merge(task_result.accumulator)
-                overlap_tests += int(task_result.counters.get("overlap_tests", 0))
-                task_counters.append(dict(task_result.counters))
             if plan.on_complete is not None:
                 plan.on_complete(results)
+            maintenance = None
+            if delta is not None and maintained is not None:
+                maintenance = _patch_maintained(maintained, delta, merged)
         t4 = time.perf_counter()
 
         if traced:
@@ -125,6 +163,9 @@ def execute_step(
     stats.record_events(events)
     stats.record_memory(algorithm.memory_footprint())
 
+    if maintenance is not None and on_maintained is not None:
+        on_maintained(maintenance)
+
     # Snapshot the index-internal counters the algorithm's components
     # maintain (P-Grid accounting, tuner state, executor rung, ...).
     registry = getattr(algorithm, "metrics", None)
@@ -132,13 +173,30 @@ def execute_step(
         stats.record_index_counters(registry.snapshot())
 
     algorithm.stats = stats
+    answer: PairAccumulator | MaintainedPairSet = (
+        merged if maintained is None else maintained
+    )
     pairs = None
     if not algorithm.count_only:
-        pairs = merged.as_arrays()
-    result = JoinResult(
-        n_results=len(merged), stats=algorithm.stats, pairs=pairs
-    )
+        pairs = answer.as_arrays()
+    result = JoinResult(n_results=len(answer), stats=stats, pairs=pairs)
     assert (result.pairs is None) == algorithm.count_only, (
         "JoinResult.pairs must be materialised exactly when not count_only"
     )
     return result
+
+
+def _patch_maintained(
+    maintained: MaintainedPairSet, delta: MotionDelta, reverified: PairAccumulator
+) -> dict[str, int]:
+    """Drop moved-incident pairs, merge the re-verified ones; return counters."""
+    pairs_before = len(maintained)
+    dropped = maintained.remove_incident(delta.moved_mask())
+    added = maintained.merge_delta(*reverified.as_arrays())
+    return {
+        "pairs_reused": pairs_before - dropped,
+        "pairs_dropped": dropped,
+        "pairs_reverified": len(reverified),
+        "pairs_added": added,
+        "maintained_pairs": len(maintained),
+    }

@@ -2,10 +2,9 @@
 
 Partition tasks describe *which* group pairs to compare; this module is
 the single place where candidates are handed to the verify kernels.  It
-wraps the dispatchable primitives of :mod:`repro.geometry.kernels`
-(backend selected via ``REPRO_KERNELS``; numpy oracle by default) and
-layers the per-algorithm deduplication filters on top, so every
-algorithm's verification goes through identical code:
+wraps the primitives of :mod:`repro.geometry.kernels` and layers the
+per-algorithm deduplication filters on top, so every algorithm's
+verification goes through identical code:
 
 * ``plain`` — emit every overlapping candidate (exactly-once plans);
 * ``reference-point`` — PBSM's duplicate suppression: a pair is reported
@@ -15,8 +14,7 @@ algorithm's verification goes through identical code:
 Overlap-test accounting is inherited unchanged from the kernels
 (``count="full"`` nested-loop or ``count="x-sweep"`` forward-sweep
 accounting), so partitioning a join into tasks never changes its total
-test count — and neither does switching kernel backends, which are
-bit-identical to the oracle by contract.
+test count.
 """
 
 from __future__ import annotations

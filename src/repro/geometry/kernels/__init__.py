@@ -1,175 +1,46 @@
-"""The verify-kernel layer: flat columnar primitives, dispatchable backends.
+"""The verify-kernel layer: five flat columnar primitives.
 
 Every candidate-verification routine in the repository — the batched
 group joins, THERMAL-JOIN's optimized cell-pair sweep with the enclosure
 shortcut, the partitioned global plane sweep's strips, hot-cell
-emission — is one of the five primitives catalogued in
-:data:`~repro.geometry.kernels.spec.KERNEL_SPECS` and is invoked through
-the dispatch functions below.  ``REPRO_KERNELS=numpy|numba|python``
-selects the backend (see :mod:`repro.geometry.kernels.dispatch`); the
-numpy implementation is the permanent oracle and every other backend is
-bit-identical to it in pair sets and counters.
+emission — is one of the five primitives re-exported here from
+:mod:`repro.geometry.kernels.numpy_backend`:
 
-This package is the single seam for faster verification backends: new
-backends register a kernel table with :func:`register_backend` and the
-whole engine — all algorithms, all executors, incremental delta
-re-verification included — picks them up without further changes.
+``self_join_groups``
+    All unordered object pairs within each listed group.
+``cross_join_groups``
+    All object pairs across explicit (group A, group B) pairs.
+``cell_pair_sweep``
+    Two-direction sweep over many cell pairs with the paper's enclosure
+    shortcut; returns ``(overlap_tests, shortcut_pairs)``.
+``strip_sweep``
+    One strip of the partitioned global plane sweep.
+``hot_cell_emit``
+    Combinatorial within-cell emission for hot-spot cells (no tests).
+
+Each returns plain ``int`` counters.  These five functions are the seam
+where a compiled implementation can be slotted in once one can be
+installed and measured against this one.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from typing import TYPE_CHECKING
-
-from repro.geometry.kernels.dispatch import (
-    DEFAULT_BACKEND,
-    KERNELS_ENV_VAR,
-    BackendUnavailable,
-    available_backends,
-    dispatch,
-    get_kernels,
-    kernel_metrics,
-    register_backend,
-    registered_backends,
-    reset_kernel_metrics,
-    resolve_backend_name,
-    set_backend,
-)
 from repro.geometry.kernels.numpy_backend import (
     DEFAULT_CHUNK_CANDIDATES,
     PairCallback,
+    cell_pair_sweep,
+    cross_join_groups,
+    hot_cell_emit,
+    self_join_groups,
+    strip_sweep,
 )
-from repro.geometry.kernels.spec import KERNEL_SPECS, KernelSpec, kernel_names
-
-if TYPE_CHECKING:
-    from repro.geometry.pairs import PairAccumulator
 
 __all__ = [
-    "KERNEL_SPECS",
-    "KernelSpec",
-    "kernel_names",
     "PairCallback",
-    "DEFAULT_BACKEND",
     "DEFAULT_CHUNK_CANDIDATES",
-    "KERNELS_ENV_VAR",
-    "BackendUnavailable",
-    "available_backends",
-    "registered_backends",
-    "register_backend",
-    "resolve_backend_name",
-    "set_backend",
-    "get_kernels",
-    "kernel_metrics",
-    "reset_kernel_metrics",
     "self_join_groups",
     "cross_join_groups",
     "cell_pair_sweep",
     "strip_sweep",
     "hot_cell_emit",
 ]
-
-
-def self_join_groups(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    cat: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    groups: np.ndarray,
-    on_pairs: PairCallback,
-    count: str = "full",
-    chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
-    backend: str | None = None,
-) -> int:
-    """All unordered object pairs within each listed group; returns tests.
-
-    See :func:`repro.geometry.kernels.numpy_backend.self_join_groups`
-    for the full contract (the oracle's docstring is normative).
-    """
-    tests = dispatch(
-        "self_join_groups", backend,
-        lo, hi, cat, starts, stops, groups, on_pairs, count, chunk_candidates,
-    )
-    return int(tests)
-
-
-def cross_join_groups(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    cat_a: np.ndarray,
-    starts_a: np.ndarray,
-    stops_a: np.ndarray,
-    cat_b: np.ndarray,
-    starts_b: np.ndarray,
-    stops_b: np.ndarray,
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    on_pairs: PairCallback,
-    count: str = "full",
-    chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
-    backend: str | None = None,
-) -> int:
-    """Join group ``pair_a[k]`` of side A against ``pair_b[k]`` of side B."""
-    tests = dispatch(
-        "cross_join_groups", backend,
-        lo, hi, cat_a, starts_a, stops_a, cat_b, starts_b, stops_b,
-        pair_a, pair_b, on_pairs, count, chunk_candidates,
-    )
-    return int(tests)
-
-
-def cell_pair_sweep(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    cat: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    center_lo: np.ndarray,
-    center_hi: np.ndarray,
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    accumulator: PairAccumulator,
-    chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
-    enclosure_shortcut: bool = True,
-    backend: str | None = None,
-) -> tuple[int, int]:
-    """Optimized sweep over many cell pairs; returns (tests, shortcuts)."""
-    tests, shortcuts = dispatch(
-        "cell_pair_sweep", backend,
-        lo, hi, cat, starts, stops, center_lo, center_hi, pair_a, pair_b,
-        accumulator, chunk_candidates, enclosure_shortcut,
-    )
-    return int(tests), int(shortcuts)
-
-
-def strip_sweep(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    ids: np.ndarray,
-    start: int,
-    stop: int,
-    carry: np.ndarray,
-    accumulator: PairAccumulator,
-    backend: str | None = None,
-) -> int:
-    """One strip of the partitioned global plane sweep; returns tests."""
-    tests = dispatch(
-        "strip_sweep", backend, lo, hi, ids, start, stop, carry, accumulator
-    )
-    return int(tests)
-
-
-def hot_cell_emit(
-    cat: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    hot_slots: np.ndarray,
-    accumulator: PairAccumulator,
-    backend: str | None = None,
-) -> int:
-    """Combinatorial within-cell emission for hot cells; returns pairs."""
-    emitted = dispatch(
-        "hot_cell_emit", backend, cat, starts, stops, hot_slots, accumulator
-    )
-    return int(emitted)

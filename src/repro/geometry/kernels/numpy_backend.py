@@ -1,9 +1,8 @@
 """Vectorised numpy implementations of the verify-kernel primitives.
 
-This backend is the repository's **permanent oracle**: every other
-backend must match its emitted pair sets and counters bit-for-bit (the
-parity suite in ``tests/test_kernels.py`` enforces this).  It is also
-the default — always available, no optional dependencies.
+This is the repository's one kernel implementation; ``tests/test_kernels.py``
+checks every primitive's emitted pair set against the brute-force
+oracle and its counters across chunk sizes.
 
 The implementations consolidate what used to live in four places:
 

@@ -243,7 +243,6 @@ class SpatialJoinAlgorithm:
         self, count_only: bool = False, executor: Executor | str | None = None
     ) -> None:
         from repro.engine import resolve_executor
-        from repro.geometry.kernels import kernel_metrics
         from repro.obs import MetricsRegistry
 
         self.count_only = count_only
@@ -254,7 +253,6 @@ class SpatialJoinAlgorithm:
         #: each step; subclasses register their index internals here.
         self.metrics: MetricsRegistry = MetricsRegistry()
         self.metrics.register("executor", self._executor_metrics)
-        self.metrics.register("kernels", kernel_metrics)
 
     def _executor_metrics(self) -> dict[str, Any]:
         """Default provider: executor identity and degradation rung."""

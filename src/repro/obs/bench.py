@@ -19,8 +19,7 @@ Document shape (``BENCH_SCHEMA_VERSION`` 5)::
       "runs": [
         {
           "workload": "uniform", "algorithm": "thermal-join",
-          "executor": "serial", "kernel_backend": "numpy",
-          "checkpoint_every": 0,
+          "executor": "serial", "checkpoint_every": 0,
           "n_objects": 5000, "n_steps": 6,
           "steps": [ {step record}, ... ],   # one per simulated step
           "aggregates": {"total_seconds": ..., "total_overlap_tests": ...,
@@ -41,11 +40,11 @@ counters (mode, moved fraction, pairs reused/re-verified, fallback
 count) surfaced by algorithms that maintain their result across steps;
 ``{}`` for algorithms without the provider.
 
-Schema version 3 adds the run-level ``kernel_backend`` key: the resolved
-verify-kernel backend (:mod:`repro.geometry.kernels`, selected via
-``REPRO_KERNELS``) the run executed with — the dimension the scaling
-section of the bench matrix sweeps to record step time versus object
-count per backend.
+Schema version 3 adds the scaling section: ``uniform-scale`` runs that
+record step time versus object count.  Version 3 documents also carried
+a run-level ``kernel_backend`` key; there is one kernel implementation
+now, so runs no longer write it, and a document that still has it
+validates (extra keys are allowed).
 
 Schema version 4 adds the run-level ``checkpoint_every`` key: the
 durable-checkpoint cadence the run executed with (``0`` when
@@ -106,7 +105,6 @@ RUN_FIELDS = (
     "workload",
     "algorithm",
     "executor",
-    "kernel_backend",
     "checkpoint_every",
     "n_objects",
     "n_steps",

@@ -1,30 +1,23 @@
-"""The verify-kernel layer: specs, dispatch, chunking, backend parity.
+"""The verify-kernel layer: chunking, the five primitives, recorded series.
 
-Backend parity is the load-bearing contract of ``repro.geometry.kernels``:
-every registered backend must reproduce the numpy oracle's pair sets and
-counters bit-for-bit, across kernels, algorithms, executors, motion
-models, incremental maintenance and fault recovery.  Backends whose
-dependencies are missing (numba in this container) auto-skip; the
-interpreted ``python`` backend runs the very same loop cores numba would
-JIT, so the parity suite exercises the loop logic either way.
+Each primitive's emitted pair set is checked against the brute-force
+oracle, its overlap-test count against the accounting it declares, and
+every counter for equality across chunk sizes (the batching must never
+show in the results).  Whole-algorithm series are pinned to a fixture
+recorded before the kernel layer existed.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import ThermalJoin
-from repro.datasets import (
-    ClusterDrift,
-    IntermittentTranslation,
-    make_uniform_workload,
-)
-from repro.engine import chunk_by_volume, install_fault_plan, parse_faults
+from repro.datasets import IntermittentTranslation, make_uniform_workload
+from repro.engine import chunk_by_volume
 from repro.geometry import (
     PairAccumulator,
     brute_force_pairs,
@@ -34,58 +27,15 @@ from repro.geometry import (
     unique_pairs,
 )
 from repro.geometry import kernels
-from repro.geometry.kernels import (
-    DEFAULT_BACKEND,
-    DEFAULT_CHUNK_CANDIDATES,
-    KERNEL_SPECS,
-    available_backends,
-    get_kernels,
-    kernel_metrics,
-    kernel_names,
-    registered_backends,
-    reset_kernel_metrics,
-    resolve_backend_name,
-    set_backend,
-)
+from repro.geometry.kernels import DEFAULT_CHUNK_CANDIDATES
 from repro.joins import EGOJoin, PBSMJoin, PlaneSweepJoin
 from repro.simulation import SimulationRunner
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "kernel_refactor_oracle.json"
 
-#: Non-oracle backends; unavailable ones (numba without numba) auto-skip.
-ALT_BACKENDS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            name not in available_backends(),
-            reason=f"kernel backend {name!r} not available in this environment",
-        ),
-    )
-    for name in registered_backends()
-    if name != DEFAULT_BACKEND
-]
-
-ALL_BACKENDS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            name not in available_backends(),
-            reason=f"kernel backend {name!r} not available in this environment",
-        ),
-    )
-    for name in registered_backends()
-]
-
-
-@pytest.fixture(autouse=True)
-def clean_dispatch(monkeypatch):
-    """No backend selection or dispatch counters leak into (or out of) a test."""
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    previous = set_backend(None)
-    reset_kernel_metrics()
-    yield
-    set_backend(previous)
-    reset_kernel_metrics()
+#: The batch bounds every counter must be invariant under: the default
+#: (one batch here) and one small enough to split every input.
+CHUNKS = (DEFAULT_CHUNK_CANDIDATES, 64)
 
 
 # ----------------------------------------------------------------------
@@ -145,104 +95,7 @@ class TestChunkEdges:
 
 
 # ----------------------------------------------------------------------
-# Kernel catalogue and backend registry
-# ----------------------------------------------------------------------
-class TestKernelSpecs:
-    def test_catalogue_names_unique_and_complete(self):
-        names = [spec.name for spec in KERNEL_SPECS]
-        assert len(names) == len(set(names))
-        assert tuple(names) == kernel_names()
-        assert set(names) == {
-            "self_join_groups",
-            "cross_join_groups",
-            "cell_pair_sweep",
-            "strip_sweep",
-            "hot_cell_emit",
-        }
-
-    def test_spec_fields_are_sane(self):
-        for spec in KERNEL_SPECS:
-            assert spec.layout in ("grouped", "x-sorted")
-            assert spec.doc
-            assert spec.counters
-            assert spec.accounting
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_every_available_backend_covers_the_catalogue(self, backend):
-        resolved, table = get_kernels(backend)
-        assert resolved == backend
-        assert set(kernel_names()) <= set(table)
-        assert all(callable(fn) for fn in table.values())
-
-    def test_numpy_always_registered_and_available(self):
-        assert DEFAULT_BACKEND in registered_backends()
-        assert DEFAULT_BACKEND in available_backends()
-
-
-class TestDispatchResolution:
-    def test_default_is_the_numpy_oracle(self):
-        assert resolve_backend_name() == "numpy"
-
-    def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert resolve_backend_name() == "python"
-
-    def test_override_outranks_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        set_backend("numpy")
-        assert resolve_backend_name() == "numpy"
-
-    def test_explicit_argument_outranks_override(self):
-        set_backend("numpy")
-        assert resolve_backend_name("python") == "python"
-
-    def test_set_backend_returns_previous(self):
-        assert set_backend("python") is None
-        assert set_backend(None) == "python"
-
-    def test_unknown_backend_warns_once_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="quantum"):
-            assert resolve_backend_name("quantum") == "numpy"
-        fallbacks = kernel_metrics()["fallbacks"]
-        assert fallbacks >= 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolution must not warn
-            assert resolve_backend_name("quantum") == "numpy"
-        assert kernel_metrics()["fallbacks"] > fallbacks
-
-    @pytest.mark.skipif(
-        "numba" in available_backends(), reason="numba is installed here"
-    )
-    def test_missing_numba_degrades_to_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numba")
-        with pytest.warns(RuntimeWarning, match="numba"):
-            assert resolve_backend_name() == "numpy"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.register_backend("numpy", dict)
-
-    def test_dispatch_counts_calls(self, rng):
-        reset_kernel_metrics()
-        lo, hi, cat, starts, stops, _cl, _ch = _grouped_boxes(rng, n=30)
-        kernels.self_join_groups(
-            lo, hi, cat, starts, stops, np.arange(starts.size), _Collector()
-        )
-        metrics = kernel_metrics()
-        assert metrics["backend"] == "numpy"
-        assert metrics["numpy_calls"] == 1
-        assert metrics["fallbacks"] == 0
-
-    def test_kernels_metrics_provider_in_step_stats(self, uniform_small):
-        join = ThermalJoin(resolution=1.0, count_only=True)
-        result = join.step(uniform_small)
-        snapshot = result.stats.index_counters["kernels"]
-        assert snapshot["backend"] == "numpy"
-        assert snapshot["numpy_calls"] >= 1
-
-
-# ----------------------------------------------------------------------
-# Kernel-level backend parity (bit-identical pairs and counters)
+# The five primitives against the brute-force oracle
 # ----------------------------------------------------------------------
 def _grouped_boxes(rng, n=160, n_groups=6, span=40.0):
     """Grouped boxes with a few giants so the enclosure shortcut fires."""
@@ -262,89 +115,115 @@ def _grouped_boxes(rng, n=160, n_groups=6, span=40.0):
     return lo, hi, cat, starts, stops, center_lo, center_hi
 
 
+def _group_of(cat, starts, stops, n):
+    group = np.full(n, -1, dtype=np.int64)
+    for g in range(starts.size):
+        group[cat[starts[g]:stops[g]]] = g
+    return group
+
+
+def _oracle(lo, hi, group):
+    """Brute-force pairs and candidate counts, split by group membership.
+
+    Returns ``{"same"|"cross": (packed overlapping pairs, {"full": n,
+    "x-sweep": n})}``: the overlapping pairs within one group or across
+    two, and the candidate pairs each accounting charges — every
+    candidate (``full``) or the x-overlapping ones (``x-sweep``).
+    """
+    n = lo.shape[0]
+    i, j = brute_force_pairs(lo, hi)
+    iu, ju = np.triu_indices(n, k=1)
+    x_overlap = (lo[iu, 0] < hi[ju, 0]) & (lo[ju, 0] < hi[iu, 0])
+    out = {}
+    for name, pairs_mask, cand_mask in (
+        ("same", group[i] == group[j], group[iu] == group[ju]),
+        ("cross", group[i] != group[j], group[iu] != group[ju]),
+    ):
+        counts = {"full": int(cand_mask.sum()), "x-sweep": int((cand_mask & x_overlap).sum())}
+        out[name] = (pack_pairs(i[pairs_mask], j[pairs_mask], n).tolist(), counts)
+    return out
+
+
 class _Collector:
-    """``on_pairs`` callback recording every emitted (left, right, group)."""
+    """``on_pairs`` callback recording every emitted (left, right) pair."""
 
     def __init__(self):
         self.left = []
         self.right = []
-        self.groups = []
 
-    def __call__(self, left, right, groups):
+    def __call__(self, left, right, _groups):
         self.left.append(np.asarray(left))
         self.right.append(np.asarray(right))
-        self.groups.append(np.asarray(groups))
 
-    def triples(self):
+    def packed(self, n):
+        """Canonical packed keys; asserts nothing was emitted twice."""
         if not self.left:
             return []
         left = np.concatenate(self.left)
-        right = np.concatenate(self.right)
-        groups = np.concatenate(self.groups)
-        return sorted(zip(left.tolist(), right.tolist(), groups.tolist(), strict=True))
+        unique = pack_pairs(*unique_pairs(left, np.concatenate(self.right), n), n)
+        assert unique.size == left.size, "a pair was emitted more than once"
+        return unique.tolist()
 
 
 def _canonical(accumulator, n):
     return pack_pairs(*accumulator.as_unique_arrays(n), n).tolist()
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
 class TestKernelParity:
     @pytest.mark.parametrize("count", ["full", "x-sweep"])
-    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK_CANDIDATES, 64])
-    def test_self_join_groups(self, backend, count, chunk, rng):
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_self_join_groups(self, count, chunk, rng):
         lo, hi, cat, starts, stops, _cl, _ch = _grouped_boxes(rng)
+        n = lo.shape[0]
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["same"]
         groups = np.arange(starts.size, dtype=np.int64)
-        oracle, alt = _Collector(), _Collector()
-        tests_oracle = kernels.self_join_groups(
-            lo, hi, cat, starts, stops, groups, oracle,
-            count=count, chunk_candidates=chunk, backend="numpy",
+        got = _Collector()
+        tests = kernels.self_join_groups(
+            lo, hi, cat, starts, stops, groups, got,
+            count=count, chunk_candidates=chunk,
         )
-        tests_alt = kernels.self_join_groups(
-            lo, hi, cat, starts, stops, groups, alt,
-            count=count, chunk_candidates=chunk, backend=backend,
-        )
-        assert tests_alt == tests_oracle
-        assert alt.triples() == oracle.triples()
+        assert tests == tests_expected[count]
+        assert got.packed(n) == expected
 
     @pytest.mark.parametrize("count", ["full", "x-sweep"])
-    def test_cross_join_groups(self, backend, count, rng):
+    def test_cross_join_groups(self, count, rng):
         lo, hi, cat, starts, stops, _cl, _ch = _grouped_boxes(rng)
-        n_groups = starts.size
-        pair_a, pair_b = np.triu_indices(n_groups, k=1)
-        oracle, alt = _Collector(), _Collector()
-        tests_oracle = kernels.cross_join_groups(
-            lo, hi, cat, starts, stops, cat, starts, stops,
-            pair_a, pair_b, oracle, count=count, backend="numpy",
-        )
-        tests_alt = kernels.cross_join_groups(
-            lo, hi, cat, starts, stops, cat, starts, stops,
-            pair_a, pair_b, alt, count=count, backend=backend,
-        )
-        assert tests_alt == tests_oracle
-        assert alt.triples() == oracle.triples()
+        n = lo.shape[0]
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["cross"]
+        pair_a, pair_b = np.triu_indices(starts.size, k=1)
+        for chunk in CHUNKS:
+            got = _Collector()
+            tests = kernels.cross_join_groups(
+                lo, hi, cat, starts, stops, cat, starts, stops,
+                pair_a, pair_b, got, count=count, chunk_candidates=chunk,
+            )
+            assert tests == tests_expected[count]
+            assert got.packed(n) == expected
 
     @pytest.mark.parametrize("shortcut", [True, False])
-    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK_CANDIDATES, 64])
-    def test_cell_pair_sweep(self, backend, shortcut, chunk, rng):
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_cell_pair_sweep(self, shortcut, chunk, rng):
         lo, hi, cat, starts, stops, c_lo, c_hi = _grouped_boxes(rng)
         n = lo.shape[0]
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["cross"]
         pair_a, pair_b = np.triu_indices(starts.size, k=1)
-        acc_oracle, acc_alt = PairAccumulator(), PairAccumulator()
-        counters_oracle = kernels.cell_pair_sweep(
-            lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc_oracle,
-            chunk_candidates=chunk, enclosure_shortcut=shortcut, backend="numpy",
-        )
-        counters_alt = kernels.cell_pair_sweep(
-            lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc_alt,
-            chunk_candidates=chunk, enclosure_shortcut=shortcut, backend=backend,
-        )
-        assert counters_alt == counters_oracle
-        if shortcut:
-            assert counters_alt[1] > 0  # the giants guarantee shortcut pairs
-        assert _canonical(acc_alt, n) == _canonical(acc_oracle, n)
+        counters = []
+        for bound in (DEFAULT_CHUNK_CANDIDATES, chunk):
+            acc = PairAccumulator()
+            counters.append(kernels.cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc,
+                chunk_candidates=bound, enclosure_shortcut=shortcut,
+            ))
+            assert _canonical(acc, n) == expected
+        # Identical to the default batch bound's counters.
+        assert counters[0] == counters[1]
+        tests, shortcuts = counters[1]
+        # Every x-overlapping candidate is either tested or shortcut,
+        # never both; the giants guarantee shortcut pairs.
+        assert tests + shortcuts == tests_expected["x-sweep"]
+        assert (shortcuts > 0) == shortcut
 
-    def test_strip_sweep(self, backend, rng):
+    def test_strip_sweep(self, rng):
         n = 200
         centers = rng.uniform(0, 60, size=(n, 3))
         widths = rng.uniform(1.0, 10.0, size=(n, 3))
@@ -352,74 +231,55 @@ class TestKernelParity:
         hi = centers + widths / 2.0
         order = np.argsort(lo[:, 0], kind="stable").astype(np.int64)
         slo, shi, ids = lo[order], hi[order], order
-        union_oracle, union_alt = PairAccumulator(), PairAccumulator()
+        union = PairAccumulator()
+        total_tests = 0
         for start, stop in ((0, 70), (70, 140), (140, n)):
             if start:
                 carry = np.flatnonzero(shi[:start, 0] > slo[start, 0]).astype(np.int64)
             else:
                 carry = np.empty(0, dtype=np.int64)
-            acc_oracle, acc_alt = PairAccumulator(), PairAccumulator()
-            tests_oracle = kernels.strip_sweep(
-                slo, shi, ids, start, stop, carry, acc_oracle, backend="numpy"
-            )
-            tests_alt = kernels.strip_sweep(
-                slo, shi, ids, start, stop, carry, acc_alt, backend=backend
-            )
-            assert tests_alt == tests_oracle
-            assert _canonical(acc_alt, n) == _canonical(acc_oracle, n)
-            union_oracle.extend(*acc_oracle.as_arrays())
-            union_alt.extend(*acc_alt.as_arrays())
-        # The strips decompose the global sweep: their union is the answer.
+            total_tests += kernels.strip_sweep(slo, shi, ids, start, stop, carry, union)
+        # The strips decompose the global sweep: their union is the
+        # answer, each x-overlapping candidate charged exactly once.
         expected = brute_force_pairs(lo, hi)
-        assert _canonical(union_alt, n) == pack_pairs(*expected, n).tolist()
-        assert _canonical(union_oracle, n) == pack_pairs(*expected, n).tolist()
+        assert _canonical(union, n) == pack_pairs(*expected, n).tolist()
+        no_groups = np.zeros(n, dtype=np.int64)
+        assert total_tests == _oracle(lo, hi, no_groups)["same"][1]["x-sweep"]
 
-    def test_hot_cell_emit(self, backend, rng):
-        lo, hi, cat, starts, stops, _cl, _ch = _grouped_boxes(rng, n=90)
-        n = lo.shape[0]
+    def test_hot_cell_emit(self, rng):
+        # Hot cells: every member box contains its cell's anchor point,
+        # so all within-cell pairs overlap and emission needs no tests.
+        n, n_groups = 90, 5
+        keys = rng.integers(0, n_groups, size=n)
+        anchors = rng.uniform(0, 40, size=(n_groups, 3))
+        centers = anchors[keys] + rng.uniform(-0.5, 0.5, size=(n, 3))
+        half = rng.uniform(1.0, 3.0, size=(n, 3))
+        lo, hi = centers - half, centers + half
+        cat, starts, stops, _unique = group_by_keys(keys)
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["same"]
+        acc = PairAccumulator()
         hot = np.arange(starts.size, dtype=np.int64)
-        acc_oracle, acc_alt = PairAccumulator(), PairAccumulator()
-        emitted_oracle = kernels.hot_cell_emit(
-            cat, starts, stops, hot, acc_oracle, backend="numpy"
-        )
-        emitted_alt = kernels.hot_cell_emit(
-            cat, starts, stops, hot, acc_alt, backend=backend
-        )
-        assert emitted_alt == emitted_oracle > 0
-        assert _canonical(acc_alt, n) == _canonical(acc_oracle, n)
+        emitted = kernels.hot_cell_emit(cat, starts, stops, hot, acc)
+        assert emitted == tests_expected["full"] == len(expected) > 0
+        assert _canonical(acc, n) == expected
 
-    def test_empty_inputs(self, backend):
+    def test_empty_inputs(self):
         empty_i = np.empty(0, dtype=np.int64)
         empty_box = np.empty((0, 3))
         acc = PairAccumulator()
         assert kernels.cell_pair_sweep(
             empty_box, empty_box, empty_i, empty_i, empty_i, empty_box, empty_box,
-            empty_i, empty_i, acc, backend=backend,
+            empty_i, empty_i, acc,
         ) == (0, 0)
-        assert kernels.hot_cell_emit(
-            empty_i, empty_i, empty_i, empty_i, acc, backend=backend
-        ) == 0
+        assert kernels.hot_cell_emit(empty_i, empty_i, empty_i, empty_i, acc) == 0
         assert kernels.self_join_groups(
-            empty_box, empty_box, empty_i, empty_i, empty_i, empty_i,
-            _Collector(), backend=backend,
+            empty_box, empty_box, empty_i, empty_i, empty_i, empty_i, _Collector()
+        ) == 0
+        assert kernels.cross_join_groups(
+            empty_box, empty_box, empty_i, empty_i, empty_i, empty_i, empty_i,
+            empty_i, empty_i, empty_i, _Collector(),
         ) == 0
         assert len(acc) == 0
-
-
-# ----------------------------------------------------------------------
-# Whole-algorithm parity: backends × executors × motion × recovery
-# ----------------------------------------------------------------------
-def _algorithm_factories():
-    return {
-        "thermal-join": lambda **kw: ThermalJoin(resolution=1.0, **kw),
-        "pbsm": PBSMJoin,
-        "plane-sweep": PlaneSweepJoin,
-        "ego": EGOJoin,
-    }
-
-
-def _step_pairs(result, n):
-    return pack_pairs(*unique_pairs(*result.pairs, n), n)
 
 
 def _series(algorithm, steps=3, motion_factory=None, n_objects=500):
@@ -434,98 +294,11 @@ def _series(algorithm, steps=3, motion_factory=None, n_objects=500):
     return [(r.n_results, r.overlap_tests) for r in records]
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
-class TestAlgorithmParity:
-    @pytest.mark.parametrize("name", sorted(_algorithm_factories()))
-    def test_serial_step_matches_numpy(self, backend, name, uniform_small, monkeypatch):
-        factory = _algorithm_factories()[name]
-        reference = factory().step(uniform_small)
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        result = factory().step(uniform_small)
-        n = len(uniform_small)
-        assert result.stats.index_counters["kernels"]["backend"] == backend
-        assert np.array_equal(_step_pairs(result, n), _step_pairs(reference, n))
-        assert result.stats.overlap_tests == reference.stats.overlap_tests
-
-    @pytest.mark.parametrize("name", sorted(_algorithm_factories()))
-    @pytest.mark.parametrize("spec", ["thread:3", "process:2"])
-    def test_executors_match_numpy_serial(
-        self, backend, name, spec, uniform_small, monkeypatch
-    ):
-        factory = _algorithm_factories()[name]
-        reference = factory().step(uniform_small)
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        join = factory(executor=spec)
-        try:
-            result = join.step(uniform_small)
-        finally:
-            join.executor.close()
-        n = len(uniform_small)
-        assert np.array_equal(_step_pairs(result, n), _step_pairs(reference, n))
-        assert result.stats.overlap_tests == reference.stats.overlap_tests
-
-    def test_shortcut_counters_match(self, backend, uniform_small, monkeypatch):
-        def shortcuts(result):
-            return sum(
-                c.get("shortcut_pairs", 0) for c in result.stats.task_counters
-            )
-
-        reference = ThermalJoin(resolution=1.0).step(uniform_small)
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        result = ThermalJoin(resolution=1.0).step(uniform_small)
-        assert shortcuts(result) == shortcuts(reference)
-
-    @pytest.mark.parametrize("motion_name", ["random-walk", "cluster-drift", "intermittent"])
-    def test_motion_model_series_match(self, backend, motion_name, monkeypatch):
-        motion_factories = {
-            "random-walk": None,
-            "cluster-drift": lambda ds: ClusterDrift(
-                ds,
-                np.random.default_rng(3).integers(0, 8, size=ds.n_objects),
-                distance=3.0,
-                seed=3,
-            ),
-            "intermittent": lambda ds: IntermittentTranslation(
-                ds, seed=5, move_fraction=0.1, distance=2.0
-            ),
-        }
-        factory = motion_factories[motion_name]
-        reference = _series(ThermalJoin(count_only=True), motion_factory=factory)
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        got = _series(ThermalJoin(count_only=True), motion_factory=factory)
-        assert got == reference
-
-    def test_incremental_maintenance_series_match(self, backend, monkeypatch):
-        def intermittent(ds):
-            return IntermittentTranslation(ds, seed=5, move_fraction=0.05, distance=2.0)
-
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-        reference = _series(
-            ThermalJoin(count_only=True), steps=5, motion_factory=intermittent
-        )
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        got = _series(ThermalJoin(count_only=True), steps=5, motion_factory=intermittent)
-        assert got == reference
-
-    def test_fault_recovery_series_match(self, backend, monkeypatch):
-        reference = _series(ThermalJoin(resolution=1.0, count_only=True))
-        monkeypatch.setenv("REPRO_KERNELS", backend)
-        install_fault_plan(parse_faults("raise@1"))
-        try:
-            join = ThermalJoin(resolution=1.0, count_only=True, executor="thread:2")
-            got = _series(join)
-            join.executor.close()
-        finally:
-            install_fault_plan(None)
-        assert got == reference
-
-
 # ----------------------------------------------------------------------
 # Pre-refactor oracle regression (recorded before the kernel layer existed)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestRecordedOracle:
-    """Every backend must reproduce the pre-refactor per-step series."""
+    """The kernels must reproduce the pre-refactor per-step series."""
 
     def _recorded(self, name):
         rows = json.loads(FIXTURE_PATH.read_text())["runs"][name]
@@ -540,13 +313,11 @@ class TestRecordedOracle:
             ("ego", lambda: EGOJoin(count_only=True)),
         ],
     )
-    def test_random_walk_series(self, backend, name, factory, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", backend)
+    def test_random_walk_series(self, name, factory):
         got = _series(factory(), steps=4, n_objects=900)
         assert got == self._recorded(name)
 
-    def test_incremental_series(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", backend)
+    def test_incremental_series(self):
         got = _series(
             ThermalJoin(count_only=True, pair_maintenance=True),
             steps=6,

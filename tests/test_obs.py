@@ -174,7 +174,6 @@ class TestBenchSchema:
                     "workload": "uniform",
                     "algorithm": "pbsm",
                     "executor": "serial",
-                    "kernel_backend": "numpy",
                     "checkpoint_every": 0,
                     "n_objects": len(dataset),
                     "n_steps": len(runner.records),

@@ -49,9 +49,8 @@ from repro.simulation import SimulationRunner
 N_STEPS = 8
 
 #: Providers excluded from trajectory comparison: ``recovery`` counters
-#: are runner-local (only the checkpointed run has them) and ``kernels``
-#: counters are process-global cumulative call counts.
-_RUN_LOCAL_PROVIDERS = ("recovery", "kernels")
+#: are runner-local (only the checkpointed run has them).
+_RUN_LOCAL_PROVIDERS = ("recovery",)
 
 
 def _make_workload(kind: str, seed: int = 11):

@@ -42,7 +42,6 @@ ALL_CODES = {
     "RPL202",
     "RPL203",
     "RPL301",
-    "RPL401",
     "RPL501",
     "RPL601",
 }
@@ -586,81 +585,6 @@ class TestJoinResultContract:
                 pairs = None if count_only else (i_idx, j_idx)
                 return JoinResult(n, tests, pairs=pairs)
             """,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL401 — verify kernels invoked only via the dispatch registry
-# ----------------------------------------------------------------------
-class TestKernelBackendImports:
-    def test_backend_submodule_import_fires(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/engine/mod.py",
-            "from repro.geometry.kernels.numpy_backend import cell_pair_sweep\n",
-        )
-        assert codes_of(findings) == {"RPL401"}
-
-    def test_loop_core_import_fires(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/core/mod.py",
-            "import repro.geometry.kernels.loops\n",
-        )
-        assert codes_of(findings) == {"RPL401"}
-
-    def test_dispatch_internals_import_fires(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/joins/mod.py",
-            "from repro.geometry.kernels.dispatch import _tables\n",
-        )
-        assert codes_of(findings) == {"RPL401"}
-
-    def test_direct_numba_import_fires(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/core/mod.py",
-            "import numba\n",
-            select="RPL401",
-        )
-        assert codes_of(findings) == {"RPL401"}
-
-    def test_public_dispatch_import_is_clean(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/engine/mod.py",
-            """
-            from repro.geometry.kernels import cell_pair_sweep, strip_sweep
-
-            def run(ctx, accumulator, start, stop, carry):
-                return strip_sweep(
-                    ctx["lo"], ctx["hi"], ctx["ids"], start, stop, carry, accumulator
-                )
-            """,
-            select="RPL401",
-        )
-        assert findings == []
-
-    def test_kernels_package_itself_is_exempt(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/geometry/kernels/dispatch.py",
-            """
-            import numba
-            from repro.geometry.kernels.numpy_backend import cell_pair_sweep
-            """,
-            select="RPL401",
-        )
-        assert findings == []
-
-    def test_outside_library_scope_is_exempt(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "benchmarks/mod.py",
-            "from repro.geometry.kernels.loops import strip_sweep_core\n",
-            select="RPL401",
         )
         assert findings == []
 

@@ -12,7 +12,6 @@ Exit codes follow the ruff convention the CI gate relies on:
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -27,24 +26,18 @@ from tools.repro_lint.core import (
     all_rule_codes,
     lint_paths,
 )
-from tools.repro_lint.project import IndexCache
 from tools.repro_lint.sarif import render_sarif
 
 __all__ = ["main", "run_paths"]
-
-DEFAULT_CACHE = ".repro-lint-cache.json"
 
 
 def run_paths(
     paths: Sequence[str],
     select: frozenset[str] | None = None,
     ignore: frozenset[str] | None = None,
-    cache_path: str | None = None,
 ) -> list[Diagnostic]:
     """Programmatic API used by the test suite: lint and return findings."""
-    cache = IndexCache(Path(cache_path)) if cache_path else None
-    report = lint_paths(paths, select=select, ignore=ignore, cache=cache)
-    return report.findings
+    return lint_paths(paths, select=select, ignore=ignore).findings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,30 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout (sarif is always "
         "written whole; text writes the findings)",
     )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=None,
-        help=f"project-index cache file (default: {DEFAULT_CACHE} next to the "
-        "first path; warm runs only re-analyze changed files)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the project-index cache for this run",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="index everything but only report findings in files git "
-        "considers changed (working tree vs --base, default HEAD)",
-    )
-    parser.add_argument(
-        "--base",
-        metavar="REF",
-        default="HEAD",
-        help="git ref to diff against for --changed-only (default: HEAD)",
-    )
     return parser
 
 
@@ -127,49 +96,6 @@ def _parse_codes(raw: str, flag: str) -> frozenset[str] | int:
         )
         return 2
     return codes
-
-
-def _git_changed_files(base: str) -> set[str] | None:
-    """Resolved POSIX paths of files changed vs ``base`` (plus untracked)."""
-    changed: set[str] = set()
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as error:
-        detail = getattr(error, "stderr", "") or str(error)
-        print(
-            f"repro-lint: error: --changed-only needs git: {detail.strip()}",
-            file=sys.stderr,
-        )
-        return None
-    root = Path(top.stdout.strip())
-    for listing in (diff.stdout, untracked.stdout):
-        for name in listing.splitlines():
-            if name.strip():
-                changed.add((root / name.strip()).resolve().as_posix())
-    return changed
-
-
-def _default_cache_path(paths: Sequence[str]) -> Path:
-    anchor = Path(paths[0])
-    base = anchor if anchor.is_dir() else anchor.parent
-    return base / DEFAULT_CACHE
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -218,34 +144,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return parsed
         ignore = parsed
 
-    changed: set[str] | None = None
-    if args.changed_only:
-        changed = _git_changed_files(args.base)
-        if changed is None:
-            return 2
-
-    cache: IndexCache | None = None
-    if not args.no_cache:
-        cache_path = Path(args.cache) if args.cache else _default_cache_path(args.paths)
-        cache = IndexCache(cache_path)
-
     try:
-        report = lint_paths(args.paths, select=select, ignore=ignore, cache=cache)
+        report = lint_paths(args.paths, select=select, ignore=ignore)
     except FileNotFoundError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
 
     findings = report.findings
-    if changed is not None:
-        display_to_resolved = {
-            summary.path: summary.resolved for summary in report.summaries
-        }
-        findings = [
-            finding
-            for finding in findings
-            if display_to_resolved.get(finding.path, finding.path) in changed
-        ]
-
     out = sys.stdout
     close_out = False
     if args.output:
@@ -264,12 +169,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     summary_parts = [f"{len(findings)} finding(s) in {report.checked} file(s)"]
     if report.parse_errors:
         summary_parts.append(f"{report.parse_errors} unparsable")
-    if cache is not None:
-        summary_parts.append(
-            f"cache: {report.cache_hits} hit(s), {report.cache_misses} miss(es)"
-        )
-    if args.changed_only:
-        summary_parts.append(f"changed-only vs {args.base}")
     if findings:
         print(f"repro-lint: {', '.join(summary_parts)}")
         if args.statistics:
@@ -278,10 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             ):
                 print(f"{count:5d}  {code}")
         return 1
-    print(
-        f"repro-lint: clean ({report.checked} file(s) checked"
-        + (f", cache: {report.cache_hits} hit(s))" if cache is not None else ")")
-    )
+    print(f"repro-lint: clean ({report.checked} file(s) checked)")
     if args.statistics:
         print("    0  findings")
     return 0

@@ -305,15 +305,3 @@ GLOBAL_STATE_CONSTRUCTORS: dict[str, str] = {
     "multiprocessing.Pool": "pool",
     "multiprocessing.shared_memory.SharedMemory": "shared_memory",
 }
-
-# ----------------------------------------------------------------------
-# RPL401 — kernel backend dispatch discipline
-# ----------------------------------------------------------------------
-#: The verify-kernel package: the only place allowed to import backend
-#: implementation modules (``numpy_backend``, ``numba_backend``,
-#: ``loops``, ``dispatch``) or the optional ``numba`` dependency.
-KERNELS_PACKAGE: tuple[str, ...] = ("/repro/geometry/kernels/",)
-
-#: The sanctioned import target outside the package: the package itself,
-#: whose public wrappers route every call through the dispatch registry.
-KERNELS_PUBLIC_MODULE = "repro.geometry.kernels"

@@ -18,12 +18,6 @@ Line suppressions use the same shape as ruff's ``noqa``::
 
 A bare ``# repro-lint: ignore`` (no code list) suppresses every rule on
 that line; a code list suppresses exactly those codes.
-
-Per-file results (summary + post-suppression diagnostics) are cached to
-disk keyed on content hashes; project rules always re-run against the
-reassembled index, so editing a helper re-checks every module that
-reaches it through the call graph even though only the helper's cache
-entry is invalidated.
 """
 
 from __future__ import annotations
@@ -34,14 +28,12 @@ import io
 import re
 import tokenize
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from tools.repro_lint.project import (
-    IndexCache,
     ModuleSummary,
     ProjectIndex,
-    file_digest,
     module_name_for_path,
     summarize_module,
 )
@@ -266,9 +258,6 @@ class LintReport:
     findings: list[Diagnostic]
     checked: int
     parse_errors: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    summaries: list[ModuleSummary] = field(default_factory=list)
 
     def statistics(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -277,26 +266,16 @@ class LintReport:
         return dict(sorted(counts.items()))
 
 
-def analyze_file(
-    path: Path,
-    display: str | None = None,
-    cache: IndexCache | None = None,
-) -> ModuleSummary:
+def analyze_file(path: Path, display: str | None = None) -> ModuleSummary:
     """Produce the :class:`ModuleSummary` for one file.
 
     Runs every per-file rule and stores the *post-suppression*
-    diagnostics on the summary, so a cache hit replays exactly what a
-    fresh analysis would have reported.  A ``SyntaxError`` becomes an
+    diagnostics on the summary.  A ``SyntaxError`` becomes an
     :data:`PARSE_ERROR_CODE` diagnostic instead of an exception.
     """
     display = display or str(path)
     resolved = path.resolve().as_posix()
     source = path.read_text(encoding="utf-8")
-    sha = file_digest(source)
-    if cache is not None:
-        cached = cache.get(resolved, sha, display)
-        if cached is not None:
-            return cached
     module = module_name_for_path(resolved)
     try:
         tree = ast.parse(source, filename=str(path))
@@ -305,7 +284,6 @@ def analyze_file(
             module=module,
             path=display,
             resolved=resolved,
-            sha256=sha,
             parse_error=f"{error.msg} (line {error.lineno})",
         )
         summary.suppressions = collect_suppressions(source)
@@ -317,11 +295,9 @@ def analyze_file(
                 f"cannot parse file: {error.msg}",
             )
         ]
-        if cache is not None:
-            cache.put(summary)
         return summary
     ctx = FileContext(path, display, source, tree)
-    summary = summarize_module(module, display, resolved, sha, tree)
+    summary = summarize_module(module, display, resolved, tree)
     summary.suppressions = dict(ctx.suppressions)
     diagnostics: list[tuple[str, int, int, str]] = []
     for rule in RULES:
@@ -331,8 +307,6 @@ def analyze_file(
                     (diagnostic.code, diagnostic.line, diagnostic.col, diagnostic.message)
                 )
     summary.diagnostics = diagnostics
-    if cache is not None:
-        cache.put(summary)
     return summary
 
 
@@ -387,13 +361,11 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: frozenset[str] | None = None,
     ignore: frozenset[str] | None = None,
-    cache: IndexCache | None = None,
 ) -> LintReport:
     """Lint every python file under ``paths``.
 
-    Per-file work is served from ``cache`` when content hashes match;
-    project rules always run against the full reassembled index.
-    Findings are sorted by location.  Import the rules modules first
+    Per-file rules run on each file; project rules run once against the
+    index of all of them.  Findings are sorted by location.  Import the rules modules first
     (the CLI does) or the registries are empty.
     """
     summaries: list[ModuleSummary] = []
@@ -403,7 +375,7 @@ def lint_paths(
         if resolved in seen:
             continue
         seen.add(resolved)
-        summaries.append(analyze_file(path, display=str(path), cache=cache))
+        summaries.append(analyze_file(path, display=str(path)))
 
     findings: list[Diagnostic] = []
     parse_errors = 0
@@ -417,14 +389,6 @@ def lint_paths(
         )
     findings.extend(_run_project_rules(summaries, select, ignore))
     findings.sort()
-    report = LintReport(
-        findings=findings,
-        checked=len(summaries),
-        parse_errors=parse_errors,
-        summaries=summaries,
+    return LintReport(
+        findings=findings, checked=len(summaries), parse_errors=parse_errors
     )
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.save()
-    return report

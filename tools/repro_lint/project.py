@@ -1,24 +1,12 @@
-"""Project index: per-module summaries, import tables and a disk cache.
+"""Project index: per-module summaries and import tables.
 
 This is the substrate of repro-lint's whole-program pass.  Every linted
 file is distilled into a :class:`ModuleSummary` — its import table, its
 functions (with call sites, sink calls and executor submissions), its
 classes (methods, attribute types, bases) and its module-level globals.
-The summaries are pure data (JSON round-trippable), which buys two
-things:
-
-* the **call graph** (:mod:`tools.repro_lint.callgraph`) is built from
-  summaries alone, never from live ASTs, so cross-file rules see one
-  uniform model whether a module was parsed this run or restored from
-  cache;
-* the **cache** (:class:`IndexCache`) can persist summaries *and* the
-  per-file diagnostics keyed on a content hash — a warm run re-parses
-  only files whose bytes changed, while the cross-file rules always run
-  against the fully reassembled index, so editing a transitively-called
-  helper re-analyses every dependent module for free.
-
-The cache is invalidated wholesale when the linter itself changes: the
-fingerprint hashes every source file of ``tools/repro_lint``.
+The **call graph** (:mod:`tools.repro_lint.callgraph`) is built from
+summaries alone, never from live ASTs, so cross-file rules see one
+uniform model of every module.
 """
 
 from __future__ import annotations
@@ -26,10 +14,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
 
 from tools.repro_lint import config
 
@@ -37,18 +22,12 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "IndexCache",
     "ModuleSummary",
     "ProjectIndex",
     "SubmitSite",
-    "linter_fingerprint",
     "module_name_for_path",
     "summarize_module",
 ]
-
-#: Bump when the summary shape changes incompatibly.
-INDEX_VERSION = 1
-
 
 # ----------------------------------------------------------------------
 # Summary data model
@@ -64,20 +43,6 @@ class CallSite:
     bare_stmt: bool = False  #: expression statement whose value is discarded
     offloaded: bool = False  #: callable passed through asyncio.to_thread / run_in_executor
 
-    def to_json(self) -> list[Any]:
-        return [
-            self.callee,
-            self.lineno,
-            self.col,
-            self.awaited,
-            self.bare_stmt,
-            self.offloaded,
-        ]
-
-    @classmethod
-    def from_json(cls, data: list[Any]) -> CallSite:
-        return cls(*data)
-
 
 @dataclass
 class SubmitSite:
@@ -87,13 +52,6 @@ class SubmitSite:
     kind: str  #: "name" | "lambda" | "computed"
     lineno: int
     col: int
-
-    def to_json(self) -> list[Any]:
-        return [self.target, self.kind, self.lineno, self.col]
-
-    @classmethod
-    def from_json(cls, data: list[Any]) -> SubmitSite:
-        return cls(*data)
 
 
 @dataclass
@@ -114,41 +72,6 @@ class FunctionInfo:
     submits: list[SubmitSite] = field(default_factory=list)
     reads: list[str] = field(default_factory=list)  #: non-local names read
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_async": self.is_async,
-            "kind": self.kind,
-            "owner": self.owner,
-            "params": self.params,
-            "local_types": self.local_types,
-            "calls": [call.to_json() for call in self.calls],
-            "sinks": {k: [list(site) for site in v] for k, v in self.sinks.items()},
-            "submits": [submit.to_json() for submit in self.submits],
-            "reads": self.reads,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> FunctionInfo:
-        return cls(
-            qualname=data["qualname"],
-            lineno=data["lineno"],
-            col=data["col"],
-            is_async=data["is_async"],
-            kind=data["kind"],
-            owner=data["owner"],
-            params=data["params"],
-            local_types=data["local_types"],
-            calls=[CallSite.from_json(c) for c in data["calls"]],
-            sinks={
-                k: [(s[0], s[1], s[2]) for s in v] for k, v in data["sinks"].items()
-            },
-            submits=[SubmitSite.from_json(s) for s in data["submits"]],
-            reads=data["reads"],
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -160,28 +83,14 @@ class ClassInfo:
     attr_types: dict[str, str] = field(default_factory=dict)  #: attr -> class ref
     bases: list[str] = field(default_factory=list)  #: dotted refs as written
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "methods": self.methods,
-            "attr_types": self.attr_types,
-            "bases": self.bases,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> ClassInfo:
-        return cls(**data)
-
 
 @dataclass
 class ModuleSummary:
     """Everything the whole-program pass needs to know about one file."""
 
     module: str
-    path: str  #: display path (current run; not part of the cached identity)
-    resolved: str  #: resolved POSIX path (cache key, scope matching)
-    sha256: str
+    path: str  #: display path
+    resolved: str  #: resolved POSIX path (scope matching)
     imports: dict[str, str] = field(default_factory=dict)  #: local name -> dotted target
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
@@ -201,45 +110,6 @@ class ModuleSummary:
             return False
         codes = self.suppressions[line]
         return codes is None or code in codes
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "resolved": self.resolved,
-            "sha256": self.sha256,
-            "imports": self.imports,
-            "functions": {k: v.to_json() for k, v in self.functions.items()},
-            "classes": {k: v.to_json() for k, v in self.classes.items()},
-            "globals": self.globals,
-            "suppressions": {
-                str(line): (None if codes is None else sorted(codes))
-                for line, codes in self.suppressions.items()
-            },
-            "diagnostics": [list(d) for d in self.diagnostics],
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> ModuleSummary:
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            resolved=data["resolved"],
-            sha256=data["sha256"],
-            imports=data["imports"],
-            functions={
-                k: FunctionInfo.from_json(v) for k, v in data["functions"].items()
-            },
-            classes={k: ClassInfo.from_json(v) for k, v in data["classes"].items()},
-            globals=data["globals"],
-            suppressions={
-                int(line): (None if codes is None else frozenset(codes))
-                for line, codes in data["suppressions"].items()
-            },
-            diagnostics=[(d[0], d[1], d[2], d[3]) for d in data["diagnostics"]],
-            parse_error=data["parse_error"],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -678,13 +548,10 @@ def summarize_module(
     module: str,
     path: str,
     resolved: str,
-    sha256: str,
     tree: ast.Module,
 ) -> ModuleSummary:
     """Distill one parsed module into a :class:`ModuleSummary`."""
-    summary = ModuleSummary(
-        module=module, path=path, resolved=resolved, sha256=sha256
-    )
+    summary = ModuleSummary(module=module, path=path, resolved=resolved)
     _collect_imports(summary, tree)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -726,81 +593,3 @@ class ProjectIndex:
 
     def __len__(self) -> int:
         return len(self.summaries)
-
-
-# ----------------------------------------------------------------------
-# Disk cache
-# ----------------------------------------------------------------------
-def linter_fingerprint() -> str:
-    """Hash of the linter's own sources: any rule change voids the cache."""
-    package_dir = Path(__file__).resolve().parent
-    digest = hashlib.sha256(str(INDEX_VERSION).encode())
-    for source in sorted(package_dir.glob("*.py")):
-        digest.update(source.name.encode())
-        digest.update(source.read_bytes())
-    return digest.hexdigest()
-
-
-def file_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-class IndexCache:
-    """Content-hash-keyed store of module summaries and their findings.
-
-    ``get`` hits only when the file's bytes are unchanged *and* the
-    linter fingerprint matches; everything else re-indexes.  The cache
-    deliberately stores per-file state only — cross-file rules always
-    run on the reassembled index, which is what makes editing one
-    helper correctly re-analyse every module that can reach it.
-    """
-
-    def __init__(self, path: Path | None) -> None:
-        self.path = path
-        self.fingerprint = linter_fingerprint()
-        self.entries: dict[str, dict[str, Any]] = {}
-        self.hits = 0
-        self.misses = 0
-        if path is not None and path.exists():
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if (
-                    doc.get("version") == INDEX_VERSION
-                    and doc.get("fingerprint") == self.fingerprint
-                ):
-                    self.entries = doc.get("entries", {})
-            except (OSError, ValueError):
-                self.entries = {}
-
-    def get(self, resolved: str, sha256: str, display: str) -> ModuleSummary | None:
-        entry = self.entries.get(resolved)
-        if entry is None or entry.get("sha256") != sha256:
-            self.misses += 1
-            return None
-        try:
-            summary = ModuleSummary.from_json(entry)
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        summary.path = display  # display names follow the current invocation
-        return summary
-
-    def put(self, summary: ModuleSummary) -> None:
-        self.entries[summary.resolved] = summary.to_json()
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        doc = {
-            "version": INDEX_VERSION,
-            "fingerprint": self.fingerprint,
-            "entries": self.entries,
-        }
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            tmp.write_text(json.dumps(doc), encoding="utf-8")
-            tmp.replace(self.path)
-        except OSError:
-            pass  # caching is an optimisation, never a failure mode

@@ -13,7 +13,6 @@ RPL201   overlap predicates go through counted geometry helpers
 RPL202   ``JoinStatistics`` fields written only via recording methods
 RPL203   maintained pair sets mutated only via the delta-maintenance API
 RPL301   ``JoinResult.pairs`` contract (``tuple | None``)
-RPL401   verify kernels invoked only via the dispatch registry
 RPL501   recovery-package file writes go through the atomic writer
 RPL601   event-loop imports confined to ``repro/service/``
 =======  ==============================================================
@@ -539,54 +538,6 @@ class JoinResultContractRule(Rule):
                         "JoinResult.pairs must be a tuple of index arrays or "
                         "None, not a list",
                     )
-
-
-@register
-class KernelBackendImportRule(Rule):
-    code = "RPL401"
-    title = "direct kernel-backend import"
-    rationale = (
-        "Every candidate verification flows through the dispatch registry "
-        "of repro.geometry.kernels: backend resolution (REPRO_KERNELS, "
-        "set_backend, fallback-to-oracle) and the dispatch counters only "
-        "hold if no caller grabs a backend implementation directly.  "
-        "Importing kernels submodules (numpy_backend, numba_backend, "
-        "loops, dispatch) or the optional numba dependency outside the "
-        "kernels package pins one backend and silently bypasses the "
-        "selection, fallback and accounting machinery."
-    )
-
-    @staticmethod
-    def _is_backend_module(module: str) -> bool:
-        return (
-            module.startswith(config.KERNELS_PUBLIC_MODULE + ".")
-            or module == "numba"
-            or module.startswith("numba.")
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not ctx.in_scope(config.LIBRARY_SCOPE) or ctx.in_scope(
-            config.KERNELS_PACKAGE
-        ):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            for module in modules:
-                if self._is_backend_module(module):
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"direct import of kernel backend module {module!r} "
-                        "outside repro/geometry/kernels/; invoke kernels "
-                        "through the public dispatch wrappers "
-                        f"({config.KERNELS_PUBLIC_MODULE})",
-                    )
-                    break
 
 
 @register
