@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.geometry import sorted_unique_keys
+
 if TYPE_CHECKING:
     from repro.datasets.delta import MotionDelta
 
@@ -65,7 +67,7 @@ def moved_groups(delta: MotionDelta, assignment: np.ndarray) -> np.ndarray:
             f"assignment maps {assignment.shape} objects but the delta "
             f"describes {delta.n_objects}"
         )
-    return np.unique(assignment[delta.moved])
+    return sorted_unique_keys(assignment[delta.moved])
 
 
 @dataclass

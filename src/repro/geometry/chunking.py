@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.pairs import sorted_unique_keys
+
 __all__ = ["chunk_edges_by_volume"]
 
 
@@ -65,4 +67,4 @@ def chunk_edges_by_volume(
         targets = np.arange(per_chunk, total, per_chunk, dtype=np.int64)
         targets = targets[: n_chunks - 1]
     inner = np.searchsorted(cum, targets, side="left") + 1
-    return np.unique(np.concatenate([[0], inner, [n]]))
+    return sorted_unique_keys(np.concatenate([[0], inner, [n]]))

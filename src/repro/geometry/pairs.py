@@ -9,7 +9,8 @@ tests.
 
 Pairs are canonicalised as ``i < j`` over the objects' positional indices
 in the dataset and, where a single array is convenient, packed into an
-``int64`` key ``i * n + j``.
+``int64`` key ``i * n + j``.  Deduplication sorts those keys
+(:func:`sorted_unique_keys`) rather than hashing them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "canonicalize_pairs",
     "pack_pairs",
     "unpack_pairs",
+    "sorted_unique_keys",
     "unique_pairs",
     "pairs_equal",
     "PairAccumulator",
@@ -54,8 +56,11 @@ def pack_pairs(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> np.ndarray:
     j_idx = np.asarray(j_idx, dtype=np.int64)
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if i_idx.size and (int(i_idx.max()) >= n or int(j_idx.max()) >= n):
-        raise ValueError("pair index out of range for the given n")
+    if i_idx.size and (
+        min(int(i_idx.min()), int(j_idx.min())) < 0
+        or max(int(i_idx.max()), int(j_idx.max())) >= n
+    ):
+        raise ValueError("pair index out of range [0, n) for the given n")
     return i_idx * np.int64(n) + j_idx
 
 
@@ -65,17 +70,33 @@ def unpack_pairs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return keys // np.int64(n), keys % np.int64(n)
 
 
+def sorted_unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer key array.
+
+    The library's one 1-D deduplication primitive; bit-identical to
+    ``np.unique`` on integer input.  ``np.unique`` hashes its input on
+    numpy 2.x and then sorts the distinct values, which costs tens of
+    times more than one ``np.sort`` followed by an adjacent ``!=`` mask
+    on the packed pair keys this library deduplicates.
+    """
+    ordered = np.sort(np.asarray(keys), axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def unique_pairs(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonicalise, deduplicate and sort pairs; returns ``(i, j)`` arrays."""
     lo, hi = canonicalize_pairs(i_idx, j_idx)
-    keys = np.unique(pack_pairs(lo, hi, n))
+    keys = sorted_unique_keys(pack_pairs(lo, hi, n))
     return unpack_pairs(keys, n)
 
 
 def pairs_equal(pairs_a: tuple[np.ndarray, np.ndarray], pairs_b: tuple[np.ndarray, np.ndarray], n: int) -> bool:
     """Set equality of two pair collections given as ``(i, j)`` tuples."""
-    keys_a = np.unique(pack_pairs(*canonicalize_pairs(*pairs_a), n))
-    keys_b = np.unique(pack_pairs(*canonicalize_pairs(*pairs_b), n))
+    keys_a = sorted_unique_keys(pack_pairs(*canonicalize_pairs(*pairs_a), n))
+    keys_b = sorted_unique_keys(pack_pairs(*canonicalize_pairs(*pairs_b), n))
     return keys_a.shape == keys_b.shape and bool(np.array_equal(keys_a, keys_b))
 
 
@@ -195,7 +216,7 @@ class MaintainedPairSet:
             raise ValueError(f"n must be positive, got {n}")
         self.n = int(n)
         lo, hi = canonicalize_pairs(i_idx, j_idx)
-        self._keys = np.unique(pack_pairs(lo, hi, self.n))
+        self._keys = sorted_unique_keys(pack_pairs(lo, hi, self.n))
 
     @classmethod
     def from_packed(cls, n: int, keys: np.ndarray) -> MaintainedPairSet:
@@ -253,7 +274,7 @@ class MaintainedPairSet:
         so emitting the same pair from two verify tasks is harmless.
         """
         lo, hi = canonicalize_pairs(i_idx, j_idx)
-        fresh = np.unique(pack_pairs(lo, hi, self.n))
+        fresh = sorted_unique_keys(pack_pairs(lo, hi, self.n))
         # Both sides are sorted, so merge by insertion position instead
         # of re-sorting the whole key set (union1d would): O(P + k log P)
         # for k fresh keys against P maintained ones.
@@ -319,20 +340,25 @@ def pairs_to_adjacency(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np
         ``(offsets, neighbors)`` — object ``k``'s partners are
         ``neighbors[offsets[k]:offsets[k + 1]]``, sorted ascending.
         ``offsets`` has length ``n + 1``.
+
+    Raises
+    ------
+    ValueError
+        If ``n`` is not positive, the index arrays differ in shape, or
+        an index lies outside ``[0, n)``.
     """
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    # Each unordered pair contributes both directions.
+    if i_idx.shape != j_idx.shape:
+        raise ValueError("pair index arrays must have the same shape")
+    # Each unordered pair contributes both directions.  Sorting the
+    # packed directed keys ``source * n + target`` orders them by source
+    # and then target; pack_pairs' range check is what makes that exact.
     sources = np.concatenate([i_idx, j_idx])
-    targets = np.concatenate([j_idx, i_idx])
-    order = np.lexsort((targets, sources))
-    sources = sources[order]
-    targets = targets[order]
+    keys = np.sort(pack_pairs(sources, np.concatenate([j_idx, i_idx]), n))
     counts = np.bincount(sources, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, targets
+    return offsets, keys % np.int64(n)
 
 
 def all_combinations(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

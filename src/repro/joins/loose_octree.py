@@ -27,7 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cells import pack_cell_ids
-from repro.geometry import cross_join_groups, encloses, group_by_keys
+from repro.geometry import (
+    cross_join_groups,
+    encloses,
+    group_by_keys,
+    sorted_unique_keys,
+)
 from repro.joins.base import MBR_BYTES, POINTER_BYTES, SpatialJoinAlgorithm
 from repro.joins.octree import MAX_DEPTH, octree_root_cube
 
@@ -190,7 +195,7 @@ class LooseOctreeJoin(SpatialJoinAlgorithm):
                     q_groups_cat, q_starts, q_stops, _keys = group_by_keys(
                         occ_slots[at_occupied], ids=q_ids
                     )
-                    unique_slots = np.unique(occ_slots[at_occupied])
+                    unique_slots = sorted_unique_keys(occ_slots[at_occupied])
                     tests += cross_join_groups(
                         lo,
                         hi,

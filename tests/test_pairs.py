@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
+    MaintainedPairSet,
     PairAccumulator,
     all_combinations,
     brute_force_pairs,
@@ -13,6 +16,8 @@ from repro.geometry import (
     mbr,
     pack_pairs,
     pairs_equal,
+    pairs_to_adjacency,
+    sorted_unique_keys,
     unique_pairs,
     unpack_pairs,
 )
@@ -61,6 +66,12 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_pairs([0], [0], 0)
 
+    def test_negative_index_raises(self):
+        with pytest.raises(ValueError):
+            pack_pairs([-1], [3], 4)
+        with pytest.raises(ValueError):
+            pack_pairs([2], [-3], 4)
+
 
 class TestUniquePairs:
     def test_dedup_and_sort(self):
@@ -78,6 +89,124 @@ class TestUniquePairs:
         a = (np.array([1]), np.array([3]))
         b = (np.array([1]), np.array([2]))
         assert not pairs_equal(a, b, n=5)
+
+    def test_negative_index_rejected(self):
+        # Packing -1 * 4 + 3 aliases the key of no real pair; it must not
+        # come back as the pair (-1, 3).
+        with pytest.raises(ValueError):
+            unique_pairs([-1, 2], [3, 0], 4)
+
+
+# ----------------------------------------------------------------------
+# Sorted-key canonicalisation: properties against the numpy references
+# ----------------------------------------------------------------------
+def lexsort_adjacency(i_idx, j_idx, n):
+    """Reference CSR construction: lexsort the directed pairs."""
+    sources = np.concatenate([i_idx, j_idx]).astype(np.int64)
+    targets = np.concatenate([j_idx, i_idx]).astype(np.int64)
+    order = np.lexsort((targets, sources))
+    counts = np.bincount(sources[order], minlength=n)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return offsets, targets[order]
+
+
+def assert_bit_identical(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@st.composite
+def pair_sets(draw, canonical):
+    """``(n, i, j)`` with ``n >= 1``; objects beyond the pairs stay isolated."""
+    n = draw(st.integers(1, 40))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=120))
+    i_idx = np.array([p[0] for p in pairs], dtype=np.int64)
+    j_idx = np.array([p[1] for p in pairs], dtype=np.int64)
+    if canonical:
+        i_idx, j_idx = unique_pairs(i_idx, j_idx, n)
+    return n, i_idx, j_idx
+
+
+class TestSortedUniqueKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3_000_000_000),
+        raw=st.lists(st.integers(0, 2**62), max_size=200),
+    )
+    def test_matches_np_unique_up_to_n_squared(self, n, raw):
+        keys = np.array([value % (n * n) for value in raw], dtype=np.int64)
+        assert_bit_identical(sorted_unique_keys(keys), np.unique(keys))
+
+    @settings(max_examples=50, deadline=None)
+    @given(value=st.integers(-(2**63), 2**63 - 1), copies=st.integers(1, 50))
+    def test_all_duplicates(self, value, copies):
+        keys = np.full(copies, value, dtype=np.int64)
+        assert_bit_identical(sorted_unique_keys(keys), np.unique(keys))
+
+    def test_empty_and_single(self):
+        for keys in (np.empty(0, dtype=np.int64), np.array([7], dtype=np.int64)):
+            assert_bit_identical(sorted_unique_keys(keys), np.unique(keys))
+
+    def test_input_left_untouched(self):
+        keys = np.array([5, 1, 5, 3], dtype=np.int64)
+        sorted_unique_keys(keys)
+        assert keys.tolist() == [5, 1, 5, 3]
+
+
+class TestPairsToAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(pair_sets(canonical=True), pair_sets(canonical=False)))
+    def test_matches_lexsort_reference(self, data):
+        n, i_idx, j_idx = data
+        offsets, neighbors = pairs_to_adjacency(i_idx, j_idx, n)
+        ref_offsets, ref_neighbors = lexsort_adjacency(i_idx, j_idx, n)
+        assert offsets.shape == (n + 1,)
+        assert_bit_identical(offsets, ref_offsets)
+        assert_bit_identical(neighbors, ref_neighbors)
+
+    def test_single_object(self):
+        offsets, neighbors = pairs_to_adjacency(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1
+        )
+        assert offsets.tolist() == [0, 0]
+        assert neighbors.size == 0
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(ValueError):
+            pairs_to_adjacency([0, 1], [1, 5], 4)
+        with pytest.raises(ValueError):
+            pairs_to_adjacency([0, -1], [1, 2], 4)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pairs_to_adjacency([0, 1], [1], 4)
+
+
+class TestMaintainedPairSetAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=pair_sets(canonical=False),
+        moved_seed=st.integers(0, 2**32 - 1),
+        fresh=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+    )
+    def test_matches_set_reference(self, base, moved_seed, fresh):
+        n, i_idx, j_idx = base
+        moved = np.random.default_rng(moved_seed).random(n) < 0.3
+        fresh_i = np.array([p[0] % n for p in fresh], dtype=np.int64)
+        fresh_j = np.array([p[1] % n for p in fresh], dtype=np.int64)
+
+        maintained = MaintainedPairSet(n, i_idx, j_idx)
+        maintained.remove_incident(moved)
+        maintained.merge_delta(fresh_i, fresh_j)
+
+        keys = np.unique(pack_pairs(*canonicalize_pairs(i_idx, j_idx), n))
+        lo, hi = unpack_pairs(keys, n)
+        incident = keys[moved[lo] | moved[hi]]
+        fresh_keys = pack_pairs(*canonicalize_pairs(fresh_i, fresh_j), n)
+        expected = np.union1d(np.setdiff1d(keys, incident), fresh_keys)
+        assert_bit_identical(maintained.packed_keys(), expected)
 
 
 class TestPairAccumulator:

@@ -41,6 +41,7 @@ ALL_CODES = {
     "RPL201",
     "RPL202",
     "RPL203",
+    "RPL204",
     "RPL301",
     "RPL501",
     "RPL601",
@@ -526,6 +527,77 @@ class TestPairSetWrite:
             select="RPL203",
         )
         assert findings == []
+
+
+# ----------------------------------------------------------------------
+# RPL204 — one 1-D deduplication primitive
+# ----------------------------------------------------------------------
+class TestSortedUnique:
+    def test_one_dimensional_unique_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/engine/mod.py",
+            """
+            import numpy as np
+
+            def groups(assignment, moved):
+                return np.unique(assignment[moved])
+            """,
+        )
+        assert codes_of(findings) == {"RPL204"}
+
+    def test_numpy_spelling_and_import_fire(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/service/mod.py",
+            """
+            import numpy
+            from numpy import unique
+
+            def dedup(keys):
+                return numpy.unique(keys, return_counts=True), unique(keys)
+            """,
+            select="RPL204",
+        )
+        assert [finding.code for finding in findings] == ["RPL204", "RPL204"]
+
+    def test_row_wise_unique_is_clean(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/joins/mod.py",
+            """
+            import numpy as np
+
+            def present(coords):
+                return np.unique(coords, axis=0)
+            """,
+            select="RPL204",
+        )
+        assert findings == []
+
+    def test_sorted_unique_keys_is_clean(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/geometry/chunking.py",
+            """
+            from repro.geometry.pairs import sorted_unique_keys
+
+            def edges(inner):
+                return sorted_unique_keys(inner)
+            """,
+            select="RPL204",
+        )
+        assert findings == []
+
+    def test_pairs_module_and_non_library_exempt(self, tmp_path: Path) -> None:
+        source = """
+            import numpy as np
+
+            def reference(keys):
+                return np.unique(keys)
+            """
+        assert lint_source(tmp_path, "repro/geometry/pairs.py", source, "RPL204") == []
+        assert lint_source(tmp_path, "tests/test_mod.py", source, "RPL204") == []
 
 
 # ----------------------------------------------------------------------

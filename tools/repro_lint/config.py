@@ -148,7 +148,8 @@ PAIRSET_ROOTS: frozenset[str] = frozenset(
 )
 
 #: The module that defines ``MaintainedPairSet`` (exempt from RPL203 —
-#: its methods are the sanctioned mutators).
+#: its methods are the sanctioned mutators) and ``sorted_unique_keys``
+#: (exempt from RPL204 — it is the sanctioned 1-D deduplication).
 PAIRS_MODULE: tuple[str, ...] = ("/repro/geometry/pairs.py",)
 
 #: The exact annotation the ``JoinResult.pairs`` contract requires.

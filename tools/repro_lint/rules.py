@@ -12,6 +12,7 @@ RPL102   shared-memory views must be made read-only
 RPL201   overlap predicates go through counted geometry helpers
 RPL202   ``JoinStatistics`` fields written only via recording methods
 RPL203   maintained pair sets mutated only via the delta-maintenance API
+RPL204   1-D ``np.unique`` only via ``sorted_unique_keys``
 RPL301   ``JoinResult.pairs`` contract (``tuple | None``)
 RPL501   recovery-package file writes go through the atomic writer
 RPL601   event-loop imports confined to ``repro/service/``
@@ -463,6 +464,54 @@ class PairSetWriteRule(Rule):
                         "mutate only through remove_incident / merge_delta "
                         "(or rebuild the set from a full join result)",
                     )
+
+
+@register
+class SortedUniqueRule(Rule):
+    code = "RPL204"
+    title = "1-D np.unique outside the sorted-key primitive"
+    rationale = (
+        "Every join answer is canonicalised by deduplicating packed pair "
+        "keys, and numpy 2.x's np.unique hashes its input first, which "
+        "costs tens of times more than np.sort plus an adjacent-compare "
+        "mask.  repro.geometry.sorted_unique_keys is that mask and is "
+        "bit-identical to np.unique on integer keys, so 1-D deduplication "
+        "in the library goes through it.  Row-wise calls (axis=...) are "
+        "not 1-D and are exempt."
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        if not ctx.in_scope(config.LIBRARY_SCOPE) or ctx.in_scope(
+            config.PAIRS_MODULE
+        ):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                if any(alias.name == "unique" for alias in node.names):
+                    yield ctx.diagnostic(
+                        node,
+                        self.code,
+                        "import of numpy.unique; deduplicate 1-D keys with "
+                        "repro.geometry.sorted_unique_keys",
+                    )
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if not (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "unique"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("np", "numpy")
+                ):
+                    continue
+                if any(keyword.arg == "axis" for keyword in node.keywords):
+                    continue
+                yield ctx.diagnostic(
+                    node,
+                    self.code,
+                    f"1-D {func.value.id}.unique() hashes its input; use "
+                    "repro.geometry.sorted_unique_keys (np.sort plus an "
+                    "adjacent-compare mask, bit-identical on integer keys)",
+                )
 
 
 @register
