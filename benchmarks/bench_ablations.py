@@ -84,6 +84,6 @@ def test_gc_bounds_footprint():
         join = ThermalJoin(resolution=1.0, count_only=True, gc_threshold=gc_threshold)
         runner = SimulationRunner(dataset, motion, join)
         runner.run(12)
-        return len(join.pgrid.cells)
+        return join.pgrid.n_cells
 
     assert run(0.35) < run(1.0)

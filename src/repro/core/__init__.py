@@ -1,11 +1,10 @@
 """THERMAL-JOIN core: P-Grid, T-Grid, hot spots, self-tuning."""
 
 from repro.core.cells import (
-    PGridCell,
     half_neighborhood_offsets,
-    pack_cell_id_scalar,
+    neighbor_pairs,
     pack_cell_ids,
-    unpack_cell_id,
+    unpack_cell_ids,
 )
 from repro.core.pgrid import PGrid
 from repro.core.tgrid import TGrid
@@ -16,10 +15,9 @@ __all__ = [
     "ThermalJoin",
     "PGrid",
     "TGrid",
-    "PGridCell",
     "HillClimbingTuner",
     "half_neighborhood_offsets",
+    "neighbor_pairs",
     "pack_cell_ids",
-    "pack_cell_id_scalar",
-    "unpack_cell_id",
+    "unpack_cell_ids",
 ]

@@ -1,16 +1,14 @@
-"""P-Grid cell records and cell-identifier packing.
+"""Cell-identifier packing and neighbour-cell lookup for the grids.
 
-THERMAL-JOIN's primary grid stores one record per *non-empty* cell
-(Figure 3 of the paper): the cell identifier, the cell MBR, the smallest
-object MBR assigned to the cell (for the hot-spot test), the cell age
-(for garbage collection), the object list and the hyperlinks to the
-neighbouring cells considered by the external join.
-
-Cell identifiers pack the three integer grid coordinates into a single
-``int64`` (21 bits per dimension, biased to allow negative coordinates),
-which lets the build phase group all objects with one vectorised sort
-instead of millions of Python-level hash insertions — the moral
-equivalent of the paper's ``calculateCellID``.
+THERMAL-JOIN's primary grid keeps one record per *non-empty* cell
+(Figure 3 of the paper) and reaches the neighbouring cells of the
+external join without hash lookups.  Here a cell is its packed
+identifier: the three integer grid coordinates in a single ``int64``
+(21 bits per dimension, biased to allow negative coordinates).  The
+build phase groups all objects with one vectorised sort — the moral
+equivalent of the paper's ``calculateCellID`` — and the neighbours of
+every cell are found at once by :func:`neighbor_pairs`, one binary
+search per half-neighbourhood offset over the sorted identifiers.
 """
 
 from __future__ import annotations
@@ -21,11 +19,9 @@ __all__ = [
     "COORD_BITS",
     "COORD_BIAS",
     "pack_cell_ids",
-    "pack_cell_id_scalar",
-    "unpack_cell_id",
     "unpack_cell_ids",
-    "PGridCell",
     "half_neighborhood_offsets",
+    "neighbor_pairs",
 ]
 
 #: Bits per grid coordinate in the packed cell identifier.
@@ -55,29 +51,6 @@ def pack_cell_ids(coords: np.ndarray) -> np.ndarray:
         | (biased[:, 1] << COORD_BITS)
         | biased[:, 2]
     )
-
-
-def pack_cell_id_scalar(x: int, y: int, z: int) -> int:
-    """Scalar (pure-Python-int) variant of :func:`pack_cell_ids`.
-
-    Used on the hyperlink wiring path where per-offset numpy calls would
-    dominate; no range validation (the vectorised pass already validated
-    the occupied coordinates, and neighbour offsets stay in range).
-    """
-    return (
-        ((x + COORD_BIAS) << (2 * COORD_BITS))
-        | ((y + COORD_BIAS) << COORD_BITS)
-        | (z + COORD_BIAS)
-    )
-
-
-def unpack_cell_id(cell_id: int) -> tuple[int, int, int]:
-    """Invert :func:`pack_cell_ids` for a single identifier."""
-    cell_id = int(cell_id)
-    x = ((cell_id >> (2 * COORD_BITS)) & _COORD_MASK) - COORD_BIAS
-    y = ((cell_id >> COORD_BITS) & _COORD_MASK) - COORD_BIAS
-    z = (cell_id & _COORD_MASK) - COORD_BIAS
-    return x, y, z
 
 
 def unpack_cell_ids(cell_ids: np.ndarray) -> np.ndarray:
@@ -114,104 +87,49 @@ def half_neighborhood_offsets(layers: int | np.ndarray) -> list[tuple[int, int, 
     return offsets
 
 
-class PGridCell:
-    """One non-empty P-Grid cell (the record of the paper's Figure 3).
+def neighbor_pairs(
+    src_ids: np.ndarray, table_ids: np.ndarray, layers: int, direction: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour cells of ``src_ids`` among the sorted ``table_ids``.
 
-    Attributes
-    ----------
-    coords:
-        Integer grid coordinates ``(ix, iy, iz)``.
-    lo, hi:
-        The cell's half-open spatial extent ``[lo, hi)``.
-    object_idx:
-        ``int64`` array of dataset indices assigned to this cell (objects
-        whose *center* lies in the cell), sorted ascending by the
-        objects' lower x bound so the external join can plane-sweep
-        without re-sorting.
-    min_obj_width, max_obj_width:
-        Per-dimension minimum / maximum widths over the assigned objects;
-        the minimum drives the hot-spot test and the T-Grid resolution,
-        the maximum drives the T-Grid neighbour layer count.
-    center_lo, center_hi:
-        Tight bounds of the assigned objects' centers.  Used by the
-        external join's enclosure shortcut (an object MBR containing all
-        of a cell's centers overlaps every object of the cell) and by
-        the hot-spot test (center spread strictly below the smallest
-        member width guarantees pairwise overlap).
-    age:
-        Number of consecutive refreshes this cell has been vacant (0
-        while occupied); the garbage collector prunes old vacant cells.
-        Derived lazily from the grid's shared refresh clock and the
-        epoch recorded when the cell was vacated, so per-step
-        maintenance never touches already-vacant cells just to age them.
-    hyperlinks:
-        Direct references to the existing cells in this cell's half
-        neighbourhood, so the join phase never performs hash lookups.
+    Returns ``(i, j)`` such that ``table_ids[j]`` is the cell at
+    ``src_ids[i] + direction * o`` for a half-neighbourhood offset ``o``
+    within ``layers`` (``direction=-1`` looks at the mirrored half).
+    With ``src_ids`` equal to ``table_ids`` every unordered pair of
+    neighbouring cells comes out exactly once, as ``C -> C + o`` — the
+    paper's hyperlink graph, found with one ``searchsorted`` per offset.
+    Pairs are ordered by offset, then by ``i``.
+
+    A neighbour whose coordinates leave the packable range
+    ``[-2^20, 2^20)`` is dropped before its id is formed: per-component
+    key arithmetic would carry into the next coordinate and alias a
+    cell that is not adjacent.
     """
-
-    __slots__ = (
-        "coords",
-        "lo",
-        "hi",
-        "object_idx",
-        "min_obj_width",
-        "max_obj_width",
-        "center_lo",
-        "center_hi",
-        "vacant_at",
-        "_clock",
-        "hyperlinks",
-        "slot",
-    )
-
-    def __init__(
-        self,
-        coords: tuple[int, int, int],
-        lo: np.ndarray,
-        hi: np.ndarray,
-        clock: list[int] | None = None,
-    ) -> None:
-        self.coords = coords
-        self.lo = lo
-        self.hi = hi
-        self.object_idx = None
-        self.min_obj_width = None
-        self.max_obj_width = None
-        self.center_lo = None
-        self.center_hi = None
-        #: Refresh epoch at which the cell was vacated (None while occupied).
-        self.vacant_at = None
-        #: Shared one-element list holding the grid's refresh epoch
-        #: (None for standalone cells, whose age stays 0).
-        self._clock = clock
-        self.hyperlinks = []
-        #: Position in the grid's current ``occupied`` list (-1 if vacant);
-        #: lets the batched join translate hyperlinks into array slots.
-        self.slot = -1
-
-    @property
-    def is_vacant(self) -> bool:
-        """True when no objects are currently assigned."""
-        return self.object_idx is None or self.object_idx.size == 0
-
-    @property
-    def age(self) -> int:
-        """Refreshes spent vacant: the vacating refresh counts as 1."""
-        if self.vacant_at is None or self._clock is None:
-            return 0
-        return self._clock[0] - self.vacant_at + 1
-
-    def clear(self) -> None:
-        """Drop the object assignment (incremental maintenance, §4.3.1)."""
-        self.object_idx = None
-        self.min_obj_width = None
-        self.max_obj_width = None
-        self.center_lo = None
-        self.center_hi = None
-        self.slot = -1
-        if self._clock is not None:
-            self.vacant_at = self._clock[0]
-
-    def __repr__(self) -> str:
-        n = 0 if self.object_idx is None else self.object_idx.size
-        return f"PGridCell(coords={self.coords}, n={n}, age={self.age})"
+    src_ids = np.asarray(src_ids, dtype=np.int64)
+    table_ids = np.asarray(table_ids, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    if not src_ids.size or not table_ids.size:
+        return empty, empty.copy()
+    biased = unpack_cell_ids(src_ids) + COORD_BIAS
+    # For each dimension and shift: whether the shifted coordinate stays
+    # packable.  Only then is ``id + packed shift`` the neighbour's id.
+    span = range(-int(layers), int(layers) + 1)
+    in_range = [
+        {
+            shift: (biased[:, d] + shift >= 0) & (biased[:, d] + shift <= _COORD_MASK)
+            for shift in span
+        }
+        for d in range(3)
+    ]
+    last = table_ids.size - 1
+    pair_i = []
+    pair_j = []
+    for ox, oy, oz in half_neighborhood_offsets(layers):
+        ox, oy, oz = direction * ox, direction * oy, direction * oz
+        valid = in_range[0][ox] & in_range[1][oy] & in_range[2][oz]
+        keys = src_ids + ((ox << (2 * COORD_BITS)) + (oy << COORD_BITS) + oz)
+        slots = np.minimum(np.searchsorted(table_ids, keys), last)
+        hit = np.flatnonzero(valid & (table_ids[slots] == keys))
+        pair_i.append(hit)
+        pair_j.append(slots[hit])
+    return np.concatenate(pair_i), np.concatenate(pair_j)

@@ -1,21 +1,25 @@
-"""The P-Grid: THERMAL-JOIN's persistent linked-hash uniform grid.
+"""The P-Grid: THERMAL-JOIN's persistent uniform grid over object centers.
 
-Implements Algorithm 1 and Section 4.3.1 of the paper:
+Implements Algorithm 1 and Section 4.3.1 of the paper, in columnar form:
 
 * **Build** — every object is assigned to the (single) cell containing
-  its *center*; only non-empty cells are materialised in a hash table;
-  each cell's object list is sorted by the objects' lower x bound; and
-  *hyperlinks* (direct references) are wired to the existing cells of
-  the half neighbourhood so the join phase never pays hash lookups.
-* **Incremental maintenance** — on subsequent steps the grid is not
-  discarded: cells are recycled, object lists are re-assigned, cells
-  whose population migrated away become *vacant* (their structure kept
-  for future reuse) and age each step.
+  its *center*; only non-empty cells enter the cell table; each cell's
+  object list is sorted by the objects' lower x bound.  The table is a
+  sorted array of packed cell ids, so the half-neighbourhood cells the
+  paper reaches through *hyperlinks* are found by
+  :func:`~repro.core.cells.neighbor_pairs`, one binary search per
+  offset over the whole table — the join never pays hash lookups.
+* **Incremental maintenance** — on subsequent steps the table is not
+  discarded: cells are recycled, and cells whose population migrated
+  away stay in the table as *vacant* (a mask) for future reuse.
 * **Garbage collection** — when vacant cells exceed a threshold fraction
-  (the paper's policy: 35 % of all cells) the vacant cells are pruned
-  and the hyperlinks referencing them dissolved.
+  (the paper's policy: 35 % of all cells) they are pruned from the table.
 
-The number of neighbour layers linked per cell follows Section 4.2.1:
+Occupied cells are addressed by *slot*: their rank among the occupied
+ids, which are sorted like the table.  The stacked per-cell arrays
+(``cat``, ``cell_starts``, ...) the batched join reads are in slot order.
+
+The number of neighbour layers follows Section 4.2.1:
 ``ceil(largest object width / cell width)`` — one layer (13 half
 neighbours in 3-D) when the cell width equals the largest object width
 (Figure 4a), more when the cells are finer (Figure 4b).
@@ -27,13 +31,7 @@ import math
 
 import numpy as np
 
-from repro.core.cells import (
-    PGridCell,
-    half_neighborhood_offsets,
-    pack_cell_id_scalar,
-    pack_cell_ids,
-    unpack_cell_id,
-)
+from repro.core.cells import neighbor_pairs, pack_cell_ids, unpack_cell_ids
 from repro.joins.base import ID_BYTES, MBR_BYTES, POINTER_BYTES
 
 __all__ = ["PGrid"]
@@ -82,13 +80,11 @@ class PGrid:
         if self.origin.shape != (3,):
             raise ValueError(f"origin must be a 3-vector, got {self.origin.shape}")
         self.gc_threshold = float(gc_threshold)
-        #: packed cell id -> PGridCell (the linked-hash table).
-        self.cells: dict[int, PGridCell] = {}
-        #: Cells with at least one object after the last refresh.
-        self.occupied: list[PGridCell] = []
-        # Stacked per-occupied-cell arrays (aligned with ``occupied``),
-        # retained by refresh() so the batched join phase can work on
-        # whole-grid arrays instead of per-cell slices:
+        #: Sorted packed ids of every cell in the table, vacant or not.
+        self.ids = np.empty(0, dtype=np.int64)
+        #: Vacancy mask aligned with ``ids``.
+        self.vacant = np.empty(0, dtype=bool)
+        # Stacked per-occupied-cell arrays in slot order, set by refresh():
         #: all object indices, grouped by cell and x-sorted within cells.
         self.cat: np.ndarray | None = None
         #: per-cell [start, stop) ranges into ``cat``.
@@ -100,28 +96,41 @@ class PGrid:
         #: per-cell tight center bounds.
         self.cell_center_lo: np.ndarray | None = None
         self.cell_center_hi: np.ndarray | None = None
-        #: Neighbour layers wired into the hyperlinks (set on first build).
+        #: Neighbour layers of the external join (set on first build).
         self.layers: int | None = None
-        #: packed cell id -> vacant PGridCell.  Maintained on the vacancy
-        #: transitions themselves, so refresh and GC touch only occupied
-        #: and *newly* vacant cells — never the whole table.
-        self._vacant_cells: dict[int, PGridCell] = {}
-        #: Shared refresh epoch (one-element list so cells can read it);
-        #: vacant-cell ages derive from it lazily instead of a per-step
-        #: aging sweep over every cell.
-        self._clock = [0]
-        # Incrementally maintained totals backing the O(1) footprint.
+        # Totals backing the O(1) footprint: assigned objects, and the
+        # neighbour pairs among table cells (the paper's hyperlinks).
         self._n_objects = 0
-        self._n_hyperlinks = 0
+        self._n_links = 0
         # Lifetime counters (exposed through ThermalJoin statistics).
         self.cells_created = 0
         self.cells_recycled = 0
         self.gc_runs = 0
 
     @property
+    def n_cells(self) -> int:
+        """Number of cells in the table, occupied and vacant."""
+        return int(self.ids.size)
+
+    @property
     def n_vacant(self) -> int:
         """Number of currently vacant (structure-kept) cells."""
-        return len(self._vacant_cells)
+        return int(np.count_nonzero(self.vacant))
+
+    @property
+    def n_occupied(self) -> int:
+        """Number of cells with at least one object."""
+        return self.n_cells - self.n_vacant
+
+    @property
+    def occupied_ids(self) -> np.ndarray:
+        """Packed ids of the occupied cells, in slot order."""
+        return self.ids[~self.vacant]
+
+    def cell_lo(self, slots: np.ndarray) -> np.ndarray:
+        """Lower corners ``(k, 3)`` of the occupied cells at ``slots``."""
+        coords = unpack_cell_ids(self.occupied_ids[slots]).astype(np.float64)
+        return self.origin + coords * self.cell_width
 
     # ------------------------------------------------------------------
     # Building and refreshing
@@ -142,8 +151,8 @@ class PGrid:
         xlo: np.ndarray,
         widths: np.ndarray,
         max_object_width: float,
-    ) -> list[PGridCell]:
-        """Assign all objects to cells, recycling structure where possible.
+    ) -> None:
+        """Assign all objects to cells, recycling table cells where possible.
 
         Parameters
         ----------
@@ -159,98 +168,40 @@ class PGrid:
 
         The first call builds from scratch; later calls reuse cells per
         Section 4.3.1.  If the required layer count changed (object
-        extents changed), the grid is rebuilt from scratch since the
-        hyperlink structure is no longer valid.
+        extents changed), the grid is rebuilt from scratch.
         """
         layers = self.required_layers(max_object_width)
         if self.layers is not None and layers != self.layers:
             self.clear()
         self.layers = layers
-        self._clock[0] += 1
+        occupied = self._assign(centers, xlo, widths)
 
-        (
-            coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        ) = self._group(centers, xlo, widths)
-        self.cat = order
-        self.cell_starts = starts
-        self.cell_stops = stops
-        self.cell_min_width = min_widths
-        self.cell_max_width = max_widths
-        self.cell_center_lo = center_lo
-        self.cell_center_hi = center_hi
-
-        previously_occupied = self.occupied
-        self.occupied = []
-        new_cells = []
-        touched = set()
-        offsets = half_neighborhood_offsets(self.layers)
-        width_vec = np.full(3, self.cell_width)
-
-        for k in range(starts.size):
-            start = int(starts[k])
-            cell_id = int(sorted_packed[start])
-            touched.add(cell_id)
-            cell = self.cells.get(cell_id)
-            if cell is None:
-                cell_coords = tuple(int(c) for c in coords[order[start]])
-                lo = self.origin + np.asarray(cell_coords, dtype=np.float64) * self.cell_width
-                cell = PGridCell(cell_coords, lo, lo + width_vec, clock=self._clock)
-                self.cells[cell_id] = cell
-                new_cells.append((cell_id, cell))
-                self.cells_created += 1
-            else:
-                if cell.is_vacant:
-                    self._vacant_cells.pop(cell_id, None)
-                self.cells_recycled += 1
-            cell.object_idx = order[start:int(stops[k])]
-            cell.min_obj_width = min_widths[k]
-            cell.max_obj_width = max_widths[k]
-            cell.center_lo = center_lo[k]
-            cell.center_hi = center_hi[k]
-            cell.vacant_at = None
-            cell.slot = k
-            self.occupied.append(cell)
-        self._n_objects = int(sorted_packed.size)
-
-        # Cells whose population migrated away become (or remain) vacant;
-        # already-vacant cells need no touch — their age is clock-derived.
-        for cell in previously_occupied:
-            cell_id = self._cell_key(cell)
-            if cell_id not in touched and not cell.is_vacant:
-                cell.clear()
-                self._vacant_cells[cell_id] = cell
-
-        self._wire_hyperlinks(new_cells, offsets)
+        position = np.searchsorted(self.ids, occupied)
+        known = np.zeros(occupied.size, dtype=bool)
+        inside = position < self.ids.size
+        known[inside] = self.ids[position[inside]] == occupied[inside]
+        n_new = occupied.size - int(np.count_nonzero(known))
+        self.cells_created += n_new
+        self.cells_recycled += occupied.size - n_new
+        if n_new:
+            new_ids = occupied[~known]
+            self.ids = np.insert(self.ids, position[~known], new_ids)
+            is_new = np.zeros(self.ids.size, dtype=bool)
+            is_new[np.searchsorted(self.ids, new_ids)] = True
+            self._n_links += self._links_touching(is_new)
+        self.vacant = np.ones(self.ids.size, dtype=bool)
+        self.vacant[np.searchsorted(self.ids, occupied)] = False
         self.garbage_collect_if_needed()
-        return self.occupied
 
-    def _group(
+    def _assign(
         self, centers: np.ndarray, xlo: np.ndarray, widths: np.ndarray
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-    ]:
-        """Vectorised cell grouping: the pure part of :meth:`refresh`.
+    ) -> np.ndarray:
+        """Vectorised cell grouping: set the stacked per-slot arrays.
 
         Deterministic given (centers, xlo, widths, origin, cell_width);
-        shared by :meth:`refresh` and the checkpoint-restore path
-        (:meth:`_reassign`) so both produce identical group order and
-        per-cell aggregates.
+        shared by :meth:`refresh` and the checkpoint-restore path so both
+        produce identical slot order and per-cell aggregates.  Returns
+        the sorted packed ids of the occupied cells.
         """
         coords = np.floor((centers - self.origin) / self.cell_width).astype(np.int64)
         packed = pack_cell_ids(coords)
@@ -266,64 +217,29 @@ class PGrid:
         starts = np.concatenate([[0], boundaries]) if n else np.empty(0, dtype=np.int64)
         stops = np.concatenate([boundaries, [n]]) if n else np.empty(0, dtype=np.int64)
 
-        sorted_widths = widths[order]
         if n:
-            min_widths = np.minimum.reduceat(sorted_widths, starts, axis=0)
-            max_widths = np.maximum.reduceat(sorted_widths, starts, axis=0)
+            sorted_widths = widths[order]
             sorted_centers = centers[order]
-            center_lo = np.minimum.reduceat(sorted_centers, starts, axis=0)
-            center_hi = np.maximum.reduceat(sorted_centers, starts, axis=0)
+            self.cell_min_width = np.minimum.reduceat(sorted_widths, starts, axis=0)
+            self.cell_max_width = np.maximum.reduceat(sorted_widths, starts, axis=0)
+            self.cell_center_lo = np.minimum.reduceat(sorted_centers, starts, axis=0)
+            self.cell_center_hi = np.maximum.reduceat(sorted_centers, starts, axis=0)
         else:
-            min_widths = max_widths = np.empty((0, 3))
-            center_lo = center_hi = np.empty((0, 3))
-        return (
-            coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        )
+            self.cell_min_width = self.cell_max_width = np.empty((0, 3))
+            self.cell_center_lo = self.cell_center_hi = np.empty((0, 3))
+        self.cat = order
+        self.cell_starts = starts
+        self.cell_stops = stops
+        self._n_objects = int(n)
+        return sorted_packed[starts]
 
-    def _cell_key(self, cell: PGridCell) -> int:
-        return pack_cell_id_scalar(*cell.coords)
-
-    def _wire_hyperlinks(
-        self,
-        new_cells: list[tuple[int, PGridCell]],
-        offsets: list[tuple[int, int, int]],
-    ) -> None:
-        """Link each new cell into the half-neighbourhood structure.
-
-        For a new cell ``C`` and each half offset ``o``: an existing cell
-        at ``C + o`` becomes one of ``C``'s hyperlinks, and a *pre-existing*
-        cell at ``C - o`` gains a hyperlink to ``C`` (new cells at ``C - o``
-        link ``C`` themselves when their own ``+o`` scan runs, so each
-        unordered cell pair is linked exactly once).
-        """
-        if not new_cells:
-            return
-        new_ids = {cell_id for cell_id, _cell in new_cells}
-        cells = self.cells
-        wired = 0
-        for _cell_id, cell in new_cells:
-            cx, cy, cz = cell.coords
-            links = cell.hyperlinks
-            for ox, oy, oz in offsets:
-                neighbor = cells.get(pack_cell_id_scalar(cx + ox, cy + oy, cz + oz))
-                if neighbor is not None:
-                    links.append(neighbor)
-                    wired += 1
-                back = pack_cell_id_scalar(cx - ox, cy - oy, cz - oz)
-                if back not in new_ids:
-                    neighbor = cells.get(back)
-                    if neighbor is not None:
-                        neighbor.hyperlinks.append(cell)
-                        wired += 1
-        self._n_hyperlinks += wired
+    def _links_touching(self, mask: np.ndarray) -> int:
+        """Neighbour pairs among table cells with an endpoint in ``mask``."""
+        ids = self.ids[mask]
+        forward, _ = neighbor_pairs(ids, self.ids, self.layers)
+        _, backward = neighbor_pairs(ids, self.ids, self.layers, direction=-1)
+        # A backward neighbour inside the mask counted the pair forward.
+        return int(forward.size + np.count_nonzero(~mask[backward]))
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -333,23 +249,12 @@ class PGrid:
 
         Returns the number of cells collected (0 when below threshold).
         """
-        total = len(self.cells)
-        if total == 0 or self.n_vacant <= self.gc_threshold * total:
+        collected = self.n_vacant
+        if self.n_cells == 0 or collected <= self.gc_threshold * self.n_cells:
             return 0
-        vacant_set = set(map(id, self._vacant_cells.values()))
-        removed_links = 0
-        for cell_id, cell in self._vacant_cells.items():
-            removed_links += len(cell.hyperlinks)
-            del self.cells[cell_id]
-        # Dissolve hyperlinks from surviving cells to collected ones.
-        for cell in self.cells.values():
-            if cell.hyperlinks:
-                kept = [link for link in cell.hyperlinks if id(link) not in vacant_set]
-                removed_links += len(cell.hyperlinks) - len(kept)
-                cell.hyperlinks = kept
-        collected = len(self._vacant_cells)
-        self._vacant_cells = {}
-        self._n_hyperlinks -= removed_links
+        self._n_links -= self._links_touching(self.vacant)
+        self.ids = self.ids[~self.vacant]
+        self.vacant = np.zeros(self.ids.size, dtype=bool)
         self.gc_runs += 1
         return collected
 
@@ -361,8 +266,8 @@ class PGrid:
         an empty cell table would let a batched consumer read assignments
         from the dropped grid generation.
         """
-        self.cells = {}
-        self.occupied = []
+        self.ids = np.empty(0, dtype=np.int64)
+        self.vacant = np.empty(0, dtype=bool)
         self.cat = None
         self.cell_starts = None
         self.cell_stops = None
@@ -371,9 +276,8 @@ class PGrid:
         self.cell_center_lo = None
         self.cell_center_hi = None
         self.layers = None
-        self._vacant_cells = {}
         self._n_objects = 0
-        self._n_hyperlinks = 0
+        self._n_links = 0
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -381,39 +285,19 @@ class PGrid:
     def snapshot_state(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
         """Structural snapshot: (arrays, meta) for the checkpoint format.
 
-        The grid cannot be rebuilt from scratch on restore: a fresh build
-        re-creates every cell (spiking ``cells_created``, which feeds the
-        tuner's operation cost model) and wires hyperlinks in a different
-        direction (changing cell-pair task roles and thus overlap-test
-        counts).  Instead the *structure* is serialized — cell identity
-        and vacancy in table insertion order plus the directed hyperlink
-        edges in per-cell list order — and the per-cell object
-        assignments are recomputed deterministically from the dataset by
-        :meth:`_reassign`.
+        The grid is not rebuilt from scratch on restore: a fresh build
+        re-creates every cell, spiking ``cells_created`` (an input of the
+        tuner's operation cost model), and drops the vacant cells that
+        later recycling and GC depend on.  So the table — its cell ids
+        and vacancy mask — is serialized, and the per-cell object
+        assignments are recomputed deterministically from the dataset.
         """
-        index = {id(cell): k for k, cell in enumerate(self.cells.values())}
-        cell_ids = np.fromiter(self.cells.keys(), dtype=np.int64, count=len(self.cells))
-        vacant_at = np.full(len(self.cells), -1, dtype=np.int64)
-        link_src: list[int] = []
-        link_dst: list[int] = []
-        for k, cell in enumerate(self.cells.values()):
-            if cell.vacant_at is not None:
-                vacant_at[k] = cell.vacant_at
-            for link in cell.hyperlinks:
-                link_src.append(k)
-                link_dst.append(index[id(link)])
-        arrays = {
-            "cell_ids": cell_ids,
-            "vacant_at": vacant_at,
-            "link_src": np.asarray(link_src, dtype=np.int64),
-            "link_dst": np.asarray(link_dst, dtype=np.int64),
-        }
+        arrays = {"cell_ids": self.ids, "vacant": self.vacant}
         meta: dict[str, object] = {
             "cell_width": self.cell_width,
             "origin": [float(c) for c in self.origin],
             "gc_threshold": self.gc_threshold,
             "layers": self.layers,
-            "clock": self._clock[0],
             "cells_created": self.cells_created,
             "cells_recycled": self.cells_recycled,
             "gc_runs": self.gc_runs,
@@ -431,6 +315,11 @@ class PGrid:
     ) -> PGrid:
         """Rebuild a grid from :meth:`snapshot_state` plus the dataset.
 
+        Also reads snapshots of the earlier object-per-cell layout, which
+        stored ids in insertion order with a ``vacant_at`` epoch per cell
+        (``-1`` while occupied) plus hyperlink edges and a clock that
+        are implied by the ids and no longer needed.
+
         Raises :class:`ValueError` when the checkpointed structure does
         not match the dataset's current cell occupancy (wrong dataset,
         or a snapshot taken at a different step).
@@ -442,84 +331,35 @@ class PGrid:
         )
         layers = meta["layers"]
         grid.layers = None if layers is None else int(layers)  # type: ignore[call-overload]
-        grid._clock[0] = int(meta["clock"])  # type: ignore[call-overload]
         grid.cells_created = int(meta["cells_created"])  # type: ignore[call-overload]
         grid.cells_recycled = int(meta["cells_recycled"])  # type: ignore[call-overload]
         grid.gc_runs = int(meta["gc_runs"])  # type: ignore[call-overload]
 
-        width_vec = np.full(3, grid.cell_width)
-        ordered: list[PGridCell] = []
-        for cell_id, vacated in zip(
-            arrays["cell_ids"].tolist(), arrays["vacant_at"].tolist(), strict=True
-        ):
-            cell_coords = unpack_cell_id(cell_id)
-            lo = grid.origin + np.asarray(cell_coords, dtype=np.float64) * grid.cell_width
-            cell = PGridCell(cell_coords, lo, lo + width_vec, clock=grid._clock)
-            if vacated >= 0:
-                cell.vacant_at = int(vacated)
-                grid._vacant_cells[cell_id] = cell
-            grid.cells[cell_id] = cell
-            ordered.append(cell)
-        for src, dst in zip(
-            arrays["link_src"].tolist(), arrays["link_dst"].tolist(), strict=True
-        ):
-            ordered[src].hyperlinks.append(ordered[dst])
-        grid._n_hyperlinks = int(arrays["link_src"].size)
-        grid._reassign(centers, xlo, widths)
-        return grid
+        ids = np.asarray(arrays["cell_ids"], dtype=np.int64)
+        vacant = (
+            np.asarray(arrays["vacant"], dtype=bool)
+            if "vacant" in arrays
+            else np.asarray(arrays["vacant_at"]) >= 0
+        )
+        order = np.argsort(ids, kind="stable")
+        grid.ids = ids[order]
+        grid.vacant = vacant[order]
+        grid._n_links = int(neighbor_pairs(grid.ids, grid.ids, grid.layers)[0].size)
 
-    def _reassign(
-        self, centers: np.ndarray, xlo: np.ndarray, widths: np.ndarray
-    ) -> None:
-        """Recompute object assignments onto the restored cell structure.
-
-        Grouping is deterministic from the dataset, so the occupied list,
-        per-cell object order and stacked batched arrays come out exactly
-        as they were when the snapshot was taken.
-        """
-        (
-            _coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        ) = self._group(centers, xlo, widths)
-        expected = len(self.cells) - len(self._vacant_cells)
-        if starts.size != expected:
+        occupied = grid._assign(centers, xlo, widths)
+        expected = grid.occupied_ids
+        if occupied.size != expected.size:
             raise ValueError(
-                f"checkpointed grid has {expected} occupied cells but the "
-                f"dataset occupies {starts.size}; snapshot/dataset mismatch"
+                f"checkpointed grid has {expected.size} occupied cells but the "
+                f"dataset occupies {occupied.size}; snapshot/dataset mismatch"
             )
-        self.occupied = []
-        for k in range(starts.size):
-            start = int(starts[k])
-            cell_id = int(sorted_packed[start])
-            cell = self.cells.get(cell_id)
-            if cell is None or cell_id in self._vacant_cells:
-                raise ValueError(
-                    f"dataset occupies cell {cell_id} which the checkpointed "
-                    "grid does not hold occupied; snapshot/dataset mismatch"
-                )
-            cell.object_idx = order[start:int(stops[k])]
-            cell.min_obj_width = min_widths[k]
-            cell.max_obj_width = max_widths[k]
-            cell.center_lo = center_lo[k]
-            cell.center_hi = center_hi[k]
-            cell.vacant_at = None
-            cell.slot = k
-            self.occupied.append(cell)
-        self.cat = order
-        self.cell_starts = starts
-        self.cell_stops = stops
-        self.cell_min_width = min_widths
-        self.cell_max_width = max_widths
-        self.cell_center_lo = center_lo
-        self.cell_center_hi = center_hi
-        self._n_objects = int(order.size)
+        stray = np.flatnonzero(occupied != expected)
+        if stray.size:
+            raise ValueError(
+                f"dataset occupies cell {int(occupied[stray[0]])} which the "
+                "checkpointed grid does not hold occupied; snapshot/dataset mismatch"
+            )
+        return grid
 
     # ------------------------------------------------------------------
     # Accounting
@@ -527,20 +367,19 @@ class PGrid:
     def memory_footprint(self) -> int:
         """Grid footprint in bytes under the C-struct model of Figure 3.
 
-        O(1): the object and hyperlink totals are maintained incrementally
-        by :meth:`refresh` / :meth:`garbage_collect_if_needed` instead of
-        re-walking every cell on each call.
+        O(1): the object and neighbour-pair totals are maintained as the
+        table changes instead of being recounted on each call.
         """
-        n_cells = len(self.cells)
+        n_cells = self.n_cells
         if n_cells == 0:
             return 0
         total = _bucket_count(n_cells) * POINTER_BYTES
         total += n_cells * CELL_RECORD_BYTES
-        total += (self._n_objects + self._n_hyperlinks) * POINTER_BYTES
+        total += (self._n_objects + self._n_links) * POINTER_BYTES
         return total
 
     def __repr__(self) -> str:
         return (
-            f"PGrid(width={self.cell_width:.3g}, cells={len(self.cells)}, "
-            f"occupied={len(self.occupied)}, vacant={self.n_vacant})"
+            f"PGrid(width={self.cell_width:.3g}, cells={self.n_cells}, "
+            f"occupied={self.n_occupied}, vacant={self.n_vacant})"
         )

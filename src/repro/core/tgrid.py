@@ -12,17 +12,19 @@ width of the smallest object assigned to that P-Grid cell (Section
   ``ceil(max object width / T-cell width)`` layers out per dimension so
   no overlapping pair is missed.
 
-Unlike the P-Grid's linked-hash table, the T-Grid is array-based (the
-paper: few cells, negligible empty-cell overhead, very fast to build)
-and thrown away after its cell is processed — Algorithm 2's
+Unlike the P-Grid's cell table, the T-Grid is array-based (the paper:
+few cells, negligible empty-cell overhead, very fast to build) and
+thrown away after its cell is processed — Algorithm 2's
 ``TGrid.initialize`` / ``TGrid.clear``.
 
-Implementation note: the planner below *batches across P-Grid cells*.
-Per cell it only assigns objects to T-cells and enumerates neighbouring
-T-cell pairs (cheap integer work); the actual joining — hot-spot
-emission, sweeps with the enclosure shortcut — happens in the same
-whole-step vectorised kernels the P-Grid level uses, over one combined
-grouping of all T-cells of the step.  Results and test accounting are
+Implementation note: all T-Grids of a batch of P-Grid cells are built
+in *one pass*.  Each P-Grid cell gets its own T-Grid dimensions and a
+block of a global T-cell key space; one stable sort on that key groups
+every object of the batch into its T-cell (x order kept within cells),
+and neighbouring T-cells are found per distinct layer triple with one
+binary search per offset.  The joining — hot-spot emission, sweeps with
+the enclosure shortcut — then runs in the same whole-batch vectorised
+kernels the P-Grid level uses.  Results and test accounting are
 identical to processing each T-Grid individually.
 
 A pathological corner the paper's "in practice only a few cells" remark
@@ -40,8 +42,6 @@ floating-point assignment puts a center an ulp past a cell boundary.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from typing import TYPE_CHECKING
@@ -51,217 +51,166 @@ from repro.core.cells import half_neighborhood_offsets
 from repro.geometry import self_join_groups
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Mapping
 
-    from repro.core.cells import PGridCell
     from repro.geometry import PairAccumulator
 
-__all__ = ["TGrid"]
+__all__ = ["TGrid", "MAX_CELLS_PER_OBJECT"]
+
+#: Budget factor: a P-Grid cell with ``k`` objects may use at most
+#: ``max(64, MAX_CELLS_PER_OBJECT * k)`` T-Grid cells before the
+#: plane-sweep fallback kicks in.
+MAX_CELLS_PER_OBJECT = 16
 
 
 class TGrid:
-    """Batched T-Grid joiner (one instance per ThermalJoin).
+    """Batched T-Grid joiner; holds no state between calls."""
 
-    Parameters
-    ----------
-    max_cells_per_object:
-        Budget factor: a P-Grid cell with ``k`` objects may use at most
-        ``max(64, max_cells_per_object * k)`` T-Grid cells before the
-        plane-sweep fallback kicks in.
-    """
-
-    def __init__(self, max_cells_per_object: int = 16) -> None:
-        if max_cells_per_object <= 0:
-            raise ValueError(
-                f"max_cells_per_object must be positive, got {max_cells_per_object}"
-            )
-        self.max_cells_per_object = int(max_cells_per_object)
-        #: Largest combined T-Grid population (T-cells) of any step.
-        self.peak_cells = 0
-        #: Number of P-Grid cells joined via the fallback sweep.
-        self.fallbacks = 0
-
+    @staticmethod
     def join_cells(
-        self,
-        cells: Sequence[PGridCell],
-        lo: np.ndarray,
-        hi: np.ndarray,
-        centers: np.ndarray,
-        widths: np.ndarray,
+        ctx: Mapping[str, np.ndarray],
         accumulator: PairAccumulator,
-    ) -> tuple[int, int]:
-        """Internal join of many non-hot-spot P-Grid cells, batched.
+        slots: np.ndarray,
+        cell_lo: np.ndarray,
+        cell_width: float,
+    ) -> dict[str, int]:
+        """Internal join of the P-Grid cells at ``slots``, in one pass.
 
         Parameters
         ----------
-        cells:
-            Iterable of :class:`~repro.core.cells.PGridCell` (the large,
-            non-hot-spot cells of the step).
-        lo, hi:
-            Global box arrays for the whole dataset.
-        centers, widths:
-            Global center / per-dimension width arrays.
+        ctx:
+            The P-Grid arrays: ``lo``/``hi`` boxes, ``centers`` and
+            ``widths`` of the whole dataset, the ``cat``/``starts``/
+            ``stops`` grouping and the per-cell ``cell_min_width`` and
+            ``cell_max_width``.
         accumulator:
             Pair accumulator receiving the results.
+        slots:
+            The P-Grid cells to join (their positions in ``starts``).
+        cell_lo, cell_width:
+            Lower corners ``(k, 3)`` of those cells and the P-Grid cell
+            width.
 
         Returns
         -------
-        tuple
-            ``(tests, shortcut_pairs)``.
+        dict
+            ``overlap_tests`` and ``shortcut_pairs``, plus
+            ``tgrid_fallbacks`` (cells joined by the fallback sweep) and
+            ``tgrid_t_cells`` (occupied T-cells built).
         """
-        tests = 0
-        shortcut_pairs = 0
+        lo, hi, centers = ctx["lo"], ctx["hi"], ctx["centers"]
+        cat, starts, stops = ctx["cat"], ctx["starts"], ctx["stops"]
+        counters = {
+            "overlap_tests": 0,
+            "shortcut_pairs": 0,
+            "tgrid_fallbacks": 0,
+            "tgrid_t_cells": 0,
+        }
 
-        # ---- Phase 1: per-cell T-cell assignment (cheap integer work).
-        cat_parts = []  # object ids grouped per T-cell, x-sorted
-        starts_parts = []  # per-T-cell [start, stop) ranges (combined cat)
-        stops_parts = []
-        pair_a = []  # neighbouring T-cell pairs (combined slot indices)
-        pair_b = []
-        fallback_slots = []  # P-cells handled by a plain in-cell sweep
-        position = 0  # running offset into the combined cat
-        slot_base = 0  # running offset of T-cell slots
+        def on_pairs(left, right, _groups):
+            accumulator.extend(left, right)
 
-        for cell in cells:
-            obj = cell.object_idx
-            k = obj.size
-            if k < 2:
-                continue
-            t_width = np.asarray(cell.min_obj_width, dtype=np.float64)
-            extent = cell.hi - cell.lo
-            dims = np.maximum(np.ceil(extent / t_width - 1e-9).astype(np.int64), 1)
-            n_cells = int(dims.prod())
-            if n_cells > max(64, self.max_cells_per_object * k):
-                self.fallbacks += 1
-                fallback_slots.append(cell)
-                continue
+        sizes = stops[slots] - starts[slots]
+        multi = sizes > 1
+        slots, cell_lo, sizes = slots[multi], cell_lo[multi], sizes[multi]
+        t_width = ctx["cell_min_width"][slots]
+        extent = (cell_lo + cell_width) - cell_lo
+        dims = np.maximum(np.ceil(extent / t_width - 1e-9).astype(np.int64), 1)
+        fallback = dims.astype(np.float64).prod(axis=1) > np.maximum(
+            64, MAX_CELLS_PER_OBJECT * sizes
+        )
 
-            local = np.floor((centers[obj] - cell.lo) / t_width).astype(np.int64)
-            np.clip(local, 0, dims - 1, out=local)
-            keys = (local[:, 0] * dims[1] + local[:, 1]) * dims[2] + local[:, 2]
-            order = np.argsort(keys, kind="stable")  # keeps per-key x order
-            sorted_keys = keys[order]
-            cat_parts.append(obj[order])
-
-            boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            starts_local = np.concatenate([[0], boundaries])
-            stops_local = np.concatenate([boundaries, [k]])
-            occupied_keys = sorted_keys[starts_local]
-            n_occupied = occupied_keys.size
-            starts_parts.append(starts_local + position)
-            stops_parts.append(stops_local + position)
-
-            # Neighbouring T-cell pairs within this P-cell, via binary
-            # search over the (sorted) occupied keys.
-            layers = np.minimum(
-                np.asarray(
-                    [
-                        max(
-                            1,
-                            math.ceil(
-                                float(cell.max_obj_width[d]) / float(t_width[d]) - 1e-9
-                            ),
-                        )
-                        for d in range(3)
-                    ],
-                    dtype=np.int64,
-                ),
-                dims - 1,
+        # ---- Fallback cells: plain in-cell sweeps, batched.
+        if fallback.any():
+            counters["tgrid_fallbacks"] = int(np.count_nonzero(fallback))
+            counters["overlap_tests"] += self_join_groups(
+                lo, hi, cat, starts, stops, slots[fallback], on_pairs, count="x-sweep"
             )
-            layers = np.maximum(layers, 0)
-            stride_x = int(dims[1] * dims[2])
-            stride_y = int(dims[2])
-            coords_x, rem = np.divmod(occupied_keys, stride_x)
-            coords_y, coords_z = np.divmod(rem, stride_y)
-            for ox, oy, oz in half_neighborhood_offsets(layers):
-                nx = coords_x + ox
-                ny = coords_y + oy
-                nz = coords_z + oz
-                valid = (
-                    (nx >= 0) & (nx < dims[0])
-                    & (ny >= 0) & (ny < dims[1])
-                    & (nz >= 0) & (nz < dims[2])
+        keep = ~fallback
+        if not keep.any():
+            return counters
+        slots, cell_lo, sizes = slots[keep], cell_lo[keep], sizes[keep]
+        t_width, dims = t_width[keep], dims[keep]
+        layers = np.ceil(ctx["cell_max_width"][slots] / t_width - 1e-9).astype(np.int64)
+        layers = np.maximum(np.minimum(np.maximum(layers, 1), dims - 1), 0)
+
+        # ---- One-pass T-cell assignment: each P-cell owns the key block
+        # [base, base + prod(dims)); a stable sort keeps the x order.
+        n_keys = dims.prod(axis=1)
+        base = np.cumsum(n_keys) - n_keys
+        out_stops = np.cumsum(sizes)
+        owner = np.repeat(np.arange(slots.size), sizes)
+        obj = cat[np.arange(out_stops[-1]) - (out_stops - sizes)[owner] + starts[slots][owner]]
+        local = np.floor((centers[obj] - cell_lo[owner]) / t_width[owner]).astype(np.int64)
+        np.clip(local, 0, dims[owner] - 1, out=local)
+        owner_dims = dims[owner]
+        keys = base[owner] + (
+            (local[:, 0] * owner_dims[:, 1] + local[:, 1]) * owner_dims[:, 2] + local[:, 2]
+        )
+        order = np.argsort(keys, kind="stable")
+        t_cat = obj[order]
+        sorted_keys = keys[order]
+        boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        t_starts = np.concatenate([[0], boundaries])
+        t_stops = np.concatenate([boundaries, [sorted_keys.size]])
+        t_keys = sorted_keys[t_starts]
+        t_owner = owner[t_starts]  # the sort never crosses P-cell blocks
+        t_coords = local[order[t_starts]]
+        counters["tgrid_t_cells"] = int(t_starts.size)
+
+        # ---- Neighbouring T-cell pairs, per distinct layer triple.
+        pair_a = [np.empty(0, dtype=np.int64)]
+        pair_b = [np.empty(0, dtype=np.int64)]
+        last = t_keys.size - 1
+        triples, triple_of = np.unique(layers, axis=0, return_inverse=True)
+        t_triple = triple_of.reshape(-1)[t_owner]
+        for index, triple in enumerate(triples):
+            members = np.flatnonzero(t_triple == index)
+            coords = t_coords[members]
+            member_dims = dims[t_owner[members]]
+            member_base = base[t_owner[members]]
+            for offset in half_neighborhood_offsets(triple):
+                neighbor = coords + offset
+                valid = ((neighbor >= 0) & (neighbor < member_dims)).all(axis=1)
+                neighbor_keys = member_base + (
+                    (neighbor[:, 0] * member_dims[:, 1] + neighbor[:, 1])
+                    * member_dims[:, 2]
+                    + neighbor[:, 2]
                 )
-                if not valid.any():
-                    continue
-                neighbor_keys = (nx * dims[1] + ny) * dims[2] + nz
-                found_slots = np.searchsorted(occupied_keys, neighbor_keys)
-                found_slots = np.clip(found_slots, 0, n_occupied - 1)
-                hit = valid & (occupied_keys[found_slots] == neighbor_keys)
-                if hit.any():
-                    src = np.flatnonzero(hit)
-                    pair_a.append(src + slot_base)
-                    pair_b.append(found_slots[src] + slot_base)
+                found = np.minimum(np.searchsorted(t_keys, neighbor_keys), last)
+                hit = np.flatnonzero(valid & (t_keys[found] == neighbor_keys))
+                pair_a.append(members[hit])
+                pair_b.append(found[hit])
 
-            position += k
-            slot_base += n_occupied
-
-        # ---- Phase 2: fallback cells — plain in-cell sweeps, batched.
-        if fallback_slots:
-            fb_cat = np.concatenate([c.object_idx for c in fallback_slots])
-            fb_sizes = np.asarray(
-                [c.object_idx.size for c in fallback_slots], dtype=np.int64
-            )
-            fb_stops = np.cumsum(fb_sizes)
-            fb_starts = fb_stops - fb_sizes
-
-            def on_fallback(left, right, _groups):
-                accumulator.extend(left, right)
-
-            tests += self_join_groups(
-                lo,
-                hi,
-                fb_cat,
-                fb_starts,
-                fb_stops,
-                np.arange(fb_sizes.size, dtype=np.int64),
-                on_fallback,
-                count="x-sweep",
-            )
-
-        if not starts_parts:
-            return tests, shortcut_pairs
-
-        # ---- Phase 3: combined T-cell grouping and batched joining.
-        cat = np.concatenate(cat_parts)
-        starts = np.concatenate(starts_parts)
-        stops = np.concatenate(stops_parts)
-        self.peak_cells = max(self.peak_cells, starts.size)
-
-        sorted_centers = centers[cat]
-        center_lo = np.minimum.reduceat(sorted_centers, starts, axis=0)
-        center_hi = np.maximum.reduceat(sorted_centers, starts, axis=0)
-        min_member_width = np.minimum.reduceat(widths[cat], starts, axis=0)
+        # ---- Batched joining over all T-cells of the batch.
+        sorted_centers = centers[t_cat]
+        center_lo = np.minimum.reduceat(sorted_centers, t_starts, axis=0)
+        center_hi = np.maximum.reduceat(sorted_centers, t_starts, axis=0)
+        min_member_width = np.minimum.reduceat(ctx["widths"][t_cat], t_starts, axis=0)
         is_hot = ((center_hi - center_lo) < min_member_width).all(axis=1)
-
-        hot_slots = np.flatnonzero(is_hot & (stops - starts > 1))
-        shortcut_pairs += emit_hot_cells_batched(
-            cat, starts, stops, hot_slots, accumulator
+        shared = t_stops - t_starts > 1
+        counters["shortcut_pairs"] += emit_hot_cells_batched(
+            t_cat, t_starts, t_stops, np.flatnonzero(is_hot & shared), accumulator
         )
         # Floating-point edge: unverifiable T-cells sweep internally.
-        cold_slots = np.flatnonzero(~is_hot & (stops - starts > 1))
-        if cold_slots.size:
-
-            def on_cold(left, right, _groups):
-                accumulator.extend(left, right)
-
-            tests += self_join_groups(
-                lo, hi, cat, starts, stops, cold_slots, on_cold, count="x-sweep"
-            )
-
-        if pair_a:
-            pair_tests, pair_shortcuts = join_cell_pairs_batched(
+        counters["overlap_tests"] += self_join_groups(
+            lo, hi, t_cat, t_starts, t_stops, np.flatnonzero(~is_hot & shared),
+            on_pairs, count="x-sweep",
+        )
+        pair_a = np.concatenate(pair_a)
+        if pair_a.size:
+            tests, shortcut_pairs = join_cell_pairs_batched(
                 lo,
                 hi,
-                cat,
-                starts,
-                stops,
+                t_cat,
+                t_starts,
+                t_stops,
                 center_lo,
                 center_hi,
-                np.concatenate(pair_a),
+                pair_a,
                 np.concatenate(pair_b),
                 accumulator,
             )
-            tests += pair_tests
-            shortcut_pairs += pair_shortcuts
-        return tests, shortcut_pairs
+            counters["overlap_tests"] += tests
+            counters["shortcut_pairs"] += shortcut_pairs
+        return counters

@@ -5,10 +5,11 @@ substrates in this package:
 
 1. **Index building** (§4.1) — the :class:`~repro.core.pgrid.PGrid`
    assigns every object to exactly one cell by its center (no
-   replication), keeps only non-empty cells in a linked-hash table and
-   wires hyperlinks for the external join.
+   replication) and keeps only non-empty cells in a sorted cell table,
+   whose half-neighbourhood pairs (the paper's hyperlink graph) it finds
+   with one binary search per offset.
 2. **Joining** (§4.2) — per occupied cell, an *external join* against
-   the hyperlinked half neighbourhood (optimized plane sweep with the
+   its half neighbourhood (optimized plane sweep with the
    enclosure shortcut) and an *internal join*: hot-spot cells emit all
    object combinations without a single overlap test, other cells are
    subdivided by a throw-away :class:`~repro.core.tgrid.TGrid` whose
@@ -33,10 +34,11 @@ Example
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cells import half_neighborhood_offsets, pack_cell_id_scalar
+from repro.core.cells import neighbor_pairs
 from repro.core.pgrid import PGrid
 from repro.core.tgrid import TGrid
 from repro.core.tuning import HillClimbingTuner
@@ -61,7 +63,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from collections.abc import Mapping
 
-    from repro.core.cells import PGridCell
     from repro.datasets import SpatialDataset
     from repro.datasets.delta import MotionDelta
     from repro.engine import Executor
@@ -81,35 +82,23 @@ _OPS_CELL_VISIT = 2.0
 _OPS_RESULT = 0.05
 
 
+@dataclass
 class TGridCellsTask(JoinTask):
-    """Internal join of the dense cells through a throw-away T-Grid.
+    """Internal join of a slice of the dense cells through T-Grids.
 
-    The T-Grid object accumulates diagnostics (``fallbacks``,
-    ``peak_cells``) across the step, so this stays one task and is not
-    ``process_safe`` — the process executor runs it inline in the parent
-    while the pure-array tasks are out on the pool.
+    A pure function of the plan context: its fallback and T-cell counts
+    come back as counters, which :class:`ThermalJoin` folds into its
+    diagnostics when the step completes.
     """
 
-    phase = "internal"
-    process_safe = False
-
-    def __init__(
-        self,
-        tgrid: TGrid,
-        cells: list[PGridCell],
-        centers: np.ndarray,
-        widths: np.ndarray,
-    ) -> None:
-        self.tgrid = tgrid
-        self.cells = cells
-        self.centers = centers
-        self.widths = widths
+    slots: np.ndarray
+    cell_lo: np.ndarray
+    cell_width: float
+    phase: str = "internal"
+    process_safe = True
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
-        tests, shortcut_pairs = self.tgrid.join_cells(
-            self.cells, ctx["lo"], ctx["hi"], self.centers, self.widths, accumulator
-        )
-        return {"overlap_tests": int(tests), "shortcut_pairs": int(shortcut_pairs)}
+        return TGrid.join_cells(ctx, accumulator, self.slots, self.cell_lo, self.cell_width)
 
 
 class ThermalJoin(SpatialJoinAlgorithm):
@@ -134,8 +123,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         10 % drift trigger).
     count_only:
         Count results without materialising pairs.
-    tgrid_max_cells_per_object:
-        Safety budget for degenerate T-Grids (see :class:`TGrid`).
     tgrid_min_objects:
         Non-hot-spot cells below this population take a plain in-cell
         plane sweep instead of a T-Grid (building a grid for a handful
@@ -194,7 +181,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         gc_threshold: float = 0.35,
         cost_model: str = "operations",
         count_only: bool = False,
-        tgrid_max_cells_per_object: int = 16,
         tgrid_min_objects: int = 24,
         hot_spots: bool = True,
         enclosure_shortcut: bool = True,
@@ -235,7 +221,10 @@ class ThermalJoin(SpatialJoinAlgorithm):
             )
         self.tgrid_min_objects = int(tgrid_min_objects)
         self.pgrid: PGrid | None = None
-        self.tgrid = TGrid(max_cells_per_object=tgrid_max_cells_per_object)
+        # T-Grid diagnostics over the join's lifetime: P-Grid cells joined
+        # by the fallback sweep, and the most T-cells built in one step.
+        self._tgrid_fallbacks = 0
+        self._tgrid_peak_cells = 0
         #: Per-step diagnostics (resolution used, hot-spot counts, ...).
         self.last_step_info: dict[str, object] = {}
         self._boxes = None
@@ -278,8 +267,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             return None
         return {
             "cell_width": pgrid.cell_width,
-            "cells": len(pgrid.cells),
-            "occupied_cells": len(pgrid.occupied),
+            "cells": pgrid.n_cells,
+            "occupied_cells": pgrid.n_occupied,
             "vacant_cells": pgrid.n_vacant,
             "cells_created": pgrid.cells_created,
             "cells_recycled": pgrid.cells_recycled,
@@ -289,8 +278,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
 
     def _tgrid_metrics(self) -> dict[str, object]:
         return {
-            "fallbacks": self.tgrid.fallbacks,
-            "peak_cells": self.tgrid.peak_cells,
+            "fallbacks": self._tgrid_fallbacks,
+            "peak_cells": self._tgrid_peak_cells,
         }
 
     def _tuner_metrics(self) -> dict[str, object]:
@@ -397,39 +386,35 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def plan(self, dataset: SpatialDataset) -> JoinPlan:
         """Partition the step into external, hot-spot, sweep and T-Grid tasks.
 
-        The external join's hyperlinked cell pairs are split into
+        The external join's neighbouring cell pairs are split into
         volume-balanced :class:`CellPairSweepTask` slices; hot-spot cells
         emit through one :class:`HotCellsTask`; small non-hot cells sweep
         through one :class:`GroupSelfJoinTask`; dense cells go through
-        one :class:`TGridCellsTask`.  The split is deterministic, so
-        every executor reproduces the serial run's pair set and
-        overlap-test total exactly.
+        volume-balanced :class:`TGridCellsTask` slices.  The split is
+        deterministic, so every executor reproduces the serial run's
+        pair set and overlap-test total exactly.
         """
         lo, hi = self._boxes
         pgrid = self.pgrid
         context = {
             "lo": lo,
             "hi": hi,
+            "centers": dataset.centers,
+            "widths": dataset.widths,
             "cat": pgrid.cat,
             "starts": pgrid.cell_starts,
             "stops": pgrid.cell_stops,
             "center_lo": pgrid.cell_center_lo,
             "center_hi": pgrid.cell_center_hi,
+            "cell_min_width": pgrid.cell_min_width,
+            "cell_max_width": pgrid.cell_max_width,
         }
         tasks = []
         sizes = pgrid.cell_stops - pgrid.cell_starts
 
-        # ---- External join: all hyperlinked cell pairs, chunked. ----
-        pair_a = []
-        pair_b = []
-        for cell in pgrid.occupied:
-            slot = cell.slot
-            for neighbor in cell.hyperlinks:
-                if neighbor.slot >= 0:
-                    pair_a.append(slot)
-                    pair_b.append(neighbor.slot)
-        pair_a = np.asarray(pair_a, dtype=np.int64)
-        pair_b = np.asarray(pair_b, dtype=np.int64)
+        # ---- External join: all neighbouring cell pairs, chunked. ----
+        occupied = pgrid.occupied_ids
+        pair_a, pair_b = neighbor_pairs(occupied, occupied, pgrid.layers)
         cell_pair_joins = int(pair_a.size)
         if pair_a.size:
             weights = sizes[pair_a] * sizes[pair_b]
@@ -471,14 +456,15 @@ class ThermalJoin(SpatialJoinAlgorithm):
                 )
             tgrid_slots = np.flatnonzero(large)
             tgrid_cells = int(tgrid_slots.size)
-            if tgrid_cells:
-                occupied = pgrid.occupied
+            cell_lo = pgrid.cell_lo(tgrid_slots)
+            for start, stop in chunk_by_volume(
+                sizes[tgrid_slots], DEFAULT_PARTITION_TASKS
+            ):
                 tasks.append(
                     TGridCellsTask(
-                        self.tgrid,
-                        [occupied[slot] for slot in tgrid_slots],
-                        dataset.centers,
-                        dataset.widths,
+                        slots=tgrid_slots[start:stop],
+                        cell_lo=cell_lo[start:stop],
+                        cell_width=pgrid.cell_width,
                     )
                 )
         else:
@@ -493,20 +479,22 @@ class ThermalJoin(SpatialJoinAlgorithm):
                 )
 
         def on_complete(results):
-            shortcut_pairs = sum(
-                int(r.counters.get("shortcut_pairs", 0)) for r in results
-            )
+            def total(counter):
+                return sum(int(r.counters.get(counter, 0)) for r in results)
+
+            self._tgrid_fallbacks += total("tgrid_fallbacks")
+            self._tgrid_peak_cells = max(self._tgrid_peak_cells, total("tgrid_t_cells"))
             self.last_step_info = {
                 "resolution": self.current_resolution,
                 "cell_width": self.pgrid.cell_width,
-                "occupied_cells": len(self.pgrid.occupied),
-                "total_cells": len(self.pgrid.cells),
+                "occupied_cells": self.pgrid.n_occupied,
+                "total_cells": self.pgrid.n_cells,
                 "vacant_cells": self.pgrid.n_vacant,
                 "hot_spot_cells": hot_spot_cells,
                 "tgrid_cells": tgrid_cells,
-                "tgrid_fallbacks": self.tgrid.fallbacks,
+                "tgrid_fallbacks": self._tgrid_fallbacks,
                 "cell_pair_joins": cell_pair_joins,
-                "shortcut_pairs": shortcut_pairs,
+                "shortcut_pairs": total("shortcut_pairs"),
                 "cells_created": self._cells_created_this_step,
                 "gc_runs": self.pgrid.gc_runs,
                 "layers": self.pgrid.layers,
@@ -526,7 +514,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
         pair with a moved endpoint has centers closer than the largest
         object width per dimension, so its cells are at most
         ``pgrid.layers`` apart — exactly the neighbourhood the full
-        join's hyperlinks cover.  Three task families emit every such
+        join's cell pairs cover.  Three task families emit every such
         candidate exactly once:
 
         * moved × settled over each moved cell's full neighbourhood
@@ -565,44 +553,34 @@ class ThermalJoin(SpatialJoinAlgorithm):
         }
 
         # Enumerate candidate cell pairs around the cells holding moved
-        # objects.  Slot order and offset order are fixed, so the pair
-        # lists — and the task chunking below — are deterministic.
-        cells = pgrid.cells
-        occupied = pgrid.occupied
-        offsets = half_neighborhood_offsets(pgrid.layers)
+        # objects, in both half neighbourhoods.  The lookups are pure
+        # functions of the slot arrays, so the pair lists — and the task
+        # chunking below — are deterministic.
+        occupied = pgrid.occupied_ids
         has_moved = moved_counts > 0
         has_settled = settled_counts > 0
-        ms_a: list[int] = []  # moved group × settled group
-        ms_b: list[int] = []
-        mm_a: list[int] = []  # moved group × moved group, distinct cells
-        mm_b: list[int] = []
-        for slot in np.flatnonzero(has_moved):
-            slot = int(slot)
-            cx, cy, cz = occupied[slot].coords
-            if has_settled[slot]:
-                ms_a.append(slot)
-                ms_b.append(slot)
-            for ox, oy, oz in offsets:
-                front = cells.get(pack_cell_id_scalar(cx + ox, cy + oy, cz + oz))
-                if front is not None and front.slot >= 0:
-                    if has_settled[front.slot]:
-                        ms_a.append(slot)
-                        ms_b.append(front.slot)
-                    if has_moved[front.slot]:
-                        # Unordered moved-cell pair, seen once: the back
-                        # scan of the other cell cannot re-reach it.
-                        mm_a.append(slot)
-                        mm_b.append(front.slot)
-                back = cells.get(pack_cell_id_scalar(cx - ox, cy - oy, cz - oz))
-                if back is not None and back.slot >= 0 and has_settled[back.slot]:
-                    ms_a.append(slot)
-                    ms_b.append(back.slot)
+        moved_slots = np.flatnonzero(has_moved)
+        src, front = neighbor_pairs(occupied[moved_slots], occupied, pgrid.layers)
+        src = moved_slots[src]
+        back_src, back = neighbor_pairs(
+            occupied[moved_slots], occupied, pgrid.layers, direction=-1
+        )
+        back_src = moved_slots[back_src]
+        # Moved group × settled group: own cell, front and back neighbours.
+        mixed = np.flatnonzero(has_moved & has_settled)
+        to_settled = has_settled[front]
+        back_settled = has_settled[back]
+        ms_a = np.concatenate([mixed, src[to_settled], back_src[back_settled]])
+        ms_b = np.concatenate([mixed, front[to_settled], back[back_settled]])
+        # Moved group × moved group across cells, once per unordered cell
+        # pair: only the front half neighbourhood is scanned.
+        to_moved = has_moved[front]
+        mm_a = src[to_moved]
+        mm_b = front[to_moved]
 
         tasks: list[JoinTask] = []
 
         def cross_tasks(pair_a, pair_b, b_counts, b_keys):
-            pair_a = np.asarray(pair_a, dtype=np.int64)
-            pair_b = np.asarray(pair_b, dtype=np.int64)
             if not pair_a.size:
                 return
             weights = moved_counts[pair_a] * b_counts[pair_b]
@@ -631,22 +609,22 @@ class ThermalJoin(SpatialJoinAlgorithm):
                 )
             )
 
-        moved_cells = int(has_moved.sum())
-        cell_pair_joins = len(ms_a) + len(mm_a)
+        moved_cells = int(moved_slots.size)
+        cell_pair_joins = int(ms_a.size + mm_a.size)
 
         def on_complete(results):
             self.last_step_info = {
                 "mode": "incremental",
                 "resolution": self.current_resolution,
                 "cell_width": self.pgrid.cell_width,
-                "occupied_cells": len(self.pgrid.occupied),
-                "total_cells": len(self.pgrid.cells),
+                "occupied_cells": self.pgrid.n_occupied,
+                "total_cells": self.pgrid.n_cells,
                 "vacant_cells": self.pgrid.n_vacant,
                 "moved_objects": delta.n_moved,
                 "moved_cells": moved_cells,
                 "hot_spot_cells": 0,
                 "tgrid_cells": 0,
-                "tgrid_fallbacks": self.tgrid.fallbacks,
+                "tgrid_fallbacks": self._tgrid_fallbacks,
                 "cell_pair_joins": cell_pair_joins,
                 "shortcut_pairs": 0,
                 "cells_created": self._cells_created_this_step,
@@ -828,9 +806,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
         Everything a resumed run needs to continue bit-identically: the
         tuner's climb state, the churn policy's observed estimates, the
         incremental counters, the T-Grid diagnostics, the maintained
-        pair set (packed keys) and the P-Grid *structure* (rebuilding it
+        pair set (packed keys) and the P-Grid cell table (rebuilding it
         from scratch would spike ``cells_created`` — a tuner cost input —
-        and re-wire hyperlink direction, changing overlap-test counts).
+        and drop the vacant cells later steps recycle).
         """
         arrays: dict[str, np.ndarray] = {}
         meta: dict[str, Any] = {
@@ -840,8 +818,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "churn": self.churn.state_dict(),
             "incr": dict(self._incr),
             "tgrid": {
-                "fallbacks": self.tgrid.fallbacks,
-                "peak_cells": self.tgrid.peak_cells,
+                "fallbacks": self._tgrid_fallbacks,
+                "peak_cells": self._tgrid_peak_cells,
             },
             "maintained": None,
             "pgrid": None,
@@ -882,8 +860,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             self.tuner.load_state_dict(tuner_state)
         self.churn.load_state_dict(meta["churn"])
         self._incr = dict(meta["incr"])
-        self.tgrid.fallbacks = int(meta["tgrid"]["fallbacks"])
-        self.tgrid.peak_cells = int(meta["tgrid"]["peak_cells"])
+        self._tgrid_fallbacks = int(meta["tgrid"]["fallbacks"])
+        self._tgrid_peak_cells = int(meta["tgrid"]["peak_cells"])
 
         maintained_meta = meta["maintained"]
         if maintained_meta is None:

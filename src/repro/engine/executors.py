@@ -733,8 +733,13 @@ class ProcessExecutor(Executor):
             self._thread_fallback = None
 
     def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown best effort
+        # The garbage collector may run this inside any thread — even
+        # while that thread holds threading's shutdown-lock registry —
+        # so it must not join the pool's threads: joining takes that
+        # registry lock again and deadlocks.
         with suppress(Exception):
-            self.close()
+            if self._pool is not None:
+                self._pool.shutdown(wait=False, cancel_futures=True)
 
     def __repr__(self) -> str:
         return (

@@ -670,7 +670,7 @@ def ablations(
                 sum(record.build_seconds for record in runner.records),
                 runner.total_overlap_tests(),
                 join.pgrid.cells_created,
-                len(join.pgrid.cells),
+                join.pgrid.n_cells,
                 runner.peak_memory_bytes(),
             )
         )

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from repro.core.cells import half_neighborhood_offsets, pack_cell_ids
+from repro.core.cells import neighbor_pairs, pack_cell_ids
 from repro.engine import (
     DEFAULT_PARTITION_TASKS,
     GroupCrossJoinTask,
@@ -115,20 +115,7 @@ class EGOJoin(SpatialJoinAlgorithm):
 
         # Between-cell nested loops: half neighbourhood located by binary
         # search over the epsilon grid order (the sorted cell-key array).
-        offsets = half_neighborhood_offsets(index["layers"])
-        offset_keys = pack_cell_ids(np.asarray(offsets, dtype=np.int64))
-        zero_key = pack_cell_ids(np.zeros((1, 3), dtype=np.int64))[0]
-        pair_a = []
-        pair_b = []
-        for offset_key in offset_keys:
-            neighbor_keys = unique_keys + (int(offset_key) - int(zero_key))
-            slots = np.searchsorted(unique_keys, neighbor_keys)
-            slots = np.clip(slots, 0, unique_keys.size - 1)
-            found = unique_keys[slots] == neighbor_keys
-            pair_a.append(np.flatnonzero(found))
-            pair_b.append(slots[found])
-        pair_a = np.concatenate(pair_a)
-        pair_b = np.concatenate(pair_b)
+        pair_a, pair_b = neighbor_pairs(unique_keys, unique_keys, index["layers"])
         if pair_a.size:
             weights = sizes[pair_a] * sizes[pair_b]
             tasks.extend(

@@ -1,4 +1,4 @@
-"""Unit tests for P-Grid cell records and id packing (repro.core.cells)."""
+"""Unit tests for cell-id packing and neighbour lookup (repro.core.cells)."""
 
 from __future__ import annotations
 
@@ -6,27 +6,26 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    PGridCell,
     half_neighborhood_offsets,
-    pack_cell_id_scalar,
+    neighbor_pairs,
     pack_cell_ids,
-    unpack_cell_id,
+    unpack_cell_ids,
 )
+from repro.core.cells import COORD_BIAS
 
 
 class TestPacking:
     def test_roundtrip(self):
         coords = np.array([[0, 0, 0], [1, -2, 3], [-100, 50, 7]], dtype=np.int64)
-        packed = pack_cell_ids(coords)
-        for k in range(coords.shape[0]):
-            assert unpack_cell_id(packed[k]) == tuple(coords[k])
+        assert np.array_equal(unpack_cell_ids(pack_cell_ids(coords)), coords)
 
     def test_scalar_matches_vectorized(self):
+        # One coordinate at a time packs exactly as the whole batch does.
         rng = np.random.default_rng(0)
         coords = rng.integers(-1000, 1000, size=(100, 3))
         packed = pack_cell_ids(coords)
         for k in range(100):
-            assert pack_cell_id_scalar(*coords[k]) == packed[k]
+            assert pack_cell_ids(coords[k:k + 1])[0] == packed[k]
 
     def test_distinct_coords_distinct_ids(self):
         rng = np.random.default_rng(1)
@@ -79,23 +78,56 @@ class TestHalfNeighborhood:
             half_neighborhood_offsets(-1)
 
 
-class TestPGridCell:
-    def test_new_cell_is_vacant(self):
-        cell = PGridCell((0, 0, 0), np.zeros(3), np.ones(3))
-        assert cell.is_vacant
-        assert cell.slot == -1
+def brute_force_neighbors(src, table, layers, direction=1):
+    """Oracle: (i, j) with table[j] == src[i] + direction * o, coordinate-wise."""
+    offsets = half_neighborhood_offsets(layers)
+    src_coords = unpack_cell_ids(src)
+    table_coords = {tuple(c): j for j, c in enumerate(unpack_cell_ids(table).tolist())}
+    pairs = set()
+    for i, coords in enumerate(src_coords.tolist()):
+        for offset in offsets:
+            neighbor = tuple(c + direction * o for c, o in zip(coords, offset, strict=True))
+            if neighbor in table_coords:
+                pairs.add((i, table_coords[neighbor]))
+    return pairs
 
-    def test_clear_resets_assignment(self):
-        cell = PGridCell((0, 0, 0), np.zeros(3), np.ones(3))
-        cell.object_idx = np.array([1, 2], dtype=np.int64)
-        cell.slot = 5
-        assert not cell.is_vacant
-        cell.clear()
-        assert cell.is_vacant
-        assert cell.slot == -1
-        assert cell.min_obj_width is None
 
-    def test_repr_counts_objects(self):
-        cell = PGridCell((1, 2, 3), np.zeros(3), np.ones(3))
-        cell.object_idx = np.arange(4)
-        assert "n=4" in repr(cell)
+class TestNeighborPairs:
+    def test_matches_coordinate_oracle(self):
+        rng = np.random.default_rng(2)
+        table = np.unique(pack_cell_ids(rng.integers(-4, 4, size=(120, 3))))
+        src = table[::3]
+        for layers in (1, 2):
+            for direction in (1, -1):
+                i, j = neighbor_pairs(src, table, layers, direction=direction)
+                got = set(zip(i.tolist(), j.tolist(), strict=True))
+                assert len(got) == i.size
+                assert got == brute_force_neighbors(src, table, layers, direction)
+
+    def test_each_adjacent_pair_once(self):
+        rng = np.random.default_rng(3)
+        table = np.unique(pack_cell_ids(rng.integers(0, 5, size=(80, 3))))
+        i, j = neighbor_pairs(table, table, 1)
+        unordered = {frozenset(p) for p in zip(i.tolist(), j.tolist(), strict=True)}
+        assert len(unordered) == i.size
+        coords = unpack_cell_ids(table)
+        adjacent = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2) == 1
+        assert 2 * i.size == int(adjacent.sum())
+
+    def test_no_alias_across_packable_edge(self):
+        top = COORD_BIAS - 1
+        for low, high in (
+            ((0, 0, top), (0, 1, -COORD_BIAS)),
+            ((0, top, 0), (1, -COORD_BIAS, 0)),
+        ):
+            table = np.sort(pack_cell_ids(np.array([low, high])))
+            i, _j = neighbor_pairs(table, table, 1)
+            assert i.size == 0
+            _i, j = neighbor_pairs(table, table, 1, direction=-1)
+            assert j.size == 0
+
+    def test_empty_inputs(self):
+        table = pack_cell_ids(np.zeros((1, 3), dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
+        assert neighbor_pairs(empty, table, 1)[0].size == 0
+        assert neighbor_pairs(table, empty, 1)[0].size == 0

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import ThermalJoin
+from repro.core.thermal import TGridCellsTask
 from repro.engine import (
     FaultPlan,
     InjectedFault,
@@ -302,6 +303,26 @@ class TestProcessRecovery:
         executor.close()
         assert not _LIVE_SEGMENTS
 
+    def test_finalizer_never_joins_the_pool(self, dense_dataset, monkeypatch):
+        # The garbage collector can run the finalizer inside threading's
+        # own bookkeeping, where joining the pool's threads deadlocks; it
+        # may only signal the shutdown.
+        executor = ProcessExecutor(n_workers=2)
+        ThermalJoin(resolution=1.0, executor=executor).step(dense_dataset)
+        pool = executor._pool
+        waits = []
+        real_shutdown = pool.shutdown
+
+        def shutdown(wait=True, **kwargs):
+            waits.append(wait)
+            real_shutdown(wait=wait, **kwargs)
+
+        monkeypatch.setattr(pool, "shutdown", shutdown)
+        executor.__del__()
+        assert waits == [False]
+        executor.close()
+        assert not _LIVE_SEGMENTS
+
     def test_count_only_recovery_matches_serial(self, dense_dataset):
         serial = ThermalJoin(resolution=1.0, count_only=True).step(dense_dataset)
         install_fault_plan(parse_faults("raise@1"))
@@ -331,6 +352,90 @@ class TestProcessRecovery:
 
         with pytest.raises(ValueError, match="deterministic bug"):
             BuggyJoin(executor=SerialExecutor()).step(uniform_small)
+
+
+# ----------------------------------------------------------------------
+# The T-Grid task: a pure function of the context, counted once
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    """Dense cells of mixed object widths: T-Grids next to budget fallbacks."""
+    from repro.datasets import make_uniform_dataset
+
+    return make_uniform_dataset(
+        900, width_range=(2.0, 10.0), bounds=(np.zeros(3), np.full(3, 50.0)), seed=11
+    )
+
+
+def _tgrid_join(executor=None):
+    return ThermalJoin(resolution=2.0, executor=executor)
+
+
+def _tgrid_ordinal(dataset):
+    """Launch ordinal of the step's first T-Grid task."""
+    probe = _tgrid_join(SerialExecutor())
+    probe._build(dataset)
+    tasks = probe.plan(dataset).tasks
+    return next(k for k, task in enumerate(tasks) if isinstance(task, TGridCellsTask))
+
+
+def _tgrid_outcome(join, result, n):
+    return {
+        "keys": _step_keys(result, n),
+        "overlap_tests": result.stats.overlap_tests,
+        "info": {
+            key: value
+            for key, value in join.last_step_info.items()
+            if key != "resolution"
+        },
+        "tgrid": join.metrics.snapshot()["tgrid"],
+    }
+
+
+@pytest.fixture(scope="module")
+def tgrid_reference(mixed_dataset):
+    join = _tgrid_join(SerialExecutor())
+    outcome = _tgrid_outcome(join, join.step(mixed_dataset), len(mixed_dataset))
+    assert outcome["tgrid"]["fallbacks"] > 0 and outcome["tgrid"]["peak_cells"] > 0
+    return outcome
+
+
+class TestTGridTask:
+    def _assert_same(self, outcome, reference):
+        assert np.array_equal(outcome["keys"], reference["keys"])
+        assert outcome["overlap_tests"] == reference["overlap_tests"]
+        assert outcome["info"] == reference["info"]
+        assert outcome["tgrid"] == reference["tgrid"]
+
+    def test_process_pool_matches_serial(self, mixed_dataset, tgrid_reference):
+        assert TGridCellsTask.process_safe
+        executor = ProcessExecutor(n_workers=2)
+        join = _tgrid_join(executor)
+        result = join.step(mixed_dataset)
+        executor.close()
+        self._assert_same(_tgrid_outcome(join, result, len(mixed_dataset)), tgrid_reference)
+
+    def test_worker_kill_on_tgrid_task_recovers(self, mixed_dataset, tgrid_reference):
+        install_fault_plan(parse_faults(f"kill@{_tgrid_ordinal(mixed_dataset)}"))
+        executor = ProcessExecutor(n_workers=2)
+        join = _tgrid_join(executor)
+        result = join.step(mixed_dataset)
+        assert "pool_broken" in [e["kind"] for e in result.stats.events]
+        executor.close()
+        assert not _LIVE_SEGMENTS
+        self._assert_same(_tgrid_outcome(join, result, len(mixed_dataset)), tgrid_reference)
+
+    def test_abandoned_attempt_counts_fallbacks_once(self, mixed_dataset, tgrid_reference):
+        # The timed-out attempt is re-run inline, but its pool thread
+        # keeps going and finishes later; it must not touch the join's
+        # diagnostics when it does.
+        install_fault_plan(parse_faults(f"hang@{_tgrid_ordinal(mixed_dataset)}:1.0"))
+        executor = ThreadExecutor(2, task_timeout=0.3)
+        join = _tgrid_join(executor)
+        result = join.step(mixed_dataset)
+        assert "task_timeout" in [e["kind"] for e in result.stats.events]
+        executor.close()  # waits for the abandoned attempt to finish
+        self._assert_same(_tgrid_outcome(join, result, len(mixed_dataset)), tgrid_reference)
 
 
 # ----------------------------------------------------------------------

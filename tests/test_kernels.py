@@ -282,6 +282,83 @@ class TestKernelParity:
         assert len(acc) == 0
 
 
+#: Per-step index counters pinned by the ``thermal-join-index`` series.
+INDEX_INFO_KEYS = (
+    "cell_pair_joins",
+    "cells_created",
+    "occupied_cells",
+    "total_cells",
+    "vacant_cells",
+    "tgrid_cells",
+    "tgrid_fallbacks",
+    "gc_runs",
+    "layers",
+)
+
+#: Scenario -> (join factory, steps, workload kwargs, motion factory).
+#: Together they cover GC runs, tuner re-tunes, two-layer grids, T-Grid
+#: fallbacks next to real T-Grids, and pair-maintenance steps.
+INDEX_SCENARIOS = {
+    "uniform-r0.5": (
+        lambda: ThermalJoin(resolution=0.5, count_only=True),
+        12,
+        {"width": 10.0, "side": 120.0},
+        None,
+    ),
+    "tuned-dense": (
+        lambda: ThermalJoin(count_only=True),
+        10,
+        {"width_range": (0.05, 10.0), "side": 40.0},
+        None,
+    ),
+    "mixed-r2": (
+        lambda: ThermalJoin(resolution=2.0, count_only=True),
+        6,
+        {"width_range": (2.0, 10.0), "side": 50.0},
+        None,
+    ),
+    "maintain-r0.5": (
+        lambda: ThermalJoin(resolution=0.5, count_only=True, pair_maintenance=True),
+        8,
+        {"width": 10.0, "side": 120.0},
+        lambda ds: IntermittentTranslation(ds, seed=5, move_fraction=0.05, distance=2.0),
+    ),
+}
+
+
+def _index_series(scenario):
+    """Per-step results and index counters of one ``INDEX_SCENARIOS`` run."""
+    factory, steps, workload, motion_factory = INDEX_SCENARIOS[scenario]
+    side = workload["side"]
+    dataset, motion = make_uniform_workload(
+        900,
+        width=workload.get("width", 15.0),
+        width_range=workload.get("width_range"),
+        bounds=(np.zeros(3), np.full(3, side)),
+        seed=11,
+    )
+    if motion_factory is not None:
+        motion = motion_factory(dataset)
+    join = factory()
+    rows = []
+    delta = None
+    for step in range(steps):
+        if step:
+            delta = motion.step(dataset)
+        result = join.step_delta(dataset, delta)
+        info = join.last_step_info
+        row = {
+            "n_results": result.n_results,
+            "overlap_tests": result.stats.overlap_tests,
+            "memory_bytes": result.stats.memory_bytes,
+        }
+        row.update({key: info[key] for key in INDEX_INFO_KEYS})
+        row["tgrid_peak_cells"] = result.stats.index_counters["tgrid"]["peak_cells"]
+        row["resolution"] = info["resolution"]
+        rows.append(row)
+    return rows
+
+
 def _series(algorithm, steps=3, motion_factory=None, n_objects=500):
     dataset, motion = make_uniform_workload(
         n_objects, width=10.0, bounds=(np.zeros(3), np.full(3, 120.0)), seed=11
@@ -327,3 +404,9 @@ class TestRecordedOracle:
             ),
         )
         assert got == self._recorded("thermal-join-incremental")
+
+    @pytest.mark.parametrize("scenario", sorted(INDEX_SCENARIOS))
+    def test_index_series(self, scenario):
+        """P-Grid/T-Grid accounting, recorded before the columnar P-Grid."""
+        recorded = json.loads(FIXTURE_PATH.read_text())["runs"]["thermal-join-index"]
+        assert _index_series(scenario) == recorded[scenario]

@@ -1,26 +1,50 @@
-"""Unit tests for the P-Grid (build, maintenance, GC, hyperlinks)."""
+"""Unit tests for the P-Grid (build, maintenance, GC, neighbour pairs)."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.core import PGrid
-from repro.core.cells import pack_cell_id_scalar
+from repro.core import PGrid, neighbor_pairs, pack_cell_ids, unpack_cell_ids
 from repro.datasets import make_uniform_dataset
 
 
 def refresh_grid(grid, dataset):
     lo, _hi = dataset.boxes()
-    return grid.refresh(
-        dataset.centers, lo[:, 0], dataset.widths, dataset.max_width
-    )
+    grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
+    return cell_members(grid)
+
+
+def cell_members(grid):
+    """Object indices of each occupied cell, in slot order."""
+    return [
+        grid.cat[start:stop]
+        for start, stop in zip(grid.cell_starts, grid.cell_stops, strict=True)
+    ]
 
 
 def small_dataset(n=200, width=10.0, side=100.0, seed=0):
     return make_uniform_dataset(
         n, width=width, bounds=(np.zeros(3), np.full(3, side)), seed=seed
     )
+
+
+def adjacent_table_pairs(grid):
+    """Brute force: unordered pairs of table cells at most ``layers`` apart."""
+    coords = unpack_cell_ids(grid.ids)
+    pairs = set()
+    for a, b in itertools.combinations(range(grid.ids.size), 2):
+        if np.abs(coords[a] - coords[b]).max() <= grid.layers:
+            pairs.add(frozenset((int(grid.ids[a]), int(grid.ids[b]))))
+    return pairs
+
+
+def table_links(grid):
+    """The neighbour pairs among all table cells, as id frozensets."""
+    i, j = neighbor_pairs(grid.ids, grid.ids, grid.layers)
+    return [frozenset((int(grid.ids[a]), int(grid.ids[b]))) for a, b in zip(i, j, strict=True)]
 
 
 class TestConstruction:
@@ -44,32 +68,33 @@ class TestBuild:
     def test_every_object_assigned_once(self):
         ds = small_dataset(300)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        seen = np.concatenate([cell.object_idx for cell in occupied])
+        members = refresh_grid(grid, ds)
+        seen = np.concatenate(members)
         assert np.array_equal(np.sort(seen), np.arange(300))
 
     def test_objects_assigned_by_center(self):
         ds = small_dataset(300)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        for cell in occupied:
-            centers = ds.centers[cell.object_idx]
-            assert (centers >= cell.lo).all()
-            assert (centers < cell.hi).all()
+        members = refresh_grid(grid, ds)
+        cell_lo = grid.cell_lo(np.arange(len(members)))
+        for slot, objects in enumerate(members):
+            centers = ds.centers[objects]
+            assert (centers >= cell_lo[slot]).all()
+            assert (centers < cell_lo[slot] + grid.cell_width).all()
 
     def test_object_lists_sorted_by_x_lo(self):
         ds = small_dataset(500)
         grid = PGrid(10.0, np.zeros(3))
         lo, _hi = ds.boxes()
-        for cell in refresh_grid(grid, ds):
-            xlo = lo[cell.object_idx, 0]
+        for objects in refresh_grid(grid, ds):
+            xlo = lo[objects, 0]
             assert (np.diff(xlo) >= 0).all()
 
     def test_only_nonempty_cells_materialized(self):
         ds = small_dataset(10, side=1000.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        assert len(grid.cells) <= 10  # far fewer than the 100^3 virtual cells
+        assert grid.n_cells <= 10  # far fewer than the 100^3 virtual cells
 
     def test_cell_metadata(self):
         ds = make_uniform_dataset(
@@ -79,54 +104,43 @@ class TestBuild:
             seed=1,
         )
         grid = PGrid(15.0, np.zeros(3))
-        for cell in refresh_grid(grid, ds):
-            widths = ds.widths[cell.object_idx]
-            centers = ds.centers[cell.object_idx]
-            assert np.allclose(cell.min_obj_width, widths.min(axis=0))
-            assert np.allclose(cell.max_obj_width, widths.max(axis=0))
-            assert np.allclose(cell.center_lo, centers.min(axis=0))
-            assert np.allclose(cell.center_hi, centers.max(axis=0))
+        for slot, objects in enumerate(refresh_grid(grid, ds)):
+            widths = ds.widths[objects]
+            centers = ds.centers[objects]
+            assert np.allclose(grid.cell_min_width[slot], widths.min(axis=0))
+            assert np.allclose(grid.cell_max_width[slot], widths.max(axis=0))
+            assert np.allclose(grid.cell_center_lo[slot], centers.min(axis=0))
+            assert np.allclose(grid.cell_center_hi[slot], centers.max(axis=0))
 
     def test_slots_align_with_occupied_list(self):
         ds = small_dataset(200)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        for slot, cell in enumerate(occupied):
-            assert cell.slot == slot
-            start = grid.cell_starts[slot]
-            stop = grid.cell_stops[slot]
-            assert np.array_equal(grid.cat[start:stop], cell.object_idx)
+        members = refresh_grid(grid, ds)
+        assert grid.occupied_ids.size == len(members) == grid.n_occupied
+        for slot, objects in enumerate(members):
+            coords = np.floor(ds.centers[objects] / grid.cell_width).astype(np.int64)
+            assert (pack_cell_ids(coords) == grid.occupied_ids[slot]).all()
 
 
 class TestHyperlinks:
+    """Neighbour pairs: the paper's hyperlinks, found by binary search."""
+
     def test_each_adjacent_pair_linked_exactly_once(self):
         ds = small_dataset(400, width=10.0, side=60.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        linked = set()
-        for cell_id, cell in grid.cells.items():
-            for neighbor in cell.hyperlinks:
-                key = frozenset((cell_id, pack_cell_id_scalar(*neighbor.coords)))
-                assert key not in linked, "cell pair linked twice"
-                linked.add(key)
-        # Every adjacent occupied pair must be covered.
-        for cell_id, cell in grid.cells.items():
-            cx, cy, cz = cell.coords
-            for other_id, other in grid.cells.items():
-                if other_id <= cell_id:
-                    continue
-                ox, oy, oz = other.coords
-                if max(abs(cx - ox), abs(cy - oy), abs(cz - oz)) <= grid.layers:
-                    assert frozenset((cell_id, other_id)) in linked
+        links = table_links(grid)
+        assert len(set(links)) == len(links), "cell pair linked twice"
+        assert set(links) == adjacent_table_pairs(grid)
 
     def test_links_point_to_adjacent_cells_only(self):
         ds = small_dataset(300, width=10.0, side=80.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        for cell in grid.cells.values():
-            for neighbor in cell.hyperlinks:
-                delta = np.abs(np.subtract(cell.coords, neighbor.coords))
-                assert delta.max() <= grid.layers
+        i, j = neighbor_pairs(grid.occupied_ids, grid.occupied_ids, grid.layers)
+        occupied = unpack_cell_ids(grid.occupied_ids)
+        delta = np.abs(occupied[i] - occupied[j]).max(axis=1)
+        assert i.size and (delta >= 1).all() and (delta <= grid.layers).all()
 
     def test_multiple_layers_when_cells_finer_than_objects(self):
         ds = small_dataset(300, width=20.0, side=80.0)
@@ -136,25 +150,28 @@ class TestHyperlinks:
 
     def test_incremental_new_cells_get_links(self):
         ds = small_dataset(300, width=10.0, side=60.0, seed=2)
-        grid = PGrid(10.0, np.zeros(3))
+        grid = PGrid(10.0, np.zeros(3), gc_threshold=0.99)
         refresh_grid(grid, ds)
-        # Move everything, creating new cells next to old ones.
+        # Move everything, creating new cells next to old (now vacant) ones.
         ds.translate(np.full((300, 3), 7.0))
         refresh_grid(grid, ds)
-        linked = set()
-        for cell_id, cell in grid.cells.items():
-            for neighbor in cell.hyperlinks:
-                key = frozenset((cell_id, pack_cell_id_scalar(*neighbor.coords)))
-                assert key not in linked
-                linked.add(key)
-        for cell_id, cell in grid.cells.items():
-            cx, cy, cz = cell.coords
-            for other_id, other in grid.cells.items():
-                if other_id <= cell_id:
-                    continue
-                ox, oy, oz = other.coords
-                if max(abs(cx - ox), abs(cy - oy), abs(cz - oz)) <= grid.layers:
-                    assert frozenset((cell_id, other_id)) in linked
+        assert grid.n_vacant > 0
+        assert grid._n_links == len(adjacent_table_pairs(grid))
+        assert set(table_links(grid)) == adjacent_table_pairs(grid)
+
+    def test_no_alias_at_edge_of_packable_range(self):
+        # (0, 0, 2^20 - 1) and (0, 1, -2^20) are not adjacent, but naive
+        # key arithmetic carries z + 1 into y and links them.
+        edge = float(1 << 20)
+        centers = np.array([[0.5, 0.5, edge - 0.5], [0.5, 1.5, -edge + 0.5]])
+        widths = np.ones((2, 3))
+        grid = PGrid(1.0, np.zeros(3))
+        grid.refresh(centers, centers[:, 0] - 0.5, widths, 1.0)
+        assert grid.n_cells == 2
+        i, _j = neighbor_pairs(grid.ids, grid.ids, grid.layers)
+        assert i.size == 0
+        assert grid.memory_footprint() == brute_force_footprint(grid)
+        assert grid._n_links == 0
 
 
 class TestIncrementalMaintenance:
@@ -171,19 +188,22 @@ class TestIncrementalMaintenance:
         ds = small_dataset(50, width=5.0, side=30.0, seed=3)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
         refresh_grid(grid, ds)
-        n_before = len(grid.cells)
+        n_before = grid.n_cells
         ds.translate(np.full((50, 3), 11.0))  # everyone moves 2+ cells
         refresh_grid(grid, ds)
         assert grid.n_vacant > 0
-        assert len(grid.cells) >= n_before  # vacants kept (GC off)
-        ages = [cell.age for cell in grid.cells.values() if cell.is_vacant]
-        assert all(age >= 1 for age in ages)
+        assert grid.n_cells >= n_before  # vacants kept (GC off)
+        vacated = set(grid.ids[grid.vacant].tolist())
+        ds.translate(np.full((50, 3), 11.0))
+        refresh_grid(grid, ds)
+        # Still vacant a step later, and still in the table.
+        assert vacated <= set(grid.ids[grid.vacant].tolist())
 
     def test_vacant_cell_reused_on_return(self):
         ds = small_dataset(50, width=5.0, side=30.0, seed=4)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
         refresh_grid(grid, ds)
-        ids_before = set(grid.cells)
+        ids_before = set(grid.ids.tolist())
         shift = np.full((50, 3), 11.0)
         ds.translate(shift)
         refresh_grid(grid, ds)
@@ -191,7 +211,7 @@ class TestIncrementalMaintenance:
         ds.translate(-shift)  # everyone returns home
         refresh_grid(grid, ds)
         assert grid.cells_created == created_mid  # nothing new created
-        assert set(grid.cells) >= ids_before
+        assert set(grid.ids.tolist()) >= ids_before
 
     def test_layer_change_forces_rebuild(self):
         ds = small_dataset(100, width=10.0)
@@ -216,7 +236,7 @@ class TestGarbageCollection:
         ds = small_dataset(30, width=5.0, side=30.0, seed=5)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         self._scatter(grid, ds, 10)
-        total = len(grid.cells)
+        total = grid.n_cells
         assert grid.n_vacant <= 0.35 * total + 1
         assert grid.gc_runs > 0
 
@@ -224,10 +244,9 @@ class TestGarbageCollection:
         ds = small_dataset(30, width=5.0, side=30.0, seed=6)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         self._scatter(grid, ds, 10)
-        live = set(map(id, grid.cells.values()))
-        for cell in grid.cells.values():
-            for neighbor in cell.hyperlinks:
-                assert id(neighbor) in live
+        assert grid.gc_runs > 0
+        # The link total counts only pairs among the surviving cells.
+        assert grid._n_links == len(adjacent_table_pairs(grid))
 
     def test_high_threshold_never_collects(self):
         ds = small_dataset(30, width=5.0, side=30.0, seed=7)
@@ -259,25 +278,24 @@ class TestFootprint:
 
 
 def brute_force_footprint(grid):
-    """Recompute the footprint by walking every cell (the pre-incremental
-    definition); the O(1) incremental version must match it exactly."""
+    """Recompute the footprint from scratch: one pointer per assigned
+    object and per pair of adjacent table cells, vacant cells included;
+    the incrementally maintained version must match it exactly."""
     from repro.core.pgrid import CELL_RECORD_BYTES, _bucket_count
     from repro.joins.base import POINTER_BYTES
 
-    n_cells = len(grid.cells)
+    n_cells = grid.n_cells
     if n_cells == 0:
         return 0
     total = _bucket_count(n_cells) * POINTER_BYTES
     total += n_cells * CELL_RECORD_BYTES
-    for cell in grid.cells.values():
-        if cell.object_idx is not None:
-            total += cell.object_idx.size * POINTER_BYTES
-        total += len(cell.hyperlinks) * POINTER_BYTES
+    total += grid.cat.size * POINTER_BYTES
+    total += len(adjacent_table_pairs(grid)) * POINTER_BYTES
     return total
 
 
 class TestIncrementalAccounting:
-    """The vacant-cell set and O(1) footprint must track the cell walk."""
+    """The vacancy mask and O(1) footprint must track a from-scratch walk."""
 
     def _drift(self, grid, ds, steps, seed=13):
         rng = np.random.default_rng(seed)
@@ -304,26 +322,11 @@ class TestIncrementalAccounting:
         ds = small_dataset(40, width=5.0, side=30.0, seed=14)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         for _ in self._drift(grid, ds, 10):
-            walked = {
-                cell_id for cell_id, cell in grid.cells.items() if cell.is_vacant
-            }
-            assert set(grid._vacant_cells) == walked
+            coords = np.floor(ds.centers / grid.cell_width).astype(np.int64)
+            occupied = set(pack_cell_ids(coords).tolist())
+            walked = set(grid.ids.tolist()) - occupied
+            assert set(grid.ids[grid.vacant].tolist()) == walked
             assert grid.n_vacant == len(walked)
-
-    def test_vacant_ages_advance_without_per_cell_touch(self):
-        ds = small_dataset(50, width=5.0, side=30.0, seed=15)
-        grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
-        refresh_grid(grid, ds)
-        shift = np.full((50, 3), 11.0)
-        ds.translate(shift)
-        refresh_grid(grid, ds)
-        first = {id(c): c.age for c in grid.cells.values() if c.is_vacant}
-        assert first and all(age == 1 for age in first.values())
-        ds.translate(shift)
-        refresh_grid(grid, ds)
-        for cell in grid.cells.values():
-            if id(cell) in first and cell.is_vacant:
-                assert cell.age == first[id(cell)] + 1
 
 
 class TestClear:
@@ -347,8 +350,8 @@ class TestClear:
             "cell_center_hi",
         ):
             assert getattr(grid, name) is None, name
-        assert grid.cells == {}
-        assert grid.occupied == []
+        assert grid.n_cells == 0
+        assert grid.n_occupied == 0
         assert grid.n_vacant == 0
         assert grid.memory_footprint() == 0
 
@@ -361,3 +364,72 @@ class TestClear:
         refresh_grid(grid, ds)
         assert grid.memory_footprint() == before
         assert grid.memory_footprint() == brute_force_footprint(grid)
+
+
+def restore(arrays, meta, ds):
+    lo, _hi = ds.boxes()
+    return PGrid.from_state(arrays, meta, ds.centers, lo[:, 0], ds.widths)
+
+
+class TestSnapshot:
+    """Checkpoint round trips, including the earlier per-cell format."""
+
+    def _grid_with_vacancies(self):
+        ds = small_dataset(60, width=5.0, side=30.0, seed=21)
+        grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
+        refresh_grid(grid, ds)
+        ds.translate(np.full((60, 3), 6.0))
+        refresh_grid(grid, ds)
+        assert grid.n_vacant > 0
+        return grid, ds
+
+    def _assert_same(self, restored, grid):
+        assert np.array_equal(restored.ids, grid.ids)
+        assert np.array_equal(restored.vacant, grid.vacant)
+        assert np.array_equal(restored.cat, grid.cat)
+        assert np.array_equal(restored.cell_starts, grid.cell_starts)
+        assert restored.memory_footprint() == grid.memory_footprint()
+        assert restored.cells_created == grid.cells_created
+        assert restored.gc_runs == grid.gc_runs
+
+    def test_roundtrip(self):
+        grid, ds = self._grid_with_vacancies()
+        arrays, meta = grid.snapshot_state()
+        assert set(arrays) == {"cell_ids", "vacant"}
+        self._assert_same(restore(arrays, meta, ds), grid)
+
+    def test_reads_per_cell_format(self):
+        # The earlier layout: ids in table insertion order, a vacant_at
+        # epoch per cell (-1 while occupied), directed hyperlink edges
+        # and a refresh clock.  Vacancy comes from vacant_at alone.
+        grid, ds = self._grid_with_vacancies()
+        rng = np.random.default_rng(0)
+        order = rng.permutation(grid.n_cells)
+        vacant_at = np.where(grid.vacant, 2, -1)[order]
+        link_i, link_j = neighbor_pairs(grid.ids, grid.ids, grid.layers)
+        arrays = {
+            "cell_ids": grid.ids[order],
+            "vacant_at": vacant_at.astype(np.int64),
+            "link_src": np.argsort(order)[link_i],
+            "link_dst": np.argsort(order)[link_j],
+        }
+        _, meta = grid.snapshot_state()
+        meta = {**meta, "clock": 2}
+        self._assert_same(restore(arrays, meta, ds), grid)
+
+    def test_occupied_count_mismatch_rejected(self):
+        grid, ds = self._grid_with_vacancies()
+        arrays, meta = grid.snapshot_state()
+        arrays = {**arrays, "vacant": np.zeros_like(arrays["vacant"])}
+        with pytest.raises(ValueError, match="occupied cells"):
+            restore(arrays, meta, ds)
+
+    def test_occupied_cell_mismatch_rejected(self):
+        grid, ds = self._grid_with_vacancies()
+        arrays, meta = grid.snapshot_state()
+        vacant = arrays["vacant"].copy()
+        # Swap one occupied and one vacant cell: same count, wrong cells.
+        vacant[np.flatnonzero(vacant)[0]] = False
+        vacant[np.flatnonzero(~arrays["vacant"])[0]] = True
+        with pytest.raises(ValueError, match="does not hold occupied"):
+            restore({**arrays, "vacant": vacant}, meta, ds)

@@ -1,35 +1,56 @@
-"""Unit tests for the batched T-Grid planner (repro.core.tgrid)."""
+"""Unit tests for the one-pass T-Grid joiner (repro.core.tgrid)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import PGrid, TGrid
 from repro.datasets import SpatialDataset
 from repro.geometry import PairAccumulator, mbr, pack_pairs, unique_pairs
 
 
-def build_cells(dataset, resolution=2.0):
-    """Build a coarse P-Grid and return its multi-member cells."""
-    lo, _hi = dataset.boxes()
+def build_cells(dataset, resolution=2.0, min_members=2):
+    """Build a coarse P-Grid; return its join context and populous cells."""
+    lo, hi = dataset.boxes()
     grid = PGrid(resolution * dataset.max_width, dataset.bounds[0])
     grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-    return [cell for cell in grid.occupied if cell.object_idx.size > 1]
+    ctx = {
+        "lo": lo,
+        "hi": hi,
+        "centers": dataset.centers,
+        "widths": dataset.widths,
+        "cat": grid.cat,
+        "starts": grid.cell_starts,
+        "stops": grid.cell_stops,
+        "cell_min_width": grid.cell_min_width,
+        "cell_max_width": grid.cell_max_width,
+    }
+    slots = np.flatnonzero(grid.cell_stops - grid.cell_starts >= min_members)
+    return ctx, slots, grid.cell_lo(slots), grid.cell_width
+
+
+def join(cells, accumulator, part=slice(None)):
+    ctx, slots, cell_lo, cell_width = cells
+    return TGrid.join_cells(ctx, accumulator, slots[part], cell_lo[part], cell_width)
 
 
 def naive_internal_pairs(dataset, cells):
     """Oracle: all overlapping pairs *within* each cell."""
+    ctx, slots, _cell_lo, _width = cells
     lo, hi = dataset.boxes()
     expected = set()
-    for cell in cells:
-        members = cell.object_idx
+    for slot in slots:
+        members = ctx["cat"][ctx["starts"][slot]:ctx["stops"][slot]]
         for a in range(members.size):
             for b in range(a + 1, members.size):
                 i, j = int(members[a]), int(members[b])
                 if mbr.overlap_single(lo[i], hi[i], lo[j], hi[j]):
                     expected.add((min(i, j), max(i, j)))
     return expected
+
+
+def pair_set(accumulator, n):
+    return set(zip(*(a.tolist() for a in unique_pairs(*accumulator.as_arrays(), n)), strict=True))
 
 
 def varied_dataset(n=300, seed=0, width_low=2.0, width_high=9.0, side=60.0):
@@ -43,23 +64,18 @@ class TestJoinCells:
     def test_matches_naive_within_cell_join(self):
         dataset = varied_dataset(seed=1)
         cells = build_cells(dataset)
-        assert cells, "fixture produced no multi-member cells"
-        lo, hi = dataset.boxes()
+        assert cells[1].size, "fixture produced no multi-member cells"
         acc = PairAccumulator()
-        TGrid().join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
-        n = len(dataset)
-        got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
-        assert got == naive_internal_pairs(dataset, cells)
+        join(cells, acc)
+        assert pair_set(acc, len(dataset)) == naive_internal_pairs(dataset, cells)
 
     def test_no_duplicate_emissions(self):
         dataset = varied_dataset(seed=2)
         cells = build_cells(dataset)
-        lo, hi = dataset.boxes()
         acc = PairAccumulator()
-        TGrid().join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+        join(cells, acc)
         i_idx, j_idx = acc.as_arrays()
-        n = len(dataset)
-        keys = pack_pairs(i_idx, j_idx, n)
+        keys = pack_pairs(i_idx, j_idx, len(dataset))
         assert np.unique(keys).size == keys.size
 
     def test_fallback_on_degenerate_resolution(self):
@@ -73,54 +89,44 @@ class TestJoinCells:
             centers, widths, bounds=(np.zeros(3), np.full(3, 50.0))
         )
         cells = build_cells(dataset, resolution=2.0)
-        lo, hi = dataset.boxes()
-        tgrid = TGrid(max_cells_per_object=4)
         acc = PairAccumulator()
-        tgrid.join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
-        assert tgrid.fallbacks > 0
-        n = len(dataset)
-        got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
-        assert got == naive_internal_pairs(dataset, cells)
+        counters = join(cells, acc)
+        assert counters["tgrid_fallbacks"] > 0
+        assert pair_set(acc, len(dataset)) == naive_internal_pairs(dataset, cells)
 
     def test_peak_cells_tracked(self):
         dataset = varied_dataset(seed=4)
         cells = build_cells(dataset)
-        lo, hi = dataset.boxes()
-        tgrid = TGrid()
-        tgrid.join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc := PairAccumulator())
-        assert tgrid.peak_cells > 0
-        assert len(acc) >= 0
+        counters = join(cells, PairAccumulator())
+        assert counters["tgrid_t_cells"] > 0
 
     def test_single_member_cells_skipped(self):
         dataset = varied_dataset(n=12, seed=5, side=200.0)
-        lo, _hi = dataset.boxes()
-        grid = PGrid(2.0 * dataset.max_width, dataset.bounds[0])
-        grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-        lo, hi = dataset.boxes()
+        # Every occupied cell, single-member ones included.
+        cells = build_cells(dataset, min_members=1)
         acc = PairAccumulator()
-        tests, shortcuts = TGrid().join_cells(
-            grid.occupied, lo, hi, dataset.centers, dataset.widths, acc
-        )
+        counters = join(cells, acc)
         # Sparse layout: nothing shares a cell, nothing to join.
-        expected = naive_internal_pairs(dataset, grid.occupied)
-        n = len(dataset)
-        got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
-        assert got == expected
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            TGrid(max_cells_per_object=0)
+        assert len(acc) == 0
+        assert counters["tgrid_t_cells"] == 0
+        assert counters["overlap_tests"] == 0
 
     def test_counts_are_deterministic(self):
         dataset = varied_dataset(seed=6)
         cells = build_cells(dataset)
-        lo, hi = dataset.boxes()
-        runs = []
-        for _ in range(2):
-            acc = PairAccumulator(count_only=True)
-            runs.append(
-                TGrid().join_cells(
-                    cells, lo, hi, dataset.centers, dataset.widths, acc
-                )
-            )
+        runs = [join(cells, PairAccumulator(count_only=True)) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_batching_is_invisible(self):
+        # Any split of the cells into batches sums to the same counters
+        # and pair set as one batch: the engine chunks this task freely.
+        dataset = varied_dataset(n=500, seed=7, width_low=0.5)
+        cells = build_cells(dataset)
+        whole = PairAccumulator()
+        expected = join(cells, whole)
+        assert expected["tgrid_t_cells"] and expected["tgrid_fallbacks"]
+        split = PairAccumulator()
+        middle = cells[1].size // 2
+        parts = [join(cells, split, slice(None, middle)), join(cells, split, slice(middle, None))]
+        assert {key: sum(p[key] for p in parts) for key in expected} == expected
+        assert pair_set(split, len(dataset)) == pair_set(whole, len(dataset))
