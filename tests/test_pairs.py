@@ -72,6 +72,39 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_pairs([2], [-3], 4)
 
+    def test_n_beyond_int64_key_range_raises(self):
+        # Two index fields of more than 31 bits would not fit an int64.
+        with pytest.raises(ValueError):
+            pack_pairs([0], [1], 2**32 + 1)
+        with pytest.raises(ValueError):
+            unpack_pairs([1], 2**31 + 1)
+
+    def test_largest_n_round_trips(self):
+        n = 2**31
+        i = np.array([0, n - 2], dtype=np.int64)
+        j = np.array([n - 1, n - 1], dtype=np.int64)
+        keys = pack_pairs(i, j, n)
+        assert (keys >= 0).all() and keys[0] < keys[1]
+        ri, rj = unpack_pairs(keys, n)
+        assert np.array_equal(ri, i) and np.array_equal(rj, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_lexicographic_order(self, data):
+        k = data.draw(st.integers(0, 30))
+        n = data.draw(st.sampled_from([1, 2, 3, 2**k, 2**k + 1]))
+        index = st.integers(0, n - 1)
+        i = np.array(data.draw(st.lists(index, max_size=60)), dtype=np.int64)
+        j = np.array(data.draw(st.lists(index, min_size=i.size, max_size=i.size)), dtype=np.int64)
+        keys = pack_pairs(i, j, n)
+        ri, rj = unpack_pairs(keys, n)
+        assert_bit_identical(ri, i)
+        assert_bit_identical(rj, j)
+        # Keys sort exactly as the (i, j) tuples; equal keys are equal pairs.
+        assert_bit_identical(np.argsort(keys, kind="stable"), np.lexsort((j, i)))
+        pairs = set(zip(i.tolist(), j.tolist(), strict=True))
+        assert sorted_unique_keys(keys).size == len(pairs)
+
 
 class TestUniquePairs:
     def test_dedup_and_sort(self):
@@ -207,6 +240,74 @@ class TestMaintainedPairSetAlgebra:
         fresh_keys = pack_pairs(*canonicalize_pairs(fresh_i, fresh_j), n)
         expected = np.union1d(np.setdiff1d(keys, incident), fresh_keys)
         assert_bit_identical(maintained.packed_keys(), expected)
+
+
+    @staticmethod
+    def _reference_remove(i_idx, j_idx, moved):
+        pairs = {(int(a), int(b)) for a, b in zip(*canonicalize_pairs(i_idx, j_idx), strict=True)}
+        kept = sorted(p for p in pairs if not (moved[p[0]] or moved[p[1]]))
+        return kept, len(pairs) - len(kept)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64])
+    @pytest.mark.parametrize(
+        "case", ["first-id", "last-id", "none-moved", "all-moved", "empty-set"]
+    )
+    def test_remove_incident_edge_inputs(self, n, case):
+        rng = np.random.default_rng(n)
+        if case == "empty-set":
+            i_idx = j_idx = np.empty(0, dtype=np.int64)
+        else:
+            i_idx, j_idx = np.triu_indices(n, k=1)
+            keep = rng.random(i_idx.size) < 0.6
+            i_idx, j_idx = i_idx[keep], j_idx[keep]
+        moved = {
+            "first-id": np.arange(n) == 0,
+            "last-id": np.arange(n) == n - 1,
+            "none-moved": np.zeros(n, dtype=bool),
+            "all-moved": np.ones(n, dtype=bool),
+            "empty-set": rng.random(n) < 0.5,
+        }[case]
+        maintained = MaintainedPairSet(n, i_idx, j_idx)
+        removed = maintained.remove_incident(moved)
+        kept, expected_removed = self._reference_remove(i_idx, j_idx, moved)
+        assert removed == expected_removed
+        got_i, got_j = maintained.as_arrays()
+        assert list(zip(got_i.tolist(), got_j.tolist(), strict=True)) == kept
+        assert len(maintained) == len(kept)
+
+
+class TestMaintainedPairSetRestore:
+    def test_round_trip(self):
+        maintained = MaintainedPairSet(17, [0, 3, 15], [16, 9, 16])
+        restored = MaintainedPairSet.from_packed(17, maintained.packed_keys())
+        assert_bit_identical(restored.packed_keys(), maintained.packed_keys())
+
+    def test_low_field_at_or_above_n_rejected(self):
+        # n = 5 packs with 3 bits per index, so a low field of 5..7 fits
+        # the key but names no object.
+        bits = 3
+        for low in (5, 7):
+            keys = np.array([(0 << bits) | 1, (1 << bits) | low], dtype=np.int64)
+            with pytest.raises(ValueError, match="index field"):
+                MaintainedPairSet.from_packed(5, keys)
+
+    def test_key_above_largest_canonical_pair_rejected(self):
+        # The largest canonical key over n = 5 is the pair (3, 4).
+        bits = 3
+        largest = (3 << bits) | 4
+        assert pack_pairs([3], [4], 5)[0] == largest
+        MaintainedPairSet.from_packed(5, np.array([largest], dtype=np.int64))
+        for key in ((4 << bits) | 0, largest + 1, 1 << 40):
+            with pytest.raises(ValueError, match="out of range"):
+                MaintainedPairSet.from_packed(5, np.array([1, key], dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            MaintainedPairSet.from_packed(1, np.array([0], dtype=np.int64))
+
+    def test_unsorted_and_non_canonical_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MaintainedPairSet.from_packed(5, pack_pairs([1, 0], [2, 1], 5))
+        with pytest.raises(ValueError, match="canonical"):
+            MaintainedPairSet.from_packed(5, pack_pairs([2], [1], 5))
 
 
 class TestPairAccumulator:

@@ -372,7 +372,7 @@ def restore(arrays, meta, ds):
 
 
 class TestSnapshot:
-    """Checkpoint round trips, including the earlier per-cell format."""
+    """Checkpoint round trips and snapshot/dataset mismatch rejection."""
 
     def _grid_with_vacancies(self):
         ds = small_dataset(60, width=5.0, side=30.0, seed=21)
@@ -398,24 +398,12 @@ class TestSnapshot:
         assert set(arrays) == {"cell_ids", "vacant"}
         self._assert_same(restore(arrays, meta, ds), grid)
 
-    def test_reads_per_cell_format(self):
-        # The earlier layout: ids in table insertion order, a vacant_at
-        # epoch per cell (-1 while occupied), directed hyperlink edges
-        # and a refresh clock.  Vacancy comes from vacant_at alone.
+    def test_unsorted_ids_rejected(self):
         grid, ds = self._grid_with_vacancies()
-        rng = np.random.default_rng(0)
-        order = rng.permutation(grid.n_cells)
-        vacant_at = np.where(grid.vacant, 2, -1)[order]
-        link_i, link_j = neighbor_pairs(grid.ids, grid.ids, grid.layers)
-        arrays = {
-            "cell_ids": grid.ids[order],
-            "vacant_at": vacant_at.astype(np.int64),
-            "link_src": np.argsort(order)[link_i],
-            "link_dst": np.argsort(order)[link_j],
-        }
-        _, meta = grid.snapshot_state()
-        meta = {**meta, "clock": 2}
-        self._assert_same(restore(arrays, meta, ds), grid)
+        arrays, meta = grid.snapshot_state()
+        arrays = {"cell_ids": arrays["cell_ids"][::-1], "vacant": arrays["vacant"][::-1]}
+        with pytest.raises(ValueError, match="strictly increasing"):
+            restore(arrays, meta, ds)
 
     def test_occupied_count_mismatch_rejected(self):
         grid, ds = self._grid_with_vacancies()

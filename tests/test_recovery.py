@@ -30,7 +30,9 @@ from repro.engine.faults import (
     install_fault_plan,
     parse_faults,
 )
+from repro.geometry import unpack_pairs
 from repro.recovery import (
+    FORMAT_VERSION,
     CheckpointError,
     CheckpointManager,
     RecoveryMetrics,
@@ -166,7 +168,7 @@ class TestCheckpointManager:
         self._write_one(tmp_path, step=1)
         manifest = json.loads((tmp_path / "step-000001.json").read_text())
         assert manifest["format"] == "repro-checkpoint"
-        assert manifest["version"] == 1
+        assert manifest["version"] == FORMAT_VERSION
         assert manifest["payload"] == "step-000001.npz"
         entry = manifest["arrays"]["data"]
         assert set(entry) == {"sha256", "shape", "dtype"}
@@ -334,6 +336,43 @@ class TestResumeBitIdentity:
         )
         first.run(6)
         resumed = SimulationRunner.resume(tmp_path, algo())
+        resumed.run(N_STEPS)
+        assert_trajectories_identical(baseline.records, resumed.records)
+
+    def test_version_1_maintained_keys_never_restored(self, tmp_path):
+        # Version 1 packed maintained pairs as i * n + j.  Rewrite the
+        # newest checkpoint in that form: resume must refuse it as a
+        # skipped checkpoint and fall back, never misread its keys.
+        def algo():
+            return ThermalJoin(incremental=True, pair_maintenance=True)
+
+        dataset, motion = _make_workload("uniform")
+        baseline = SimulationRunner(dataset, motion, algo())
+        baseline.run(N_STEPS)
+
+        dataset2, motion2 = _make_workload("uniform")
+        first = SimulationRunner(
+            dataset2, motion2, algo(), checkpoint_dir=tmp_path,
+            checkpoint_every=2,
+        )
+        first.run(6)  # checkpoints at steps 1, 3, 5
+        manager = CheckpointManager(tmp_path)
+        newest = manager.load(tmp_path / "step-000005.json")
+        n = newest.meta["algorithm"]["maintained"]["n"]
+        i_idx, j_idx = unpack_pairs(newest.arrays["algorithm/maintained_keys"], n)
+        assert i_idx.size
+        arrays = {**newest.arrays, "algorithm/maintained_keys": i_idx * n + j_idx}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.recovery.checkpoint.FORMAT_VERSION", 1)
+            manager.write(5, arrays, newest.meta)
+        manifest = json.loads((tmp_path / "step-000005.json").read_text())
+        assert manifest["version"] == 1
+        with pytest.raises(CheckpointError, match="format version 1"):
+            manager.load(tmp_path / "step-000005.json")
+
+        resumed = SimulationRunner.resume(tmp_path, algo())
+        assert resumed._next_step == 4  # fell back to the step-3 checkpoint
+        assert resumed.recovery.corrupt_skipped == 1
         resumed.run(N_STEPS)
         assert_trajectories_identical(baseline.records, resumed.records)
 

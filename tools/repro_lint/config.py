@@ -136,7 +136,7 @@ STATISTICS_ROOTS: frozenset[str] = frozenset({"stats", "statistics"})
 # RPL203 — maintained pair-set writes
 # ----------------------------------------------------------------------
 #: Internal state of ``MaintainedPairSet``: the sorted packed-key array
-#: and the pair-index modulus.  Writable only from the class's own
+#: and the object count that fixes the key's index width.  Writable only from the class's own
 #: delta-maintenance API (``remove_incident`` / ``merge_delta`` and the
 #: constructor) in :data:`PAIRS_MODULE`.
 PAIRSET_FIELDS: frozenset[str] = frozenset({"_keys", "n"})

@@ -426,7 +426,7 @@ class PairSetWriteRule(Rule):
         "its bit-identity contract with a full re-join is auditable only "
         "because every mutation flows through remove_incident / merge_delta "
         "(plus construction from a full result).  Poking the packed key "
-        "array or the pair-index modulus directly would let an unsorted or "
+        "array or the object count directly would let an unsorted or "
         "duplicated key slip in and silently corrupt every later step."
     )
 
