@@ -37,7 +37,6 @@ changing the merged result, and record what happened in
 from repro.engine.executors import (
     Executor,
     ProcessExecutor,
-    ContextPublication,
     SerialExecutor,
     ThreadExecutor,
     publish_context,
@@ -68,7 +67,6 @@ from repro.engine.incremental import (
     INCREMENTAL_ENV_VAR,
     ChurnPolicy,
     incremental_from_env,
-    moved_groups,
 )
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "ContextPublication",
     "publish_context",
     "resolve_executor",
     "FaultPlan",
@@ -99,6 +96,5 @@ __all__ = [
     "ChurnPolicy",
     "INCREMENTAL_ENV_VAR",
     "incremental_from_env",
-    "moved_groups",
     "DEFAULT_PARTITION_TASKS",
 ]

@@ -83,7 +83,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "ContextPublication",
     "publish_context",
     "resolve_executor",
 ]
@@ -148,73 +147,36 @@ def _sweep_shared_memory() -> None:  # pragma: no cover - exercised at interpret
 atexit.register(_sweep_shared_memory)
 
 
-class ContextPublication:
-    """A persistent shared-memory publication of context arrays.
+@contextmanager
+def publish_context(ctx: Mapping[str, np.ndarray]) -> Iterator[dict[str, ContextSpec]]:
+    """Copy context arrays into shared memory; yield the attach specs.
 
-    Promotes the per-step ``publish_context`` broadcast to an explicit
-    lifecycle object: the arrays are copied into shared memory once at
-    construction and stay published — across any number of pooled steps
-    or queries — until :meth:`close` releases every segment.  The
-    sharded join service keeps one publication per shard ring epoch;
-    :func:`publish_context` remains the single-step context-manager
-    form, now a thin wrapper over this class.
-
-    Lifecycle guarantees match ``publish_context``: every segment
-    created — including a partial set when a later
-    ``SharedMemory(create=True)`` call raises — is registered in the
-    atexit-swept live-segment registry and is closed and unlinked by
-    :meth:`close`, whatever the exit path.
-
-    Attributes
-    ----------
-    specs:
-        Attach specs ``{key: (segment name, shape, dtype str)}`` for
-        worker-side :func:`_attach_context` calls.
-    views:
-        Parent-side read-only views over the published bytes (the
-        boundary-join path of the shard ring reads these zero-copy).
-        Both mappings empty once the publication is closed.
+    Guarantees lifecycle: every segment created — including a partial
+    set when a later ``SharedMemory(create=True)`` call raises — is
+    registered in the atexit-swept live-segment registry and is closed
+    and unlinked on exit, whatever the exit path (normal step
+    completion, worker crash, timeout, or a publication error).
+    Workers attach the segments as read-only views
+    (:func:`_attach_context`).
     """
+    from multiprocessing import shared_memory
 
-    def __init__(self, ctx: Mapping[str, np.ndarray]) -> None:
-        from multiprocessing import shared_memory
-
-        self.specs: dict[str, ContextSpec] = {}
-        self.views: dict[str, np.ndarray] = {}
-        self._segments: list[Any] = []
-        self._closed = False
-        try:
-            for key, array in ctx.items():
-                array = np.ascontiguousarray(array)
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(array.nbytes, 1)
-                )
-                self._segments.append(segment)
-                _LIVE_SEGMENTS[segment.name] = segment
-                view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-                view[...] = array
-                # Lock the parent-side view once filled: from here on the
-                # segment is a read-only broadcast to the workers.
-                view.setflags(write=False)
-                self.specs[key] = (segment.name, array.shape, array.dtype.str)
-                self.views[key] = view
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def closed(self) -> bool:
-        """Whether the publication's segments have been released."""
-        return self._closed
-
-    def close(self) -> None:
-        """Release every published segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.specs = {}
-        self.views = {}
-        segments, self._segments = self._segments, []
+    specs: dict[str, ContextSpec] = {}
+    segments = []
+    try:
+        for key, array in ctx.items():
+            array = np.ascontiguousarray(array)
+            segment = shared_memory.SharedMemory(
+                create=True, size=max(array.nbytes, 1)
+            )
+            segments.append(segment)
+            _LIVE_SEGMENTS[segment.name] = segment
+            # A temporary view: no parent-side export outlives the copy,
+            # so every segment can be closed on exit.
+            np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[...] = array
+            specs[key] = (segment.name, array.shape, array.dtype.str)
+        yield specs
+    finally:
         for segment in segments:
             _LIVE_SEGMENTS.pop(segment.name, None)
             try:
@@ -225,28 +187,6 @@ class ContextPublication:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover
                 pass
-
-    def __enter__(self) -> ContextPublication:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-@contextmanager
-def publish_context(ctx: Mapping[str, np.ndarray]) -> Iterator[dict[str, ContextSpec]]:
-    """Copy context arrays into shared memory; yield the attach specs.
-
-    The single-step form of :class:`ContextPublication`: the segments
-    live exactly as long as the ``with`` block, whatever the exit path
-    (normal step completion, worker crash, timeout, or a publication
-    error).
-    """
-    publication = ContextPublication(ctx)
-    try:
-        yield publication.specs
-    finally:
-        publication.close()
 
 
 class Executor:

@@ -5,8 +5,8 @@ a :class:`~repro.datasets.delta.MotionDelta`: the algorithm's
 ``delta_plan`` emits re-verify tasks for the moved objects only and the
 merge stage patches a :class:`~repro.geometry.pairs.MaintainedPairSet`
 instead of materialising a from-scratch result.  This module holds the
-policy around that step — the ``REPRO_INCREMENTAL`` opt-in, the
-:func:`moved_groups` invalidation primitive and the churn threshold.
+policy around that step — the ``REPRO_INCREMENTAL`` opt-in and the
+churn threshold.
 
 :class:`ChurnPolicy` owns the incremental-versus-fallback decision.  In
 the spirit of Kipf et al.'s adaptive geospatial joins (PAPERS.md), the
@@ -22,19 +22,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.geometry import sorted_unique_keys
-
-if TYPE_CHECKING:
-    from repro.datasets.delta import MotionDelta
 
 __all__ = [
     "INCREMENTAL_ENV_VAR",
     "incremental_from_env",
-    "moved_groups",
     "ChurnPolicy",
 ]
 
@@ -48,26 +39,6 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 def incremental_from_env() -> bool:
     """Resolve the :data:`INCREMENTAL_ENV_VAR` opt-in (default off)."""
     return os.environ.get(INCREMENTAL_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def moved_groups(delta: MotionDelta, assignment: np.ndarray) -> np.ndarray:
-    """Distinct group ids whose membership intersects the delta's moved set.
-
-    ``assignment`` maps every object index to a group id (a spatial
-    shard, a partition, a cell bucket).  The result — sorted, unique —
-    is the set of groups the delta *touches*: any state keyed per group
-    (a shard's local index, a ``(shard, step, query)`` result-cache
-    entry) is stale exactly for these groups and provably fresh for all
-    others.  This is the invalidation primitive the sharded join
-    service drives its result cache with.
-    """
-    assignment = np.asarray(assignment)
-    if assignment.ndim != 1 or assignment.shape[0] != delta.n_objects:
-        raise ValueError(
-            f"assignment maps {assignment.shape} objects but the delta "
-            f"describes {delta.n_objects}"
-        )
-    return sorted_unique_keys(assignment[delta.moved])
 
 
 @dataclass

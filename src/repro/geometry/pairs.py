@@ -395,9 +395,11 @@ def pairs_to_adjacency(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np
     # Each unordered pair contributes both directions.  Sorting the
     # packed directed keys ``(source << b) | target`` orders them by
     # source and then target; pack_pairs' range check is what makes that
-    # exact.
+    # exact.  The keys are a fresh array, so they sort in place: a copy
+    # would be one more pair-set-sized allocation per call.
     sources = np.concatenate([i_idx, j_idx])
-    keys = np.sort(pack_pairs(sources, np.concatenate([j_idx, i_idx]), n))
+    keys = pack_pairs(sources, np.concatenate([j_idx, i_idx]), n)
+    keys.sort()
     counts = np.bincount(sources, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return offsets, unpack_pairs(keys, n)[1]

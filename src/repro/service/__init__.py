@@ -4,12 +4,11 @@ Batch simulations drive the library directly; this package keeps a
 long-lived sharded join state alive behind an asyncio front-end:
 
 * :mod:`repro.service.sharding` — the :class:`ShardRing`: spatial slab
-  sharding, per-shard joins on a shared executor, exact cross-shard
-  boundary joins, snapshot-based re-homing and stale-but-marked
-  degradation.
+  sharding with upward halos, so per-shard joins on a shared executor
+  also find every cross-shard pair exactly once, snapshot-based
+  re-homing and stale-but-marked degradation.
 * :mod:`repro.service.cache` — the ``(shard, step, query)`` result
-  cache invalidated through the incremental layer's
-  :func:`~repro.engine.incremental.moved_groups`.
+  cache, invalidated per shard by the ring's update path.
 * :mod:`repro.service.service` — :class:`JoinService`: update streams,
   join/distance/neighbor queries, request batching and admission
   control.

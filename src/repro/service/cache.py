@@ -1,9 +1,9 @@
 """Result cache for the sharded join service.
 
 Entries are keyed on ``(shard, step, query)`` tuples: the shard (an
-integer shard id, or the reserved labels ``"boundary"`` / ``"ring"``),
-the *step* the answer was computed against (the shard's committed
-dataset version, or an epoch/generation pair for assembled answers)
+integer shard id, or the reserved label ``"ring"`` for assembled
+answers), the *step* the answer was computed against (the shard's
+committed version, or an epoch/generation pair for assembled answers)
 and a hashable query descriptor.
 
 The version component makes the cache *self-validating* — an entry
@@ -11,10 +11,10 @@ computed at version ``v`` can only ever be looked up again while the
 shard is still at version ``v`` — so invalidation is not needed for
 correctness.  It is needed for *memory*: without it a long-running
 service accumulates one dead entry per (shard, update, query)
-forever.  :meth:`invalidate_shard` is driven by the incremental
-layer's :func:`~repro.engine.incremental.moved_groups` — exactly the
-shards a motion delta touches are evicted, and provably-fresh entries
-on untouched shards survive to keep serving hits across epochs.
+forever.  :meth:`invalidate_shard` is driven by the ring's update
+path — exactly the shards whose home or halo members a motion delta
+changed or moved are evicted, and provably-fresh entries on untouched
+shards survive to keep serving hits across epochs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Any, Hashable
 
 __all__ = ["ResultCache"]
 
-#: Reserved shard labels for entries that span shards.
-BOUNDARY_KEY = "boundary"
+#: Reserved shard label for assembled, cross-shard answers.
 RING_KEY = "ring"
 
 
@@ -72,8 +71,8 @@ class ResultCache:
         """Evict every entry whose shard component is ``shard``.
 
         Returns the number of entries removed.  Called with the shard
-        ids a motion delta touched (``moved_groups``), plus
-        ``"boundary"`` / ``"ring"`` for the cross-shard assemblies.
+        ids a motion delta touched, plus ``"ring"`` for the assembled
+        answers.
         """
         stale = [key for key in self._entries if key[0] == shard]
         for key in stale:

@@ -17,12 +17,7 @@ from repro.core import ThermalJoin
 from repro.datasets import make_uniform_dataset
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.motion import IntermittentTranslation, RandomTranslation
-from repro.engine import (
-    SerialExecutor,
-    install_fault_plan,
-    moved_groups,
-    parse_faults,
-)
+from repro.engine import SerialExecutor, install_fault_plan, parse_faults
 from repro.engine import faults as faults_module
 from repro.engine.executors import _LIVE_SEGMENTS
 from repro.geometry import pack_pairs, unique_pairs
@@ -70,12 +65,20 @@ def _library_distance_keys(dataset, distance):
 # Ring bit-identity across executors and motion models
 # ----------------------------------------------------------------------
 class TestRingIdentity:
-    @pytest.mark.parametrize("executor", ["serial", "thread:2"])
+    # 32 shards make 3.75-wide slabs, narrower than the widest object (6)
+    # and than the distance query's reach (8): halos span several slabs.
+    @pytest.mark.parametrize(
+        ("executor", "n_shards"),
+        [("serial", 4), ("thread:2", 4), ("serial", 32)],
+        ids=["serial", "thread:2", "serial-32shards"],
+    )
     @pytest.mark.parametrize("motion_cls", [RandomTranslation, IntermittentTranslation])
-    def test_identity_across_epochs(self, service_dataset, executor, motion_cls):
+    def test_identity_across_epochs(
+        self, service_dataset, executor, n_shards, motion_cls
+    ):
         baseline = service_dataset.copy()
         motion = motion_cls(baseline, distance=1.5, seed=3)
-        ring = ShardRing(baseline, n_shards=4, executor=executor)
+        ring = ShardRing(baseline, n_shards=n_shards, executor=executor)
         n = len(baseline)
         try:
             for _ in range(3):
@@ -109,7 +112,7 @@ class TestRingIdentity:
                 ring.apply_update(baseline.centers)
         finally:
             ring.close()
-        assert not _LIVE_SEGMENTS  # publication + step segments all released
+        assert not _LIVE_SEGMENTS  # every step's segments were released
 
     def test_single_shard_ring(self, service_dataset):
         with ShardRing(service_dataset, n_shards=1) as ring:
@@ -194,6 +197,22 @@ class TestRingDegradation:
                 e["kind"] == "task_retry" for e in ring._epoch_events
             )
 
+    def test_non_finite_update_is_refused_before_commit(self, service_dataset):
+        n = len(service_dataset)
+        expected = _library_join_keys(service_dataset)
+        with ShardRing(service_dataset, n_shards=4) as ring:
+            ring.join_pairs()
+            epoch = ring.epoch
+            bad = service_dataset.centers.copy()
+            bad[5, 0] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                ring.apply_update(bad)
+            assert ring.epoch == epoch
+            assert all(shard.alive for shard in ring._shards)
+            answer = ring.join_pairs()
+            assert np.array_equal(_keys(answer.pairs, n), expected)
+            assert not answer.degraded and not answer.stale
+
     def test_kill_unknown_shard_rejected(self, service_dataset):
         with ShardRing(service_dataset, n_shards=2) as ring:
             with pytest.raises(ValueError, match="no shard 7"):
@@ -201,7 +220,7 @@ class TestRingDegradation:
 
 
 # ----------------------------------------------------------------------
-# Result cache: versioned keys, moved_groups-driven invalidation
+# Result cache: versioned keys, per-shard invalidation
 # ----------------------------------------------------------------------
 class TestResultCache:
     def test_repeated_query_hits_assembled_cache(self, service_dataset):
@@ -244,33 +263,35 @@ class TestResultCache:
             assert ring.cache.hits > hits_before  # shard 1 served from cache
             assert np.array_equal(_keys(answer.pairs, n), _library_join_keys(baseline))
 
-    def test_moved_groups_is_the_invalidation_primitive(self):
-        from repro.datasets.delta import MotionDelta
-
-        delta = MotionDelta(
-            moved=np.array([1, 4], dtype=np.int64),
-            displacement=np.ones((2, 3)),
-            n_objects=6,
-            dataset_uid=0,
-            base_version=0,
-            version=1,
+    def test_halo_only_motion_invalidates_the_lower_shard(self):
+        # Objects homed in shard 1 sit in shard 0's halo and pair with
+        # shard 0's objects across the edge at x = 100.  They move
+        # apart without leaving slab 1 or the halo, so shard 0's members
+        # are unchanged but its cross pairs are not.
+        rng = np.random.default_rng(4)
+        yz = rng.uniform(2.0, 48.0, size=(20, 2))
+        left = np.column_stack([np.full(20, 98.4), yz])
+        right = np.column_stack([np.full(20, 100.2), yz])
+        far = rng.uniform([2.0, 2.0, 2.0], [198.0, 48.0, 48.0], size=(60, 3))
+        centers = np.concatenate([left, right, far])
+        dataset = SpatialDataset(
+            centers, 2.0, bounds=(np.zeros(3), np.array([200.0, 50.0, 50.0]))
         )
-        assignment = np.array([0, 0, 1, 1, 2, 2])
-        assert moved_groups(delta, assignment).tolist() == [0, 2]
+        n = len(dataset)
+        with ShardRing(dataset, n_shards=2) as ring:
+            first = ring.join_pairs()
+            assert np.array_equal(_keys(first.pairs, n), _library_join_keys(dataset))
 
-    def test_moved_groups_validates_assignment_shape(self):
-        from repro.datasets.delta import MotionDelta
+            moved = dataset.centers.copy()
+            moved[20:40, 0] = 100.6  # still homed in slab 1, still in the halo
+            halo_before = ring._shards[0].global_ids.copy()
+            ring.apply_update(moved)
+            assert np.array_equal(ring._shards[0].global_ids, halo_before)
 
-        delta = MotionDelta(
-            moved=np.array([0], dtype=np.int64),
-            displacement=np.ones((1, 3)),
-            n_objects=4,
-            dataset_uid=0,
-            base_version=0,
-            version=1,
-        )
-        with pytest.raises(ValueError, match="describes 4"):
-            moved_groups(delta, np.zeros(3, dtype=np.int64))
+            after = SpatialDataset(moved, 2.0, bounds=dataset.bounds)
+            answer = ring.join_pairs()
+            assert np.array_equal(_keys(answer.pairs, n), _library_join_keys(after))
+            assert not answer.degraded
 
     def test_cache_eviction_and_counters(self):
         cache = ResultCache(max_entries=2)
@@ -424,4 +445,7 @@ class TestJoinService:
             assert record.n_results == answer.n_results
             assert record.overlap_tests > 0
             assert record.memory_bytes > 0
-            assert "ring" in record.index_counters
+            ring_counters = record.index_counters["ring"]
+            assert ring_counters["boundary_tests"] == 0
+            halo = sum(shard.global_ids.size for shard in ring._shards)
+            assert ring_counters["halo_objects"] == halo - len(service_dataset) > 0
