@@ -30,7 +30,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.geometry import encloses, sweep_between
-from repro.geometry.kernels import cell_pair_sweep, hot_cell_emit
+from repro.geometry.kernels import DEFAULT_CHUNK_CANDIDATES, cell_pair_sweep, hot_cell_emit
 
 if TYPE_CHECKING:
     from repro.geometry import PairAccumulator
@@ -107,7 +107,7 @@ def join_cell_pairs_batched(
     pair_a: np.ndarray,
     pair_b: np.ndarray,
     accumulator: PairAccumulator,
-    chunk_candidates: int = 2_000_000,
+    chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
     enclosure_shortcut: bool = True,
 ) -> tuple[int, int]:
     """External join over *many* cell pairs via the ``cell_pair_sweep`` kernel.

@@ -56,6 +56,7 @@ from repro.engine import (
     incremental_from_env,
 )
 from repro.geometry import MaintainedPairSet
+from repro.geometry.kernels import grouped_values, sweep_index
 from repro.joins.base import SpatialJoinAlgorithm
 
 from typing import TYPE_CHECKING, Any
@@ -396,6 +397,10 @@ class ThermalJoin(SpatialJoinAlgorithm):
         """
         lo, hi = self._boxes
         pgrid = self.pgrid
+        # Built once per step and shared by every task over the grouping.
+        cat_values, sweep_keys = sweep_index(
+            lo, hi, pgrid.cat, pgrid.cell_starts, pgrid.cell_stops
+        )
         context = {
             "lo": lo,
             "hi": hi,
@@ -408,6 +413,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "center_hi": pgrid.cell_center_hi,
             "cell_min_width": pgrid.cell_min_width,
             "cell_max_width": pgrid.cell_max_width,
+            "cat_values": cat_values,
+            "sweep_keys": sweep_keys,
         }
         tasks = []
         sizes = pgrid.cell_stops - pgrid.cell_starts
@@ -541,15 +548,21 @@ class ThermalJoin(SpatialJoinAlgorithm):
         settled_counts = (stops - starts) - moved_counts
         mstops = np.cumsum(moved_counts).astype(np.int64)
         sstops = np.cumsum(settled_counts).astype(np.int64)
+        mcat = cat[moved_in_cat]
+        scat = cat[~moved_in_cat]
+        # Every re-verify task reads both groupings: their candidate
+        # columns are built once per step, not once per task.
         context = {
             "lo": lo,
             "hi": hi,
-            "mcat": cat[moved_in_cat],
+            "mcat": mcat,
             "mstarts": mstops - moved_counts,
             "mstops": mstops,
-            "scat": cat[~moved_in_cat],
+            "mcat_values": grouped_values(lo, hi, mcat),
+            "scat": scat,
             "sstarts": sstops - settled_counts,
             "sstops": sstops,
+            "scat_values": grouped_values(lo, hi, scat),
         }
 
         # Enumerate candidate cell pairs around the cells holding moved

@@ -11,6 +11,11 @@ verification goes through identical code:
   only by the partition containing the lower corner of the pair's
   intersection box.
 
+A plan whose tasks share a grouping may store its
+:func:`~repro.geometry.kernels.grouped_values` in the context as
+``<cat key>_values`` (``cat_values``, ``scat_values``, ...); the group
+joins then read it instead of rebuilding it in every task.
+
 Overlap-test accounting is inherited unchanged from the kernels
 (``count="full"`` nested-loop or ``count="x-sweep"`` forward-sweep
 accounting), so partitioning a join into tasks never changes its total
@@ -105,6 +110,7 @@ def verify_self_groups(
         groups,
         on_pairs,
         count=count,
+        values=ctx.get(f"{cat_key}_values"),
     )
 
 
@@ -133,6 +139,8 @@ def verify_cross_groups(
         pair_b,
         _plain_emitter(accumulator),
         count=count,
+        values_a=ctx.get(f"{a_keys[0]}_values"),
+        values_b=ctx.get(f"{b_keys[0]}_values"),
     )
 
 
@@ -145,7 +153,10 @@ def verify_cell_pairs(
 ) -> tuple[int, int]:
     """Run the optimized cell-pair sweep (enclosure shortcut included).
 
-    Returns ``(overlap_tests, shortcut_pairs)``.
+    The context carries the grouping's
+    :func:`~repro.geometry.kernels.sweep_index` as
+    ``cat_values``/``sweep_keys``, built once per step.  Returns
+    ``(overlap_tests, shortcut_pairs)``.
     """
     return cell_pair_sweep(
         ctx["lo"],
@@ -159,6 +170,7 @@ def verify_cell_pairs(
         pair_b,
         accumulator,
         enclosure_shortcut=enclosure_shortcut,
+        index=(ctx["cat_values"], ctx["sweep_keys"]),
     )
 
 

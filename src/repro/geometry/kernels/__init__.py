@@ -18,7 +18,10 @@ emission — is one of the five primitives re-exported here from
 ``hot_cell_emit``
     Combinatorial within-cell emission for hot-spot cells (no tests).
 
-Each returns plain ``int`` counters.  These five functions are the seam
+Each returns plain ``int`` counters.  ``grouped_values`` (the candidate
+columns of a grouping) and ``sweep_index`` (those columns plus the
+external join's rank keys) let a plan build per-step inputs once for
+all of its tasks.  The five primitives are the seam
 where a compiled implementation can be slotted in once one can be
 installed and measured against this one.
 """
@@ -30,9 +33,11 @@ from repro.geometry.kernels.numpy_backend import (
     PairCallback,
     cell_pair_sweep,
     cross_join_groups,
+    grouped_values,
     hot_cell_emit,
     self_join_groups,
     strip_sweep,
+    sweep_index,
 )
 
 __all__ = [
@@ -41,6 +46,8 @@ __all__ = [
     "self_join_groups",
     "cross_join_groups",
     "cell_pair_sweep",
+    "grouped_values",
+    "sweep_index",
     "strip_sweep",
     "hot_cell_emit",
 ]

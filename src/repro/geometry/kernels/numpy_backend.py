@@ -4,18 +4,12 @@ This is the repository's one kernel implementation; ``tests/test_kernels.py``
 checks every primitive's emitted pair set against the brute-force
 oracle and its counters across chunk sizes.
 
-The implementations consolidate what used to live in four places:
-
-* the batched group joins of the former ``repro.geometry.batch``
-  (Python-level loops with one numpy call per group pair would drown in
-  call overhead, so many group pairs are evaluated per numpy call);
-* the cell-pair sweep with the paper's enclosure shortcut from
-  ``repro.core.celljoin`` (Section 4.2.1's "optimized variant of the
-  plane-sweep approach", minus the legacy nested thread pool — chunk
-  parallelism belongs to the engine executors);
-* the partitioned global plane sweep's strip + carry predicate that was
-  inlined in ``engine/plan.py::SweepStripTask``;
-* the hot-cell combinatorial emission.
+Many groups or cell pairs are evaluated per numpy call, in batches of at
+most ``chunk_candidates`` candidate pairs: per-group calls would drown
+in call overhead.  Candidates are tested on the ``(6, n)`` coordinate
+rows of :func:`grouped_values`; a plan whose tasks share one grouping
+builds those once per step (and, for the external join, the
+:func:`sweep_index` rank keys with them).
 
 Overlap-test accounting (the machine-independent cost metric of the
 paper's Figure 7(c)) is preserved exactly:
@@ -41,7 +35,6 @@ import numpy as np
 from typing import TYPE_CHECKING, Callable
 
 from repro.geometry.chunking import chunk_edges_by_volume
-from repro.geometry.mbr import encloses
 from repro.geometry.sweep import sweep_self, window_pairs
 
 if TYPE_CHECKING:
@@ -52,6 +45,8 @@ __all__ = [
     "self_join_groups",
     "cross_join_groups",
     "cell_pair_sweep",
+    "grouped_values",
+    "sweep_index",
     "strip_sweep",
     "hot_cell_emit",
 ]
@@ -60,52 +55,41 @@ __all__ = [
 PairCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 #: Upper bound on candidate object pairs materialised per numpy batch.
-DEFAULT_CHUNK_CANDIDATES = 2_000_000
+DEFAULT_CHUNK_CANDIDATES = 65_536
 
 
-def _expand_windows(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat enumeration of ``[starts, stops)`` windows: (row, position)."""
-    counts = np.maximum(stops - starts, 0)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    rows = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    ends = np.cumsum(counts)
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(ends - counts, counts)
-        + np.repeat(starts, counts)
-    )
-    return rows, positions
+def grouped_values(lo: np.ndarray, hi: np.ndarray, cat: np.ndarray) -> np.ndarray:
+    """``(6, n)`` rows xlo, xhi, ylo, yhi, zlo, zhi of the grouped boxes.
 
-
-class _Columns:
-    """Per-column contiguous copies of one side's grouped boxes.
-
-    Candidate evaluation gathers individual coordinate columns by
-    *position* in the grouped order; contiguous 1-D gathers are several
-    times cheaper than row gathers on ``(n, 3)`` arrays, and object ids
-    are only materialised for the surviving pairs.
+    Candidate evaluation gathers individual coordinate rows by *position*
+    in the grouped order; contiguous 1-D gathers are several times
+    cheaper than row gathers on ``(n, 3)`` arrays, and object ids are
+    only materialised for the surviving pairs.  A plan whose tasks share
+    one grouping builds this once per step and passes it in.
     """
+    values = np.empty((6, cat.size))
+    values[0::2] = lo[cat].T
+    values[1::2] = hi[cat].T
+    return values
 
-    __slots__ = ("cat", "xlo", "xhi", "ylo", "yhi", "zlo", "zhi")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, cat: np.ndarray) -> None:
-        self.cat = cat
-        ordered_lo = lo[cat]
-        ordered_hi = hi[cat]
-        self.xlo = np.ascontiguousarray(ordered_lo[:, 0])
-        self.xhi = np.ascontiguousarray(ordered_hi[:, 0])
-        self.ylo = np.ascontiguousarray(ordered_lo[:, 1])
-        self.yhi = np.ascontiguousarray(ordered_hi[:, 1])
-        self.zlo = np.ascontiguousarray(ordered_lo[:, 2])
-        self.zhi = np.ascontiguousarray(ordered_hi[:, 2])
+def _side(
+    lo: np.ndarray, hi: np.ndarray, cat: np.ndarray, values: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(grouped values, cat)`` of one grouping: built here unless given."""
+    if values is None:
+        return grouped_values(lo, hi, cat), cat
+    if values.shape != (6, cat.size):
+        raise ValueError(
+            f"grouped values of shape {values.shape} do not match a "
+            f"grouping of {cat.size} positions"
+        )
+    return values, cat
 
 
 def _test_and_emit(
-    side_a: _Columns,
-    side_b: _Columns,
+    side_a: tuple[np.ndarray, np.ndarray],
+    side_b: tuple[np.ndarray, np.ndarray],
     left_pos: np.ndarray,
     right_pos: np.ndarray,
     pair_groups: np.ndarray,
@@ -114,13 +98,16 @@ def _test_and_emit(
 ) -> int:
     """Shared candidate evaluation on positional indices.
 
-    Tests dimensions progressively (x first, y/z on the survivors) and
-    gathers object ids only for the pairs that overlap.  Returns the
-    charged test count under the requested accounting.
+    Each side is ``(grouped values, cat)``.  Tests dimensions
+    progressively (x first, y/z on the survivors) and gathers object ids
+    only for the pairs that overlap.  Returns the charged test count
+    under the requested accounting.
     """
+    (xlo_a, xhi_a, ylo_a, yhi_a, zlo_a, zhi_a), cat_a = side_a
+    (xlo_b, xhi_b, ylo_b, yhi_b, zlo_b, zhi_b), cat_b = side_b
     x_overlap = np.logical_and(
-        side_a.xlo[left_pos] < side_b.xhi[right_pos],
-        side_b.xlo[right_pos] < side_a.xhi[left_pos],
+        xlo_a[left_pos] < xhi_b[right_pos],
+        xlo_b[right_pos] < xhi_a[left_pos],
     )
     # "x-sweep" charges only the x-overlapping candidates.
     tests = int(left_pos.size) if count == "full" else int(x_overlap.sum())
@@ -131,18 +118,18 @@ def _test_and_emit(
     pair_groups = pair_groups[x_overlap]
     keep = np.logical_and(
         np.logical_and(
-            side_a.ylo[left_pos] < side_b.yhi[right_pos],
-            side_b.ylo[right_pos] < side_a.yhi[left_pos],
+            ylo_a[left_pos] < yhi_b[right_pos],
+            ylo_b[right_pos] < yhi_a[left_pos],
         ),
         np.logical_and(
-            side_a.zlo[left_pos] < side_b.zhi[right_pos],
-            side_b.zlo[right_pos] < side_a.zhi[left_pos],
+            zlo_a[left_pos] < zhi_b[right_pos],
+            zlo_b[right_pos] < zhi_a[left_pos],
         ),
     )
     if keep.any():
         on_pairs(
-            side_a.cat[left_pos[keep]],
-            side_b.cat[right_pos[keep]],
+            cat_a[left_pos[keep]],
+            cat_b[right_pos[keep]],
             pair_groups[keep],
         )
     return tests
@@ -162,6 +149,8 @@ def cross_join_groups(
     on_pairs: PairCallback,
     count: str = "full",
     chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
+    values_a: np.ndarray | None = None,
+    values_b: np.ndarray | None = None,
 ) -> int:
     """Join group ``pair_a[k]`` of side A against ``pair_b[k]`` of side B.
 
@@ -182,6 +171,8 @@ def cross_join_groups(
         PBSM's partition bounds).
     count:
         ``"full"`` or ``"x-sweep"`` (see module docstring).
+    values_a, values_b:
+        :func:`grouped_values` of each side, when built once for many calls.
 
     Returns
     -------
@@ -198,8 +189,8 @@ def cross_join_groups(
     sizes_b = (stops_b - starts_b)[pair_b]
     counts = sizes_a * sizes_b
     edges = chunk_edges_by_volume(counts, max_volume=chunk_candidates)
-    side_a = _Columns(lo, hi, cat_a)
-    side_b = side_a if cat_b is cat_a else _Columns(lo, hi, cat_b)
+    side_a = _side(lo, hi, cat_a, values_a)
+    side_b = side_a if cat_b is cat_a else _side(lo, hi, cat_b, values_b)
 
     tests = 0
     for e in range(len(edges) - 1):
@@ -212,10 +203,10 @@ def cross_join_groups(
         c_pair_b = pair_b[sel]
         # Nested window expansion: every (group pair, A-member) row, then
         # each row's B window — avoids per-candidate integer division.
-        row_of_a, a_positions = _expand_windows(
+        row_of_a, a_positions = window_pairs(
             starts_a[c_pair_a], stops_a[c_pair_a]
         )
-        a_row_idx, right_pos = _expand_windows(
+        a_row_idx, right_pos = window_pairs(
             starts_b[c_pair_b][row_of_a], stops_b[c_pair_b][row_of_a]
         )
         left_pos = a_positions[a_row_idx]
@@ -236,6 +227,7 @@ def self_join_groups(
     on_pairs: PairCallback,
     count: str = "full",
     chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
+    values: np.ndarray | None = None,
 ) -> int:
     """All unordered object pairs within each listed group.
 
@@ -255,7 +247,7 @@ def self_join_groups(
     sizes = g_stops - g_starts
     counts = sizes * (sizes - 1) // 2
     edges = chunk_edges_by_volume(counts, max_volume=chunk_candidates)
-    side = _Columns(lo, hi, cat)
+    side = _side(lo, hi, cat, values)
 
     tests = 0
     for e in range(len(edges) - 1):
@@ -266,8 +258,8 @@ def self_join_groups(
             continue
         # Enumerate member positions, then pair each with the remainder
         # of its own group (strict upper triangle).
-        row_of_pos, positions = _expand_windows(c_starts, c_stops)
-        left_row, right_pos = _expand_windows(
+        row_of_pos, positions = window_pairs(c_starts, c_stops)
+        left_row, right_pos = window_pairs(
             positions + 1, np.repeat(c_stops, c_stops - c_starts)
         )
         if left_row.size == 0:
@@ -280,36 +272,77 @@ def self_join_groups(
     return tests
 
 
-def _bisect_runs(
-    values: np.ndarray, targets: np.ndarray, lo: np.ndarray, hi: np.ndarray, strict: bool
-) -> np.ndarray:
-    """Vectorised binary search inside per-row ranges of ``values``.
+def sweep_index(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cat: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped-order columns and rank keys for :func:`cell_pair_sweep`.
 
-    For each row ``k`` finds, within ``values[lo[k]:hi[k]]`` (each run
-    individually sorted ascending), the first index whose value is
-    ``> targets[k]`` (``strict=True``) or ``>= targets[k]``
-    (``strict=False``).  This is the batched equivalent of the forward
-    plane sweep's window location: thousands of tiny ``searchsorted``
-    calls collapsed into ~log2(run length) vectorised passes.
+    Returns ``(values, keys)`` over the grouped positions ``p`` (object
+    ``cat[p]``):
+
+    * ``values`` — ``(6, n)`` float64 rows xlo, xhi, ylo, yhi, zlo, zhi;
+    * ``keys`` — ``(4, n)`` int64 rows: the rank key
+      ``run_start * (n + 1) + x_rank``, then the number of xlo values
+      ``< xlo[p]``, ``<= xlo[p]`` and ``< xhi[p]``.
+
+    ``x_rank`` is ``p``'s place in a stable sort of all xlo values, so
+    ``xlo[p] >= t`` exactly when ``x_rank`` is at least the count of xlo
+    values ``< t``.  Every run is x-sorted, so the rank keys increase
+    strictly over all positions, and a sweep window edge inside any
+    occupied run is one ``searchsorted`` on them, exact under ties.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    if lo.size == 0:
-        return lo
-    span = int((hi - lo).max())
-    guard = values.shape[0] - 1
-    for _ in range(max(span, 1).bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        v = values[np.minimum(mid, guard)]
-        go_right = (v <= targets) if strict else (v < targets)
-        go_right &= active
-        stay = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[stay] = mid[stay]
-    return lo
+    n = cat.size
+    values = grouped_values(lo, hi, cat)
+    order = np.argsort(values[0], kind="stable")
+    sorted_xlo = values[0][order]
+    keys = np.empty((4, n), dtype=np.int64)
+    # Positions outside every run count as runs of their own.
+    run_start = np.arange(n, dtype=np.int64)
+    rows, positions = window_pairs(starts, stops)
+    run_start[positions] = np.asarray(starts, dtype=np.int64)[rows]
+    keys[0, order] = np.arange(n, dtype=np.int64)
+    keys[0] += run_start * (n + 1)
+    keys[1, order] = np.searchsorted(sorted_xlo, sorted_xlo, side="left")
+    keys[2, order] = np.searchsorted(sorted_xlo, sorted_xlo, side="right")
+    keys[3] = np.searchsorted(sorted_xlo, values[1], side="left")
+    return values, keys
+
+
+def _sweep_windows(
+    values: np.ndarray, cat: np.ndarray, row_pos: np.ndarray, left: np.ndarray,
+    right: np.ndarray, members: np.ndarray | None, accumulator: PairAccumulator,
+) -> int:
+    """Test each row against its window ``[left, right)``; emit the hits.
+
+    Window entries are grouped positions, or indices into ``members``.
+    The row side's y/z values are repeated over the window counts, and
+    object ids are taken only for the pairs that overlap.  Returns the
+    candidate count: the windows hold exactly the x-overlapping pairs.
+    """
+    counts = np.maximum(right - left, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return 0
+    window_pos = np.repeat(left - (ends - counts), counts)
+    window_pos += np.arange(total, dtype=np.int64)
+    if members is not None:
+        window_pos = members.take(window_pos)
+    ylo, yhi, zlo, zhi = values[2:]
+    hit = np.repeat(ylo[row_pos], counts) < yhi.take(window_pos)
+    hit &= ylo.take(window_pos) < np.repeat(yhi[row_pos], counts)
+    hit &= np.repeat(zlo[row_pos], counts) < zhi.take(window_pos)
+    hit &= zlo.take(window_pos) < np.repeat(zhi[row_pos], counts)
+    hits = np.flatnonzero(hit)
+    if hits.size:
+        accumulator.extend(
+            np.repeat(cat[row_pos], counts).take(hits), cat.take(window_pos.take(hits))
+        )
+    return total
 
 
 def cell_pair_sweep(
@@ -325,15 +358,14 @@ def cell_pair_sweep(
     accumulator: PairAccumulator,
     chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
     enclosure_shortcut: bool = True,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """External join over *many* cell pairs in vectorised batches.
 
     Semantically identical to joining each ``(pair_a[k], pair_b[k])``
     cell pair with the sequential optimized sweep
     (:func:`repro.core.celljoin.join_sorted_lists`), but with all
-    candidate object pairs of a batch generated and tested at once —
-    P-Grid cells hold few objects each, so per-pair numpy calls would
-    drown in call overhead.
+    candidate object pairs of a batch generated and tested at once.
 
     The overlap-test count reproduces the plane sweep's accounting: a
     candidate pair is charged one test when its x-intervals overlap (the
@@ -361,122 +393,82 @@ def cell_pair_sweep(
     enclosure_shortcut:
         Disable to force every candidate through the sweep test (the
         ablation benchmark's knob).
+    index:
+        :func:`sweep_index` of this grouping, when built once for many calls.
 
     Returns
     -------
     tuple
         ``(tests, shortcut_pairs)`` summed over all cell pairs.
     """
+    values, keys = sweep_index(lo, hi, cat, starts, stops) if index is None else index
+    if values.shape != (6, cat.size) or keys.shape != (4, cat.size):
+        raise ValueError(
+            f"sweep index of shapes {values.shape}/{keys.shape} does not match "
+            f"a grouping of {cat.size} positions"
+        )
     pair_a = np.asarray(pair_a, dtype=np.int64)
     pair_b = np.asarray(pair_b, dtype=np.int64)
     if pair_a.size == 0:
         return 0, 0
+    xlo, xhi, ylo, yhi, zlo, zhi = values
+    rank_key, below_lo, upto_lo, below_hi = keys
+    stride = cat.size + 1
     sizes = stops - starts
-    size_a = sizes[pair_a]
-    size_b = sizes[pair_b]
-    counts = size_a * size_b
-
-    # Per-column contiguous copies in grouped order: candidate tests then
-    # gather 1-D columns by position, and object ids are materialised only
-    # for the surviving pairs.
-    ordered_lo = lo[cat]
-    ordered_hi = hi[cat]
-    xlo = np.ascontiguousarray(ordered_lo[:, 0])
-    xhi = np.ascontiguousarray(ordered_hi[:, 0])
-    ylo = np.ascontiguousarray(ordered_lo[:, 1])
-    yhi = np.ascontiguousarray(ordered_hi[:, 1])
-    zlo = np.ascontiguousarray(ordered_lo[:, 2])
-    zhi = np.ascontiguousarray(ordered_hi[:, 2])
-
+    counts = sizes[pair_a] * sizes[pair_b]
+    # An empty run shares its rank-key range with the run after it, so
+    # cell pairs with an empty side are dropped before any search.
+    occupied = np.flatnonzero(counts)
+    pair_a, pair_b, counts = pair_a[occupied], pair_b[occupied], counts[occupied]
     chunk_edges = chunk_edges_by_volume(counts, max_volume=chunk_candidates)
-
-    def emit_candidates(left_pos: np.ndarray, right_pos: np.ndarray) -> None:
-        """Evaluate y/z on x-overlapping candidates and emit."""
-        yz = np.logical_and(
-            np.logical_and(
-                ylo[left_pos] < yhi[right_pos], ylo[right_pos] < yhi[left_pos]
-            ),
-            np.logical_and(
-                zlo[left_pos] < zhi[right_pos], zlo[right_pos] < zhi[left_pos]
-            ),
-        )
-        accumulator.extend(cat[left_pos[yz]], cat[right_pos[yz]])
 
     total_tests = 0
     total_shortcuts = 0
     for e in range(len(chunk_edges) - 1):
         sel = slice(int(chunk_edges[e]), int(chunk_edges[e + 1]))
-        c_counts = counts[sel]
-        if int(c_counts.sum()) == 0:
-            continue
         c_pair_a = pair_a[sel]
         c_pair_b = pair_b[sel]
 
-        # ---- Direction 1: scan from A over B (xlo_b in [a.xlo, a.xhi)).
-        # Rows are (cell pair, A-member); the sweep windows inside each
-        # B run are located by batched binary search, so x-disjoint
-        # candidates are never materialised — as in the pointer-walking
-        # sweep the accounting models.
-        row_of_a, a_positions = window_pairs(starts[c_pair_a], stops[c_pair_a])
-        b_start_rows = starts[c_pair_b][row_of_a]
-        b_stop_rows = stops[c_pair_b][row_of_a]
-        a_xlo = xlo[a_positions]
-        a_xhi = xhi[a_positions]
-
-        full_flags = None
+        # Rows are (cell pair, A-member), grouped by cell pair in x order.
+        row_of_a, a_pos = window_pairs(starts[c_pair_a], stops[c_pair_a])
+        b_start = starts[c_pair_b][row_of_a]
         if enclosure_shortcut:
             # The enclosure predicate depends only on (A-object, B-cell):
             # evaluate per row and emit those rows against all of B.
-            bc_lo = center_lo[c_pair_b[row_of_a]]
-            bc_hi = center_hi[c_pair_b[row_of_a]]
-            flags = encloses(ordered_lo[a_positions], ordered_hi[a_positions], bc_lo, bc_hi)
-            if flags.any():
-                full_flags = flags  # original (pair, A-member) enumeration
-                er = np.flatnonzero(flags)
-                rr, b_pos_full = window_pairs(b_start_rows[er], b_stop_rows[er])
-                accumulator.extend(cat[a_positions[er][rr]], cat[b_pos_full])
+            b_cell = c_pair_b[row_of_a]
+            encl = xlo[a_pos] <= center_lo[b_cell, 0]
+            encl &= ylo[a_pos] <= center_lo[b_cell, 1]
+            encl &= zlo[a_pos] <= center_lo[b_cell, 2]
+            encl &= xhi[a_pos] >= center_hi[b_cell, 0]
+            encl &= yhi[a_pos] >= center_hi[b_cell, 1]
+            encl &= zhi[a_pos] >= center_hi[b_cell, 2]
+            if encl.any():
+                er = np.flatnonzero(encl)
+                rr, b_all = window_pairs(b_start[er], stops[b_cell[er]])
+                accumulator.extend(cat[a_pos[er][rr]], cat[b_all])
                 total_shortcuts += int(rr.size)
-                keep_rows = ~flags
-                a_positions = a_positions[keep_rows]
-                b_start_rows = b_start_rows[keep_rows]
-                b_stop_rows = b_stop_rows[keep_rows]
-                a_xlo = a_xlo[keep_rows]
-                a_xhi = a_xhi[keep_rows]
+                keep = ~encl
+                row_of_a = row_of_a[keep]
+                a_pos = a_pos[keep]
+                b_start = b_start[keep]
 
-        left_edge = _bisect_runs(xlo, a_xlo, b_start_rows, b_stop_rows, strict=False)
-        right_edge = _bisect_runs(xlo, a_xhi, left_edge, b_stop_rows, strict=False)
-        r1, right_pos = window_pairs(left_edge, right_edge)
-        total_tests += int(r1.size)
-        if r1.size:
-            emit_candidates(a_positions[r1], right_pos)
+        # ---- Direction 1: scan from A over B (xlo_b in [a.xlo, a.xhi)).
+        # Each window edge is one search of the rank keys inside B's run.
+        base = b_start * stride
+        left = np.searchsorted(rank_key, base + below_lo[a_pos])
+        right = np.searchsorted(rank_key, base + below_hi[a_pos])
+        total_tests += _sweep_windows(values, cat, a_pos, left, right, None, accumulator)
 
         # ---- Direction 2: scan from B over A (xlo_a in (b.xlo, b.xhi);
-        # ties on xlo break toward direction 1, so no pair repeats).
-        row_of_b, b_positions = window_pairs(starts[c_pair_b], stops[c_pair_b])
-        a_start_rows = starts[c_pair_a][row_of_b]
-        a_stop_rows = stops[c_pair_a][row_of_b]
-        left_edge = _bisect_runs(
-            xlo, xlo[b_positions], a_start_rows, a_stop_rows, strict=True
-        )
-        right_edge = _bisect_runs(
-            xlo, xhi[b_positions], left_edge, a_stop_rows, strict=False
-        )
-        r2, a_pos2 = window_pairs(left_edge, right_edge)
-        if r2.size and full_flags is not None:
-            # Pairs whose A-object was already emitted via the enclosure
-            # shortcut must not be rediscovered from the B side: map each
-            # candidate's A position back to its (pair, A-member) flag in
-            # the original (pre-filter) row enumeration.
-            pair_idx = row_of_b[r2]
-            a_offset = a_pos2 - starts[c_pair_a][pair_idx]
-            sizes_a_sel = size_a[sel]
-            block_starts = np.cumsum(sizes_a_sel) - sizes_a_sel
-            keep = ~full_flags[block_starts[pair_idx] + a_offset]
-            r2 = r2[keep]
-            a_pos2 = a_pos2[keep]
-        total_tests += int(r2.size)
-        if r2.size:
-            emit_candidates(a_pos2, b_positions[r2])
+        # ties on xlo break toward direction 1, so no pair repeats).  It
+        # searches only the kept A rows of the same cell pair, keyed by
+        # the pair's row, so enclosure-shortcut pairs are never repeated.
+        kept_key = rank_key[a_pos] + (row_of_a - starts[c_pair_a][row_of_a]) * stride
+        row_of_b, b_pos = window_pairs(starts[c_pair_b], stops[c_pair_b])
+        base = row_of_b * stride
+        left = np.searchsorted(kept_key, base + upto_lo[b_pos])
+        right = np.searchsorted(kept_key, base + below_hi[b_pos])
+        total_tests += _sweep_windows(values, cat, b_pos, left, right, a_pos, accumulator)
     return total_tests, total_shortcuts
 
 

@@ -9,7 +9,6 @@ from repro.core.celljoin import (
     join_cell_pairs_batched,
     join_sorted_lists,
 )
-from repro.geometry.kernels.numpy_backend import _bisect_runs
 from repro.geometry import (
     PairAccumulator,
     all_combinations,
@@ -18,6 +17,7 @@ from repro.geometry import (
     pack_pairs,
     unique_pairs,
 )
+from repro.geometry.kernels import sweep_index
 
 
 def make_grouped_boxes(rng, n=150, n_groups=6, span=40.0, width=6.0):
@@ -35,53 +35,107 @@ def make_grouped_boxes(rng, n=150, n_groups=6, span=40.0, width=6.0):
     return lo, hi, centers, cat, starts, stops, center_lo, center_hi
 
 
-class TestBisectRuns:
+def _rank_windows(index, starts):
+    """Every window edge found through the rank keys, for every
+    (run, query position): the first run member ``>= xlo``, ``> xlo``
+    and ``>= xhi`` of the query's box."""
+    _values, keys = index
+    rank_key, below_lo, upto_lo, below_hi = keys
+    base = (np.asarray(starts, dtype=np.int64) * (rank_key.size + 1))[:, None]
+    return np.stack(
+        [np.searchsorted(rank_key, base + k[None, :]) for k in (below_lo, upto_lo, below_hi)],
+        axis=-1,
+    )
+
+
+def _searchsorted_windows(lo, hi, cat, starts, stops):
+    """The same edges by one ``np.searchsorted`` per run and side."""
+    xlo, xhi = lo[cat, 0], hi[cat, 0]
+    out = np.empty((starts.size, cat.size, 3), dtype=np.int64)
+    for g, (a, b) in enumerate(zip(starts, stops, strict=True)):
+        run = xlo[a:b]
+        out[g, :, 0] = a + np.searchsorted(run, xlo, side="left")
+        out[g, :, 1] = a + np.searchsorted(run, xlo, side="right")
+        out[g, :, 2] = a + np.searchsorted(run, xhi, side="left")
+    return out
+
+
+def _check_windows(lo, hi, cat, starts, stops):
+    """Windows of every occupied run; the kernel never searches an empty one."""
+    index = sweep_index(lo, hi, cat, starts, stops)
+    values, keys = index
+    assert values.shape == (6, cat.size) and keys.shape == (4, cat.size)
+    assert np.array_equal(values[0], lo[cat, 0]) and np.array_equal(values[5], hi[cat, 2])
+    assert (np.diff(keys[0]) > 0).all(), "rank keys must strictly increase"
+    occupied = stops > starts
+    got = _rank_windows(index, starts[occupied])
+    assert np.array_equal(got, _searchsorted_windows(lo, hi, cat, starts, stops)[occupied])
+    return got
+
+
+def _boxes_from_x(xlo, xhi):
+    lo = np.zeros((len(xlo), 3))
+    hi = np.ones((len(xlo), 3))
+    lo[:, 0] = xlo
+    hi[:, 0] = xhi
+    return lo, hi
+
+
+class TestSweepIndex:
+    """Window edges through the rank keys against per-run ``searchsorted``."""
+
     def test_matches_searchsorted_per_run(self, rng):
-        # Build several sorted runs inside one array.
-        runs = [np.sort(rng.uniform(0, 100, size=rng.integers(1, 30))) for _ in range(20)]
-        values = np.concatenate(runs)
-        bounds = np.cumsum([0] + [r.size for r in runs])
-        row_lo = []
-        row_hi = []
-        targets = []
-        expected_left = []
-        expected_right = []
-        for k, run in enumerate(runs):
-            for _ in range(3):
-                t = float(rng.uniform(-10, 110))
-                row_lo.append(bounds[k])
-                row_hi.append(bounds[k + 1])
-                targets.append(t)
-                expected_left.append(bounds[k] + np.searchsorted(run, t, side="left"))
-                expected_right.append(bounds[k] + np.searchsorted(run, t, side="right"))
-        row_lo = np.asarray(row_lo, dtype=np.int64)
-        row_hi = np.asarray(row_hi, dtype=np.int64)
-        targets = np.asarray(targets)
-        got_geq = _bisect_runs(values, targets, row_lo, row_hi, strict=False)
-        got_gt = _bisect_runs(values, targets, row_lo, row_hi, strict=True)
-        assert got_geq.tolist() == expected_left
-        assert got_gt.tolist() == expected_right
+        # Integer xlo values: ties inside runs and across runs.
+        n = 120
+        xlo = rng.integers(0, 15, size=n).astype(float)
+        lo, hi = _boxes_from_x(xlo, xlo + rng.integers(0, 4, size=n))
+        keys = rng.integers(0, 9, size=n)
+        cat, starts, stops, _unique = group_by_keys(keys, secondary_sort=lo[:, 0])
+        run_x = lo[cat, 0]
+        assert any((np.diff(run_x[a:b]) == 0).any() for a, b in zip(starts, stops))
+        _check_windows(lo, hi, cat, starts, stops)
 
-    def test_empty_rows(self):
-        values = np.asarray([1.0, 2.0, 3.0])
-        out = _bisect_runs(
-            values,
-            np.asarray([5.0]),
-            np.asarray([2], dtype=np.int64),
-            np.asarray([2], dtype=np.int64),
-            strict=False,
-        )
-        assert out.tolist() == [2]
+    def test_signed_zero(self):
+        lo, hi = _boxes_from_x([0.0, -0.0, 0.0, -0.0, -1.0], [1.0, 0.0, 2.0, 3.0, -0.0])
+        cat = np.asarray([4, 1, 0, 3, 2], dtype=np.int64)
+        starts = np.asarray([0, 3], dtype=np.int64)
+        stops = np.asarray([3, 5], dtype=np.int64)
+        got = _check_windows(lo, hi, cat, starts, stops)
+        # -0.0 == 0.0: for the box [-0.0, 0.0] in run 0, both ">= xlo"
+        # and ">= xhi" skip only the -1.0 box, and "> xlo" skips every zero.
+        assert got[0, 1].tolist() == [1, 3, 1]
 
-    def test_no_rows(self):
-        out = _bisect_runs(
-            np.asarray([1.0]),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            strict=False,
-        )
-        assert out.size == 0
+    def test_box_rounding_to_zero_width(self):
+        # Center 1e17, width 1: both bounds round to 1e17.
+        lo, hi = _boxes_from_x([1e17 - 0.5, 1e17 - 4.0, 1e17], [1e17 + 0.5, 1e17 + 4.0, 1e17 + 8.0])
+        assert lo[0, 0] == hi[0, 0]
+        cat = np.asarray([1, 0, 2], dtype=np.int64)
+        starts = np.asarray([0, 1], dtype=np.int64)
+        stops = np.asarray([1, 3], dtype=np.int64)
+        got = _check_windows(lo, hi, cat, starts, stops)
+        # Its window ">= xlo" .. ">= xhi" in run 1 is empty.
+        assert got[1, 1, 0] == got[1, 1, 2] == 1
+
+    def test_empty_run_between_occupied(self, rng):
+        xlo = rng.integers(0, 6, size=7).astype(float)
+        lo, hi = _boxes_from_x(xlo, xlo + 2.0)
+        keys = np.asarray([0, 0, 0, 2, 2, 2, 2])
+        cat, _starts, _stops, _unique = group_by_keys(keys, secondary_sort=lo[:, 0])
+        starts = np.asarray([0, 3, 3], dtype=np.int64)
+        stops = np.asarray([3, 3, 7], dtype=np.int64)
+        # The empty run starts where the last run does.
+        _check_windows(lo, hi, cat, starts, stops)
+
+    def test_one_object_grouping(self):
+        lo, hi = _boxes_from_x([2.0], [5.0])
+        one = np.asarray([0], dtype=np.int64)
+        got = _check_windows(lo, hi, one, np.asarray([0]), np.asarray([1]))
+        assert got.tolist() == [[[0, 1, 1]]]
+
+    def test_empty_grouping(self):
+        empty = np.empty(0, dtype=np.int64)
+        values, keys = sweep_index(np.empty((0, 3)), np.empty((0, 3)), empty, empty, empty)
+        assert values.shape == (6, 0) and keys.shape == (4, 0)
 
 
 class TestJoinCellPairsBatched:

@@ -33,9 +33,9 @@ from repro.simulation import SimulationRunner
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "kernel_refactor_oracle.json"
 
-#: The batch bounds every counter must be invariant under: the default
-#: (one batch here) and one small enough to split every input.
-CHUNKS = (DEFAULT_CHUNK_CANDIDATES, 64)
+#: The batch bounds every counter must be invariant under: one far above
+#: the default (one batch here) and one small enough to split every input.
+CHUNKS = (2_000_000, 64)
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +97,18 @@ class TestChunkEdges:
 # ----------------------------------------------------------------------
 # The five primitives against the brute-force oracle
 # ----------------------------------------------------------------------
-def _grouped_boxes(rng, n=160, n_groups=6, span=40.0):
-    """Grouped boxes with a few giants so the enclosure shortcut fires."""
-    centers = rng.uniform(0, span, size=(n, 3))
-    widths = rng.uniform(1.0, 9.0, size=(n, 3))
+def _grouped_boxes(rng, n=160, n_groups=6, span=40.0, integer=False):
+    """Grouped boxes with a few giants so the enclosure shortcut fires.
+
+    ``integer`` draws integer centers and widths, so many xlo/xhi values
+    are equal within and across groups.
+    """
+    if integer:
+        centers = rng.integers(0, int(span), size=(n, 3)).astype(float)
+        widths = rng.integers(1, 9, size=(n, 3)).astype(float)
+    else:
+        centers = rng.uniform(0, span, size=(n, 3))
+        widths = rng.uniform(1.0, 9.0, size=(n, 3))
     widths[: max(2, n // 25)] = 2.5 * span  # encloses whole cells
     lo = centers - widths / 2.0
     hi = centers + widths / 2.0
@@ -191,14 +199,22 @@ class TestKernelParity:
         n = lo.shape[0]
         expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["cross"]
         pair_a, pair_b = np.triu_indices(starts.size, k=1)
+        values = kernels.grouped_values(lo, hi, cat)
         for chunk in CHUNKS:
-            got = _Collector()
-            tests = kernels.cross_join_groups(
-                lo, hi, cat, starts, stops, cat, starts, stops,
-                pair_a, pair_b, got, count=count, chunk_candidates=chunk,
+            for given in (None, values):
+                got = _Collector()
+                tests = kernels.cross_join_groups(
+                    lo, hi, cat, starts, stops, cat, starts, stops,
+                    pair_a, pair_b, got, count=count, chunk_candidates=chunk,
+                    values_a=given, values_b=given,
+                )
+                assert tests == tests_expected[count]
+                assert got.packed(n) == expected
+        # Columns built for another grouping are refused.
+        with pytest.raises(ValueError):
+            kernels.self_join_groups(
+                lo, hi, cat, starts, stops, pair_a, _Collector(), values=values[:, 1:]
             )
-            assert tests == tests_expected[count]
-            assert got.packed(n) == expected
 
     @pytest.mark.parametrize("shortcut", [True, False])
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -222,6 +238,44 @@ class TestKernelParity:
         # never both; the giants guarantee shortcut pairs.
         assert tests + shortcuts == tests_expected["x-sweep"]
         assert (shortcuts > 0) == shortcut
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_cell_pair_sweep_ties(self, chunk, rng):
+        # Tied xlo/xhi values are where the window search's "<" and "<="
+        # counts decide which direction finds a pair.
+        lo, hi, cat, starts, stops, c_lo, c_hi = _grouped_boxes(rng, integer=True)
+        n = lo.shape[0]
+        assert np.unique(lo[:, 0]).size < n // 2
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["cross"]
+        # One extra empty cell that starts where the last cell does,
+        # paired both ways with every cell: it must add nothing.
+        g = starts.size
+        starts, stops = np.append(starts, starts[-1]), np.append(stops, starts[-1])
+        c_lo, c_hi = np.vstack([c_lo, c_lo[-1]]), np.vstack([c_hi, c_hi[-1]])
+        pair_a, pair_b = np.triu_indices(g, k=1)
+        others = np.arange(g)
+        pair_a = np.concatenate([pair_a, others, np.full(g, g)])
+        pair_b = np.concatenate([pair_b, np.full(g, g), others])
+        index = kernels.sweep_index(lo, hi, cat, starts, stops)
+        counters = []
+        for given in (None, index):
+            acc = PairAccumulator()
+            counters.append(kernels.cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc,
+                chunk_candidates=chunk, index=given,
+            ))
+            assert _canonical(acc, n) == expected
+            assert len(acc) == len(expected), "a pair was emitted more than once"
+        assert counters[0] == counters[1]
+        tests, shortcuts = counters[0]
+        assert tests + shortcuts == tests_expected["x-sweep"]
+        assert shortcuts > 0
+        stale = kernels.sweep_index(lo, hi, cat[1:], starts[:0], stops[:0])
+        with pytest.raises(ValueError):
+            kernels.cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b,
+                PairAccumulator(), index=stale,
+            )
 
     def test_strip_sweep(self, rng):
         n = 200
