@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.engine.executors import Executor
-from repro.geometry import pairs_to_adjacency
 from repro.service.sharding import AlgorithmFactory, RingAnswer, ShardRing
 
 __all__ = ["JoinService", "ServiceAnswer", "ServiceOverloadedError"]
@@ -54,9 +53,10 @@ class ServiceAnswer:
 
     ``pairs`` is the canonical ``(i, j)`` arrays for join/distance
     queries; ``adjacency`` the CSR ``(offsets, neighbors)`` form for
-    neighbor queries.  ``degraded`` and ``stale`` mirror the ring's
-    flags; ``cached`` marks an answer served without recomputation
-    (batch dedup).
+    neighbor queries, read-only and shared by every neighbor answer of
+    one ring answer (:attr:`RingAnswer.adjacency`).  ``degraded`` and
+    ``stale`` mirror the ring's flags; ``cached`` marks an answer
+    served without recomputation (batch dedup).
     """
 
     kind: str
@@ -297,15 +297,12 @@ class JoinService:
         raise ValueError(f"unknown request kind {kind!r}")
 
     def _wrap(self, ring_answer: RingAnswer, adjacency: bool) -> ServiceAnswer:
-        csr = None
-        if adjacency:
-            csr = pairs_to_adjacency(*ring_answer.pairs, len(self.ring.dataset))
         return ServiceAnswer(
             kind="neighbors" if adjacency else ring_answer.kind,
             epoch=ring_answer.epoch,
             n_results=ring_answer.n_results,
             pairs=None if adjacency else ring_answer.pairs,
-            adjacency=csr,
+            adjacency=ring_answer.adjacency if adjacency else None,
             degraded=ring_answer.degraded,
             stale=ring_answer.stale,
             cached=False,
