@@ -781,6 +781,40 @@ class ThermalJoin(SpatialJoinAlgorithm):
         )
         return result
 
+    def distance_join(self, dataset: SpatialDataset, distance: float) -> JoinResult:
+        """Distance self-join, run on a fresh instance of this configuration.
+
+        The enlarged copy is a one-shot workload.  Joining it on this
+        instance would feed its cost to the tuner (a false drift that
+        retunes ``r``) and re-seed the maintained pair set over a copy no
+        later delta refers to (the next :meth:`step_delta` would run
+        full).  The fresh instance shares only the executor, and runs
+        without pair maintenance: one step would seed a set nobody reads.
+        """
+        tuner = self.tuner
+        fresh = ThermalJoin(
+            resolution=self.resolution,
+            tuner=None if tuner is None else HillClimbingTuner(
+                initial=tuner.initial,
+                initial_step=tuner.initial_step,
+                threshold=tuner.threshold,
+                r_min=tuner.r_min,
+                r_max=tuner.r_max,
+                min_step=tuner.min_step,
+            ),
+            gc_threshold=self.gc_threshold,
+            cost_model=self.cost_model,
+            count_only=self.count_only,
+            tgrid_min_objects=self.tgrid_min_objects,
+            hot_spots=self.hot_spots,
+            enclosure_shortcut=self.enclosure_shortcut,
+            incremental=self.incremental,
+            pair_maintenance=False,
+            memory_quota_bytes=self.memory_quota_bytes,
+            executor=self.executor,
+        )
+        return fresh.step(dataset.with_enlarged_extent(distance))
+
     def _operations_cost(self, result: JoinResult) -> float:
         """Deterministic cost signal for reproducible tuning."""
         info = self.last_step_info

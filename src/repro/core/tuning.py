@@ -13,12 +13,16 @@ The tuner follows the paper's protocol:
   reversing/halving the step otherwise;
 * declare convergence when successive costs differ by no more than the
   threshold (Equation 1; the paper uses 10 % and observes convergence in
-  6–8 time steps);
+  6–8 time steps), and settle at the cheapest probe of the tuning
+  phase — not at the last one, which Equation 1 only says is close;
 * once converged, stop tuning but keep watching the cost at the chosen
   ``r'``; when it drifts by more than the threshold from the fixed
   converged-cost reference (Equation 2 — the workload's distribution
   changed), tuning restarts.  The reference is seeded by the first
-  observation after (re)convergence and refreshed only on retune or
+  observation at ``r'`` whose grid was recycled, not rebuilt: every
+  change of ``r`` rebuilds the P-Grid from scratch, and that step pays
+  for creating every cell, so seeding from it would make the next
+  recycled step read as a drift.  It is refreshed only on retune or
   re-convergence, so *cumulative* drift — e.g. 5 % per step, forever —
   re-triggers tuning once it passes the threshold, not just one-step
   jumps.
@@ -91,6 +95,9 @@ class HillClimbingTuner:
         self._converged_cost: float | None = None
         self._best_r: float | None = None
         self._best_cost: float | None = None
+        # Whether the last observation moved r: the next cost is then
+        # measured on a grid rebuilt from scratch at the new r.
+        self._moved = False
 
     # ------------------------------------------------------------------
     def observe(self, cost: float) -> bool:
@@ -105,26 +112,31 @@ class HillClimbingTuner:
         cost = float(cost)
         self.history.append((self.current_r, cost))
         if self.converged:
-            return self._watch_for_drift(cost)
-        return self._climb(cost)
+            self._moved = self._watch_for_drift(cost, rebuilt=self._moved)
+        else:
+            self._moved = self._climb(cost)
+        return self._moved
 
-    def _watch_for_drift(self, cost: float) -> bool:
+    def _watch_for_drift(self, cost: float, rebuilt: bool) -> bool:
         """Equation 2: restart tuning on a significant cost change at r'.
 
-        The reference is the cost observed right after (re)convergence
-        and then stays **fixed** until the next retune or re-convergence
-        refreshes it.  Comparing each step against the *previous* step
-        instead would let a workload drifting just under the threshold
-        per step drift forever without re-triggering tuning — Equation 2
-        measures departure from the converged operating point, not
-        step-to-step noise.
+        The reference is the first cost observed after (re)convergence
+        on a recycled grid (``rebuilt`` is False: the previous observation
+        left ``r`` where it was), and then stays **fixed** until the next
+        retune or re-convergence refreshes it.  Comparing each step
+        against the *previous* step instead would let a workload drifting
+        just under the threshold per step drift forever without
+        re-triggering tuning — Equation 2 measures departure from the
+        converged operating point, not step-to-step noise.
         """
         reference = self._converged_cost
         if reference is None or reference == 0.0:
-            # Fresh reference: the first observation at the (newly)
-            # converged r seeds it — never a cost measured many steps
-            # ago at a different r on a moving workload.
-            self._converged_cost = cost
+            # Fresh reference: the first recycled-grid observation at the
+            # (newly) converged r seeds it — never a cost measured many
+            # steps ago at a different r on a moving workload, and never
+            # the rebuild step that moving to r' costs once.
+            if not rebuilt:
+                self._converged_cost = cost
             return False
         if abs(cost - reference) > self.threshold * reference:
             self.converged = False
@@ -167,8 +179,10 @@ class HillClimbingTuner:
         )
         if relative_change <= self.threshold and cost <= 1.3 * self._best_cost:
             # Equation 1 — and the plateau is genuinely near the best
-            # point seen, not a flat stretch of a bad region.
-            return self._finalize_at(self.current_r)
+            # point seen, not a flat stretch of a bad region.  Settle at
+            # the cheapest probe: the last one only came within the
+            # threshold of its predecessor.
+            return self._finalize_at(self._best_r)
 
         if cost < self._prev_cost:
             # Improvement: keep walking the same direction.
@@ -185,7 +199,7 @@ class HillClimbingTuner:
         self._prev_cost = self._best_cost
         return self._propose(self._best_r + self._direction * self._step)
 
-    def _finalize_at(self, r: float) -> None:
+    def _finalize_at(self, r: float) -> bool:
         """Converge onto ``r``; the drift reference starts fresh."""
         # Mark converged *before* proposing: at a clamped boundary the
         # proposal is a no-op and must not re-enter the climbing logic.
@@ -196,7 +210,7 @@ class HillClimbingTuner:
         self._converged_cost = None
         return self._propose(r)
 
-    def _propose(self, r: float) -> float:
+    def _propose(self, r: float) -> bool:
         """Clamp and adopt a new resolution; report whether it changed."""
         r = min(max(r, self.r_min), self.r_max)
         changed = abs(r - self.current_r) > 1e-12
@@ -240,6 +254,7 @@ class HillClimbingTuner:
             "converged_cost": self._converged_cost,
             "best_r": self._best_r,
             "best_cost": self._best_cost,
+            "moved": self._moved,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
@@ -248,6 +263,7 @@ class HillClimbingTuner:
                      "min_step", "current_r"):
             setattr(self, name, float(state[name]))  # type: ignore[arg-type]
         self.converged = bool(state["converged"])
+        self._moved = bool(state["moved"])
         history = state["history"]
         if not isinstance(history, list):
             raise ValueError("tuner history must be a list")

@@ -201,6 +201,29 @@ class TestFallback:
         algorithm.step_delta(dataset, foreign)
         assert algorithm._incr["mode"] == "full"
 
+    def test_one_shot_distance_join_keeps_maintenance_and_tuner(self):
+        """A distance join runs over an enlarged copy: it must neither
+        re-seed the maintained set over that copy nor feed its cost to
+        the tuner."""
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True)
+        delta = None
+        for _ in range(10):
+            algorithm.step_delta(dataset, delta)
+            delta = motion.step(dataset)
+        assert algorithm._incr["mode"] == "incremental"
+        tuner = algorithm.tuner
+        before = (tuner.retunes, tuner.current_r, len(tuner.history))
+        algorithm.distance_join(dataset, 2.0)
+        assert (tuner.retunes, tuner.current_r, len(tuner.history)) == before
+        result = algorithm.step_delta(dataset, delta)
+        assert algorithm._incr["mode"] == "incremental"
+        assert (tuner.retunes, tuner.current_r) == before[:2]
+        assert np.array_equal(
+            result_keys(result, len(dataset)), oracle_keys(dataset)
+        )
+
 
 # ----------------------------------------------------------------------
 # Fault injection: recovery must not perturb the maintained set

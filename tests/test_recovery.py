@@ -339,6 +339,37 @@ class TestResumeBitIdentity:
         resumed.run(N_STEPS)
         assert_trajectories_identical(baseline.records, resumed.records)
 
+    def test_resume_on_the_converging_step(self, tmp_path):
+        """Checkpoint on the step where the tuner settled at its best
+        probe and dropped the P-Grid: the resumed tuner must still know
+        that the next step rebuilds the grid, or it seeds its drift
+        reference from that step and retunes on the next one."""
+        dataset, motion = _make_workload("uniform", seed=3)
+        baseline = SimulationRunner(dataset, motion, ThermalJoin())
+        baseline.run(N_STEPS)
+        # Each record snapshots the tuner as its step ran: the first
+        # converged record is the first step at r'.
+        tuner_series = [r.index_counters["tuner"] for r in baseline.records]
+        settled = [t["converged"] for t in tuner_series].index(True)
+        assert tuner_series[settled]["resolution"] != tuner_series[settled - 1]["resolution"]
+
+        dataset2, motion2 = _make_workload("uniform", seed=3)
+        first = SimulationRunner(
+            dataset2, motion2, ThermalJoin(), checkpoint_dir=tmp_path,
+            checkpoint_every=settled,
+        )
+        first.run(settled)  # the last step run is the converging one
+        assert first.algorithm.pgrid is None  # dropped for the move to r'
+
+        resumed = SimulationRunner.resume(tmp_path, ThermalJoin())
+        assert resumed._next_step == settled
+        resumed.run(N_STEPS)
+        assert_trajectories_identical(baseline.records, resumed.records)
+        assert [r.index_counters["tuner"]["resolution"] for r in resumed.records] == [
+            t["resolution"] for t in tuner_series
+        ]
+        assert resumed.algorithm.tuner.retunes == 0
+
     def test_version_1_maintained_keys_never_restored(self, tmp_path):
         # Version 1 packed maintained pairs as i * n + j.  Rewrite the
         # newest checkpoint in that form: resume must refuse it as a

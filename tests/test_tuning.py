@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HillClimbingTuner
 
@@ -14,6 +16,21 @@ def run_on_function(tuner, fn, n_steps=50):
         if tuner.converged:
             break
     return tuner
+
+
+def run_with_rebuilds(tuner, fn, surcharge, n_steps=200):
+    """Like :func:`run_on_function`, on a grid rebuilt at every new ``r``.
+
+    The first observation after ``r`` moves costs ``surcharge`` more,
+    as a THERMAL-JOIN step that creates every P-Grid cell does.
+    Returns whether the last observation moved ``r``.
+    """
+    moved = True
+    for _ in range(n_steps):
+        moved = tuner.observe(fn(tuner.current_r) + (surcharge if moved else 0.0))
+        if tuner.converged:
+            break
+    return moved
 
 
 class TestValidation:
@@ -94,6 +111,7 @@ class TestDriftRetuning:
         # Converge on one cost landscape...
         tuner = run_on_function(HillClimbingTuner(), lambda r: 10 + 50 * (r - 0.8) ** 2)
         assert tuner.converged
+        tuner.observe(10.0)  # the rebuild step at the best probe: no seed
         tuner.observe(10.0)
         # ...then the workload distribution changes: cost jumps > 10%.
         tuner.observe(25.0)
@@ -117,6 +135,7 @@ class TestDriftRetuning:
         tuner = run_on_function(HillClimbingTuner(), landscape)
         assert tuner.converged
         home = tuner.current_r
+        tuner.observe(landscape(tuner.current_r))  # rebuild step: no seed
         tuner.observe(landscape(tuner.current_r))  # fresh reference
         # ...trigger a retune with a one-off 2x cost spike, then let the
         # (unchanged) landscape answer the exploration.
@@ -219,3 +238,68 @@ class TestDriftRetuning:
         tuner.observe(landscape(tuner.current_r))  # seeds the reference
         tuner.observe(5.0 * landscape(tuner.current_r))
         assert tuner.retunes == 1
+
+
+class TestSettlesAtBestProbe:
+    """Equation 1 finalises at the cheapest probe, and the Equation 2
+    reference is seeded only once the grid at ``r'`` is recycled."""
+
+    def test_recorded_10k_probes_converge_at_the_best(self):
+        # Operation costs of scaled_uniform(10_000, seed=1): the last
+        # probe (1.03125) is within 10% of its predecessor, but r = 1.0
+        # measured cheapest.
+        probes = {
+            1.0: 2129203.5,
+            0.75: 3340022.95,
+            1.125: 2710549.2,
+            0.9375: 4650673.75,
+            1.03125: 2239772.45,
+        }
+        tuner = HillClimbingTuner()
+        for _ in probes:
+            tuner.observe(probes[tuner.current_r])
+        assert [r for r, _cost in tuner.history] == list(probes)
+        assert tuner.converged
+        assert tuner.current_r == 1.0
+
+    def test_rebuild_surcharge_does_not_seed_the_reference(self):
+        # A V-shaped landscape converges by step underflow, moving back
+        # to the best probe; the rebuild step there costs 20% more than
+        # the recycled steps after it.
+        landscape = lambda r: 100 + 1000 * abs(r - 0.5)  # noqa: E731
+        tuner = HillClimbingTuner()
+        moved = run_with_rebuilds(tuner, landscape, surcharge=20.0)
+        assert tuner.converged
+        for _ in range(20):
+            moved = tuner.observe(landscape(tuner.current_r) + (20.0 if moved else 0.0))
+        assert tuner.converged
+        assert tuner.retunes == 0
+        assert tuner.current_r == 0.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.floats(1.0, 1e6),
+        curvature=st.floats(0.0, 1e6),
+        slope=st.floats(0.0, 1e6),
+        optimum=st.floats(0.0, 3.0),
+        surcharge_share=st.floats(0.0, 1.0),
+    )
+    def test_converges_at_the_cheapest_probe_of_its_phase(
+        self, base, curvature, slope, optimum, surcharge_share
+    ):
+        def landscape(r):
+            return base + curvature * (r - optimum) ** 2 + slope * abs(r - optimum)
+
+        surcharge = surcharge_share * base
+        tuner = HillClimbingTuner()
+        moved = run_with_rebuilds(tuner, landscape, surcharge)
+        assert tuner.converged
+        # Ties go to the first probe that reached the minimum.
+        best_r, _best_cost = min(tuner.history, key=lambda probe: probe[1])
+        assert tuner.current_r == best_r
+        for _ in range(20):
+            moved = tuner.observe(
+                landscape(tuner.current_r) + (surcharge if moved else 0.0)
+            )
+        assert tuner.converged
+        assert tuner.retunes == 0
