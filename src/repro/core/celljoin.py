@@ -1,4 +1,4 @@
-"""Cell-pair join: sequential reference + batched kernel entry points.
+"""Cell-pair join: the sequential one-cell-pair reference.
 
 Both the P-Grid external join and the T-Grid cell-pair join use the same
 "optimized variant of the plane-sweep approach" (Section 4.2.1): before
@@ -16,11 +16,9 @@ immune to objects that sit exactly on a cell boundary after floating-
 point assignment.
 
 :func:`join_sorted_lists` is the sequential one-cell-pair formulation,
-kept as the readable reference (and oracle for the kernel tests).  The
-batched entry points delegate to the verify kernels of
-:mod:`repro.geometry.kernels`; chunk-level parallelism belongs to the
-engine executors, which schedule many independent tasks, not to a
-thread pool inside one task.
+kept as the readable reference and as the oracle for the batched
+``cell_pair_sweep`` kernel of :mod:`repro.geometry.kernels`, which the
+engine's external-join tasks and the T-Grid call directly.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.geometry import encloses, sweep_between
-from repro.geometry.kernels import DEFAULT_CHUNK_CANDIDATES, cell_pair_sweep, hot_cell_emit
 
 if TYPE_CHECKING:
     from repro.geometry import PairAccumulator
 
-__all__ = ["join_sorted_lists", "join_cell_pairs_batched", "emit_hot_cells_batched"]
+__all__ = ["join_sorted_lists"]
 
 
 def join_sorted_lists(
@@ -94,55 +91,3 @@ def join_sorted_lists(
     a_ids, b_ids, tests = sweep_between(lo_a, hi_a, a_idx, lo[b_idx], hi[b_idx], b_idx)
     accumulator.extend(a_ids, b_ids)
     return tests, shortcut_pairs
-
-
-def join_cell_pairs_batched(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    cat: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    center_lo: np.ndarray,
-    center_hi: np.ndarray,
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    accumulator: PairAccumulator,
-    chunk_candidates: int = DEFAULT_CHUNK_CANDIDATES,
-    enclosure_shortcut: bool = True,
-) -> tuple[int, int]:
-    """External join over *many* cell pairs via the ``cell_pair_sweep`` kernel.
-
-    Semantically identical to calling :func:`join_sorted_lists` for each
-    ``(pair_a[k], pair_b[k])`` cell pair — same pair set, same
-    plane-sweep overlap-test accounting, same enclosure shortcut.
-    Returns ``(tests, shortcut_pairs)`` summed over all cell pairs.
-    """
-    return cell_pair_sweep(
-        lo,
-        hi,
-        cat,
-        starts,
-        stops,
-        center_lo,
-        center_hi,
-        pair_a,
-        pair_b,
-        accumulator,
-        chunk_candidates=chunk_candidates,
-        enclosure_shortcut=enclosure_shortcut,
-    )
-
-
-def emit_hot_cells_batched(
-    cat: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    hot_slots: np.ndarray,
-    accumulator: PairAccumulator,
-) -> int:
-    """Emit all within-cell combinations for many hot-spot cells at once.
-
-    Delegates to the ``hot_cell_emit`` kernel; returns the number of
-    pairs emitted (all without overlap tests — the hot-spot guarantee).
-    """
-    return hot_cell_emit(cat, starts, stops, hot_slots, accumulator)

@@ -46,9 +46,8 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.core.celljoin import emit_hot_cells_batched, join_cell_pairs_batched
 from repro.core.cells import half_neighborhood_offsets
-from repro.geometry import self_join_groups
+from repro.geometry.kernels import cell_pair_sweep, hot_cell_emit, self_join_groups
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -189,7 +188,7 @@ class TGrid:
         min_member_width = np.minimum.reduceat(ctx["widths"][t_cat], t_starts, axis=0)
         is_hot = ((center_hi - center_lo) < min_member_width).all(axis=1)
         shared = t_stops - t_starts > 1
-        counters["shortcut_pairs"] += emit_hot_cells_batched(
+        counters["shortcut_pairs"] += hot_cell_emit(
             t_cat, t_starts, t_stops, np.flatnonzero(is_hot & shared), accumulator
         )
         # Floating-point edge: unverifiable T-cells sweep internally.
@@ -199,7 +198,7 @@ class TGrid:
         )
         pair_a = np.concatenate(pair_a)
         if pair_a.size:
-            tests, shortcut_pairs = join_cell_pairs_batched(
+            tests, shortcut_pairs = cell_pair_sweep(
                 lo,
                 hi,
                 t_cat,

@@ -33,7 +33,6 @@ Example
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +173,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
     """
 
     name = "thermal-join"
+    phases = ("building", "internal", "external")
 
     def __init__(
         self,
@@ -229,7 +229,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         #: Per-step diagnostics (resolution used, hot-spot counts, ...).
         self.last_step_info: dict[str, object] = {}
         self._boxes = None
-        self._build_seconds = 0.0
         if pair_maintenance is None:
             pair_maintenance = incremental_from_env()
         self.pair_maintenance = bool(pair_maintenance)
@@ -362,7 +361,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         return cell_width
 
     def _build(self, dataset: SpatialDataset) -> None:
-        t0 = time.perf_counter()
         lo, hi = dataset.boxes()
         self._boxes = (lo, hi)
         max_width = dataset.max_width
@@ -379,7 +377,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         cells_created_before = self.pgrid.cells_created
         self.pgrid.refresh(dataset.centers, lo[:, 0], dataset.widths, max_width)
         self._cells_created_this_step = self.pgrid.cells_created - cells_created_before
-        self._build_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Join phase (Algorithm 2), as an engine plan
@@ -646,15 +643,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
             }
 
         return JoinPlan(context=context, tasks=tasks, on_complete=on_complete)
-
-    def _phase_seconds(self) -> dict[str, float]:
-        # The engine adds each task's wall time onto its phase; only the
-        # build phase is timed here.
-        return {
-            "building": self._build_seconds,
-            "internal": 0.0,
-            "external": 0.0,
-        }
 
     # ------------------------------------------------------------------
     # Step driver with self-tuning and pair-set maintenance

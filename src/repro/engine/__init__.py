@@ -15,9 +15,9 @@ the candidate-generation/refinement split of adaptive geospatial joins):
     ``_join``.
 ``verify``
     An :class:`~repro.engine.executors.Executor` schedules the tasks;
-    every task funnels its candidates through the shared vectorised
-    verification kernel (:mod:`repro.engine.verify`), emitting pairs
-    into private :class:`~repro.geometry.PairAccumulator` shards.
+    each task calls its verify kernel from
+    :mod:`repro.geometry.kernels` directly, emitting pairs into a
+    private :class:`~repro.geometry.PairAccumulator` shard.
 ``merge``
     Shards are merged in task order into canonical pairs; per-task
     counters are aggregated into :class:`~repro.joins.base.JoinStatistics`.

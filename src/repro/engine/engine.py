@@ -144,8 +144,6 @@ def execute_step(
         if traced:
             step_cm.__exit__(None, None, None)
 
-    algorithm._last_prepare_seconds = t1 - t0
-
     # All statistics flow through the recording methods (RPL202): they
     # own the invariants (build/join second splits, retry counting).
     stats = JoinStatistics()
@@ -156,8 +154,10 @@ def execute_step(
     for task_result in results:
         stats.record_task(task_result.counters)
 
-    for phase, seconds in algorithm._phase_seconds().items():
-        stats.record_phase(phase, seconds)
+    # The declared phases come first, in order; "building" is the
+    # prepare stage itself, so one clock times the index build.
+    for phase in algorithm.phases:
+        stats.record_phase(phase, t1 - t0 if phase == "building" else 0.0)
     for task_result in results:
         # The default "join" phase stays out of the breakdown unless the
         # algorithm declares it, matching the pre-engine convention that

@@ -254,11 +254,25 @@ class Executor:
         try:
             return _run_inline(task, ctx, count_only)
         except Exception as exc:
-            error = exc
+            return self._retry_inline(original, ctx, count_only, index, exc)
+
+    def _retry_inline(
+        self,
+        task: JoinTask,
+        ctx: Mapping[str, np.ndarray],
+        count_only: bool,
+        index: int,
+        error: Exception,
+    ) -> TaskResult:
+        """Re-run a failed ``task`` inline up to ``max_retries`` times.
+
+        One ``task_retry`` event is recorded per re-attempt; once the
+        budget is spent the last error propagates.
+        """
         for _ in range(self.max_retries):
             self._record_event("task_retry", task=index, error=repr(error))
             try:
-                return _run_inline(original, ctx, count_only)
+                return _run_inline(task, ctx, count_only)
             except Exception as exc:
                 error = exc
         raise error
@@ -316,7 +330,8 @@ class ThreadExecutor(Executor):
     The pool is created lazily on first use and kept across steps —
     matching ``ProcessExecutor``'s pool reuse instead of paying pool
     startup every simulation step — and released in :meth:`close`.  A
-    failed task is re-run inline in the parent; a task exceeding
+    task that fails on the pool gets the serial retry budget: up to
+    ``max_retries`` inline re-runs in the parent; a task exceeding
     ``task_timeout`` is abandoned on its pool thread and re-run inline
     (the stray thread's late result is discarded).
     """
@@ -375,8 +390,7 @@ class ThreadExecutor(Executor):
                 )
                 results.append(_run_inline(tasks[k], ctx, count_only))
             except Exception as exc:
-                self._record_event("task_retry", task=k, error=repr(exc))
-                results.append(_run_inline(tasks[k], ctx, count_only))
+                results.append(self._retry_inline(tasks[k], ctx, count_only, k, exc))
         return results
 
     def close(self) -> None:

@@ -43,14 +43,15 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.verify import (
-    emit_hot_cells,
-    verify_cell_pairs,
-    verify_cross_groups,
-    verify_self_groups,
-    verify_strip,
-)
 from repro.geometry import PairAccumulator, chunk_edges_by_volume
+from repro.geometry.kernels import (
+    PairCallback,
+    cell_pair_sweep,
+    cross_join_groups,
+    hot_cell_emit,
+    self_join_groups,
+    strip_sweep,
+)
 
 if TYPE_CHECKING:
     from repro.datasets import SpatialDataset
@@ -150,9 +151,53 @@ class FallbackJoinTask(JoinTask):
         return {"overlap_tests": int(tests)}
 
 
+def _plain_emitter(accumulator: PairAccumulator) -> PairCallback:
+    def on_pairs(left: np.ndarray, right: np.ndarray, _groups: np.ndarray) -> None:
+        accumulator.extend(left, right)
+
+    return on_pairs
+
+
+def _reference_point_emitter(
+    accumulator: PairAccumulator,
+    lo: np.ndarray,
+    groups: np.ndarray,
+    part_lo: np.ndarray,
+    part_hi: np.ndarray,
+) -> PairCallback:
+    """PBSM reference-point filter over the task's ``groups`` subset.
+
+    A pair is reported only by the partition containing the lower
+    corner of the pair's intersection box.  ``self_join_groups`` reports
+    each batch's pair positions relative to the ``groups`` array it was
+    handed; map them back to global partition ids before testing the
+    reference point against the partition bounds.
+    """
+
+    def on_pairs(left: np.ndarray, right: np.ndarray, group_pos: np.ndarray) -> None:
+        partitions = groups[group_pos]
+        ref = np.maximum(lo[left], lo[right])
+        inside = np.logical_and(
+            (ref >= part_lo[partitions]).all(axis=1),
+            (ref < part_hi[partitions]).all(axis=1),
+        )
+        if inside.any():
+            accumulator.extend(left[inside], right[inside])
+
+    return on_pairs
+
+
 @dataclass
 class GroupSelfJoinTask(JoinTask):
-    """All within-group pairs of ``groups``, via the shared verify kernel."""
+    """All within-group pairs of ``groups``.
+
+    ``pair_filter`` is ``None`` (emit every overlapping candidate) or
+    ``"reference-point"`` (PBSM's duplicate suppression, reading the
+    context's ``part_lo``/``part_hi``).  A plan whose tasks share a
+    grouping may store its :func:`~repro.geometry.kernels.grouped_values`
+    as ``<cat key>_values``; the kernel then reads it instead of
+    rebuilding it in every task.
+    """
 
     groups: np.ndarray
     count: str = "full"
@@ -163,17 +208,27 @@ class GroupSelfJoinTask(JoinTask):
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
         cat_key, starts_key, stops_key = self.keys
-        tests = verify_self_groups(
-            ctx,
-            accumulator,
+        lo = ctx["lo"]
+        if self.pair_filter is None:
+            on_pairs = _plain_emitter(accumulator)
+        elif self.pair_filter == "reference-point":
+            on_pairs = _reference_point_emitter(
+                accumulator, lo, self.groups, ctx["part_lo"], ctx["part_hi"]
+            )
+        else:
+            raise ValueError(f"unknown pair filter {self.pair_filter!r}")
+        tests = self_join_groups(
+            lo,
+            ctx["hi"],
+            ctx[cat_key],
+            ctx[starts_key],
+            ctx[stops_key],
             self.groups,
-            self.count,
-            pair_filter=self.pair_filter,
-            cat_key=cat_key,
-            starts_key=starts_key,
-            stops_key=stops_key,
+            on_pairs,
+            count=self.count,
+            values=ctx.get(f"{cat_key}_values"),
         )
-        return {"overlap_tests": int(tests)}
+        return {"overlap_tests": tests}
 
 
 @dataclass
@@ -189,16 +244,25 @@ class GroupCrossJoinTask(JoinTask):
     process_safe = True
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
-        tests = verify_cross_groups(
-            ctx,
-            accumulator,
+        cat_a, starts_a, stops_a = (ctx[key] for key in self.a_keys)
+        cat_b, starts_b, stops_b = (ctx[key] for key in self.b_keys)
+        tests = cross_join_groups(
+            ctx["lo"],
+            ctx["hi"],
+            cat_a,
+            starts_a,
+            stops_a,
+            cat_b,
+            starts_b,
+            stops_b,
             self.pair_a,
             self.pair_b,
-            self.count,
-            a_keys=self.a_keys,
-            b_keys=self.b_keys,
+            _plain_emitter(accumulator),
+            count=self.count,
+            values_a=ctx.get(f"{self.a_keys[0]}_values"),
+            values_b=ctx.get(f"{self.b_keys[0]}_values"),
         )
-        return {"overlap_tests": int(tests)}
+        return {"overlap_tests": tests}
 
 
 @dataclass
@@ -207,7 +271,9 @@ class CellPairSweepTask(JoinTask):
 
     Runs the optimized plane sweep with the enclosure shortcut (the
     ``cell_pair_sweep`` kernel) over its own portion of the step's
-    cell-pair list.
+    cell-pair list.  The context carries the grouping's
+    :func:`~repro.geometry.kernels.sweep_index` as
+    ``cat_values``/``sweep_keys``, built once per step.
     """
 
     pair_a: np.ndarray
@@ -217,14 +283,21 @@ class CellPairSweepTask(JoinTask):
     process_safe = True
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
-        tests, shortcuts = verify_cell_pairs(
-            ctx,
-            accumulator,
+        tests, shortcuts = cell_pair_sweep(
+            ctx["lo"],
+            ctx["hi"],
+            ctx["cat"],
+            ctx["starts"],
+            ctx["stops"],
+            ctx["center_lo"],
+            ctx["center_hi"],
             self.pair_a,
             self.pair_b,
+            accumulator,
             enclosure_shortcut=self.enclosure_shortcut,
+            index=(ctx["cat_values"], ctx["sweep_keys"]),
         )
-        return {"overlap_tests": int(tests), "shortcut_pairs": int(shortcuts)}
+        return {"overlap_tests": tests, "shortcut_pairs": shortcuts}
 
 
 @dataclass
@@ -236,8 +309,10 @@ class HotCellsTask(JoinTask):
     process_safe = True
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
-        emitted = emit_hot_cells(ctx, accumulator, self.hot_slots)
-        return {"overlap_tests": 0, "shortcut_pairs": int(emitted)}
+        emitted = hot_cell_emit(
+            ctx["cat"], ctx["starts"], ctx["stops"], self.hot_slots, accumulator
+        )
+        return {"overlap_tests": 0, "shortcut_pairs": emitted}
 
 
 @dataclass
@@ -259,5 +334,7 @@ class SweepStripTask(JoinTask):
     process_safe = True
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
-        tests = verify_strip(ctx, accumulator, self.start, self.stop, self.carry)
-        return {"overlap_tests": int(tests)}
+        tests = strip_sweep(
+            ctx["lo"], ctx["hi"], ctx["ids"], self.start, self.stop, self.carry, accumulator
+        )
+        return {"overlap_tests": tests}

@@ -238,6 +238,10 @@ class SpatialJoinAlgorithm:
 
     #: Human-readable algorithm name used by the experiment harness.
     name = "abstract"
+    #: Phases reported in ``JoinStatistics.phase_seconds``, in order.
+    #: ``"building"`` is the prepare stage's wall time; every other
+    #: phase sums the wall time of the tasks tagged with it.
+    phases: tuple[str, ...] = ()
 
     def __init__(
         self, count_only: bool = False, executor: Executor | str | None = None
@@ -248,7 +252,6 @@ class SpatialJoinAlgorithm:
         self.count_only = count_only
         self.executor: Executor = resolve_executor(executor)
         self.stats = JoinStatistics()
-        self._last_prepare_seconds = 0.0
         #: Read-only providers snapshot into ``JoinStatistics.index_counters``
         #: each step; subclasses register their index internals here.
         self.metrics: MetricsRegistry = MetricsRegistry()
@@ -357,10 +360,6 @@ class SpatialJoinAlgorithm:
         assert result.pairs is not None
         i_idx, j_idx = unique_pairs(*result.pairs, len(dataset))
         return pairs_to_adjacency(i_idx, j_idx, len(dataset))
-
-    def _phase_seconds(self) -> dict[str, float]:
-        """Optional finer phase breakdown; subclasses may override."""
-        return {}
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery protocol

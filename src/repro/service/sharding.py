@@ -31,11 +31,13 @@ The concatenated per-shard pairs, canonicalised through
 :func:`~repro.geometry.unique_pairs`, therefore equal the library's
 pair set bit for bit — the property suite enforces it across executors
 and motion models.  Distance queries run the same shard joins over a
-per-query halo grown by the distance, on the enlarged extents the
-library's ``distance_join`` uses.  Each shard answers them with a fresh
-algorithm from the same factory, so distance joins run at the
-factory's starting resolution and never touch the overlap join's
-tuner, P-Grid or maintained pair set.
+per-query halo grown by the distance, through the shard algorithm's
+own ``distance_join``.  THERMAL-JOIN answers it on a fresh instance of
+its configuration, so distance joins run at the starting resolution
+and never touch the overlap join's tuner, P-Grid or maintained pair
+set.  Other algorithms answer it on the shard's own instance; ST2B,
+the one that keeps an index across steps, rebuilds it because the
+enlarged extents change its cell width.
 
 Degradation instead of death: a shard whose compute raises is re-homed
 (restored from its last :func:`~repro.recovery.snapshot_shard` when
@@ -432,7 +434,7 @@ class ShardRing:
         Overlap joins are cached per shard version.  Distance joins run
         over a halo grown by the distance, which the version does not
         track, so they are recomputed per query (the assembled answer
-        is still cached per epoch), each on a fresh algorithm.
+        is still cached per epoch).
         """
         if self._poison.get(shard.shard_id) is not None:
             raise RuntimeError(
@@ -458,7 +460,7 @@ class ShardRing:
                 self.dataset.widths[members],
                 bounds=self.dataset.bounds,
             )
-            result = self._factory().distance_join(local, distance)
+            result = shard.join.distance_join(local, distance)
             shard.distance_memory_bytes = result.stats.memory_bytes
         seconds = time.perf_counter() - started
         assert result.pairs is not None

@@ -1,14 +1,11 @@
-"""Tests for THERMAL-JOIN's batched cell-pair kernels (repro.core.celljoin)."""
+"""Tests for THERMAL-JOIN's cell-pair kernels against the sequential
+reference :func:`repro.core.celljoin.join_sorted_lists`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.celljoin import (
-    emit_hot_cells_batched,
-    join_cell_pairs_batched,
-    join_sorted_lists,
-)
+from repro.core.celljoin import join_sorted_lists
 from repro.geometry import (
     PairAccumulator,
     all_combinations,
@@ -17,7 +14,7 @@ from repro.geometry import (
     pack_pairs,
     unique_pairs,
 )
-from repro.geometry.kernels import sweep_index
+from repro.geometry.kernels import cell_pair_sweep, hot_cell_emit, sweep_index
 
 
 def make_grouped_boxes(rng, n=150, n_groups=6, span=40.0, width=6.0):
@@ -158,7 +155,7 @@ class TestJoinCellPairsBatched:
                 pair_a.append(ga)
                 pair_b.append(gb)
         acc = PairAccumulator()
-        tests, shortcuts = join_cell_pairs_batched(
+        tests, shortcuts = cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi,
             np.asarray(pair_a), np.asarray(pair_b), acc, **kwargs,
         )
@@ -208,7 +205,7 @@ class TestJoinCellPairsBatched:
         pair_a = np.asarray([0, 1, 2])
         pair_b = np.asarray([1, 2, 3])
         batched_acc = PairAccumulator()
-        batched_tests, batched_shortcuts = join_cell_pairs_batched(
+        batched_tests, batched_shortcuts = cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, batched_acc
         )
         seq_acc = PairAccumulator()
@@ -237,7 +234,7 @@ class TestJoinCellPairsBatched:
     def test_empty_pairs(self, rng):
         lo, hi, _c, cat, starts, stops, c_lo, c_hi = make_grouped_boxes(rng, n=20)
         acc = PairAccumulator()
-        assert join_cell_pairs_batched(
+        assert cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi,
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), acc,
         ) == (0, 0)
@@ -248,7 +245,7 @@ class TestEmitHotCells:
         lo, hi, _c, cat, starts, stops, _cl, _ch = make_grouped_boxes(rng, n=60)
         acc_batched = PairAccumulator()
         hot = np.arange(starts.size)
-        emitted = emit_hot_cells_batched(cat, starts, stops, hot, acc_batched)
+        emitted = hot_cell_emit(cat, starts, stops, hot, acc_batched)
         acc_per_cell = PairAccumulator()
         for g in range(starts.size):
             i_ids, j_ids = all_combinations(cat[starts[g]:stops[g]])
@@ -263,7 +260,7 @@ class TestEmitHotCells:
     def test_no_hot_cells(self, rng):
         lo, hi, _c, cat, starts, stops, _cl, _ch = make_grouped_boxes(rng, n=20)
         acc = PairAccumulator()
-        assert emit_hot_cells_batched(
+        assert hot_cell_emit(
             cat, starts, stops, np.empty(0, dtype=np.int64), acc
         ) == 0
 
@@ -272,4 +269,4 @@ class TestEmitHotCells:
         starts = np.asarray([0, 1, 2], dtype=np.int64)
         stops = np.asarray([1, 2, 3], dtype=np.int64)
         acc = PairAccumulator()
-        assert emit_hot_cells_batched(cat, starts, stops, np.arange(3), acc) == 0
+        assert hot_cell_emit(cat, starts, stops, np.arange(3), acc) == 0

@@ -7,7 +7,8 @@ Covers the three executor bugfixes:
   N × timeout waits (the timing assertions fail against the pre-fix
   per-wait semantics);
 * ``Executor._attempt_inline`` honours ``max_retries`` instead of
-  retrying exactly once;
+  retrying exactly once, and so does a task that fails on the thread
+  pool;
 * ``resolve_executor`` spec strings pick up
   ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES`` and the budgets
   round-trip through ``repr``.
@@ -164,6 +165,48 @@ class TestInlineRetryBudget:
         results = executor.run([task], {}, False)
         assert results[0].counters == {"overlap_tests": 0}
         assert task.attempts == 3
+
+
+# ----------------------------------------------------------------------
+# Pool retry budget (pre-fix: a task failing on the thread pool got
+# exactly one inline re-run, whatever max_retries said)
+# ----------------------------------------------------------------------
+_BUDGET_EXECUTORS = {
+    "serial": lambda retries: SerialExecutor(max_retries=retries),
+    "thread:2": lambda retries: ThreadExecutor(2, max_retries=retries),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_BUDGET_EXECUTORS))
+class TestPoolRetryBudget:
+    """Every executor gives a failing task the same retry budget.
+
+    Two tasks, so the thread executor runs them on its pool; the first
+    fails its first ``failures`` attempts.
+    """
+
+    def _run(self, spec, retries, failures):
+        executor = _BUDGET_EXECUTORS[spec](retries)
+        task = FlakyTask(failures=failures)
+        try:
+            return executor, task, executor.run([task, FlakyTask(0)], {}, False)
+        finally:
+            executor.close()
+
+    def test_zero_retries_fails_fast(self, spec):
+        with pytest.raises(RuntimeError, match="injected failure #1"):
+            self._run(spec, retries=0, failures=1)
+
+    def test_retries_up_to_budget(self, spec):
+        executor, task, results = self._run(spec, retries=3, failures=3)
+        assert task.attempts == 4  # first launch + three retries
+        assert [r.counters for r in results] == [{"overlap_tests": 0}] * 2
+        events = executor.drain_events()
+        assert [(e["kind"], e["task"]) for e in events] == [("task_retry", 0)] * 3
+
+    def test_budget_exhaustion_raises_last_error(self, spec):
+        with pytest.raises(RuntimeError, match="injected failure #3"):
+            self._run(spec, retries=2, failures=10)
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,24 @@ class TestWallClock:
         )
         assert codes_of(findings) == {"RPL003"}
 
-    def test_whitelisted_site_is_clean(self, tmp_path: Path) -> None:
+    @pytest.fixture
+    def build_whitelisted(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # The shipped whitelist is empty; exercise the mechanism with an
+        # entry of its own.
+        from tools.repro_lint import config
+
+        monkeypatch.setattr(
+            config,
+            "TIMING_WHITELIST",
+            {("/repro/core/thermal.py", "ThermalJoin._build"): "fixture"},
+        )
+
+    def test_shipped_whitelist_is_empty(self) -> None:
+        from tools.repro_lint import config
+
+        assert config.TIMING_WHITELIST == {}
+
+    def test_whitelisted_site_is_clean(self, tmp_path: Path, build_whitelisted: None) -> None:
         findings = lint_source(
             tmp_path,
             "repro/core/thermal.py",
@@ -219,7 +236,9 @@ class TestWallClock:
         )
         assert findings == []
 
-    def test_whitelist_does_not_leak_to_other_scopes(self, tmp_path: Path) -> None:
+    def test_whitelist_does_not_leak_to_other_scopes(
+        self, tmp_path: Path, build_whitelisted: None
+    ) -> None:
         findings = lint_source(
             tmp_path,
             "repro/core/thermal.py",

@@ -285,6 +285,28 @@ class TestDistanceIsolation:
             assert np.array_equal(_keys(answer.pairs, n), _library_join_keys(after))
 
 
+class TestDistanceOnShardAlgorithm:
+    def test_distance_query_builds_nothing_from_the_factory(self):
+        # The shard's own algorithm answers the query; THERMAL-JOIN's
+        # distance_join makes its one fresh instance itself.
+        calls = []
+
+        def factory():
+            calls.append(None)
+            return ThermalJoin()
+
+        dataset = _two_cluster_dataset()
+        with ShardRing(dataset, n_shards=2, algorithm_factory=factory) as ring:
+            ring.join_pairs()
+            built = len(calls)
+            answer = ring.distance_pairs(2.0)
+            assert len(calls) == built
+            n = len(dataset)
+            assert np.array_equal(
+                _keys(answer.pairs, n), _library_distance_keys(dataset, 2.0)
+            )
+
+
 # ----------------------------------------------------------------------
 # Result cache: versioned keys, per-shard invalidation
 # ----------------------------------------------------------------------

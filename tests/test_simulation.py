@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ThermalJoin
-from repro.datasets import make_uniform_workload
+from repro.datasets import IntermittentTranslation, make_uniform_workload
 from repro.joins import PlaneSweepJoin
 from repro.simulation import (
     SimulationRunner,
@@ -118,6 +118,19 @@ class TestRunner:
         runner = SimulationRunner(dataset, motion, ThermalJoin(resolution=1.0))
         records = runner.run(2)
         assert set(records[0].phase_seconds) == {"building", "internal", "external"}
+
+    def test_building_phase_is_the_prepare_stage(self):
+        # One clock: the engine's prepare stage is THERMAL-JOIN's
+        # building phase, on full and incremental steps alike.
+        dataset, _ = small_workload()
+        motion = IntermittentTranslation(dataset, distance=4.0, move_fraction=0.05, seed=3)
+        runner = SimulationRunner(
+            dataset, motion, ThermalJoin(resolution=1.0, pair_maintenance=True)
+        )
+        records = runner.run(4)
+        assert {r.incremental["mode"] for r in records} == {"full", "incremental"}
+        for record in records:
+            assert record.phase_seconds["building"] == record.stage_seconds["prepare"]
 
 
 class TestMetrics:

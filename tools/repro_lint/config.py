@@ -89,13 +89,9 @@ DATETIME_NOW_FUNCTIONS: frozenset[str] = frozenset({"now", "utcnow", "today"})
 
 #: Sanctioned wall-clock sites inside :data:`DETERMINISTIC_SCOPE`, as
 #: ``(path substring, dotted scope qualname)`` → one-line justification.
-#: A qualname entry also covers scopes nested inside it.
-TIMING_WHITELIST: dict[tuple[str, str], str] = {
-    (
-        "/repro/core/thermal.py",
-        "ThermalJoin._build",
-    ): "build_seconds instrumentation: the wall time *is* the measured quantity",
-}
+#: A qualname entry also covers scopes nested inside it.  Empty: the
+#: engine's stage clock times every phase the core reports.
+TIMING_WHITELIST: dict[tuple[str, str], str] = {}
 
 # ----------------------------------------------------------------------
 # RPL201 — ad-hoc overlap predicates
