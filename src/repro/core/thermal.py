@@ -672,8 +672,12 @@ class ThermalJoin(SpatialJoinAlgorithm):
 
         Pairs must be materialised to seed the set, so ``count_only`` is
         lifted around the engine step and the returned result re-honours
-        it.  The seeded state is re-snapshot into ``index_counters`` so
-        the step's record already shows the maintained-set size.
+        it.  The set is seeded only when the tuner is converged (or
+        absent) after the step: :meth:`_delta_applicable` refuses an
+        unconverged tuner, so the next step would be full anyway and a
+        set seeded now would never be read.  The seeded state is
+        re-snapshot into ``index_counters`` so the step's record already
+        shows the maintained-set size.
         """
         from repro.joins.base import JoinResult
 
@@ -692,11 +696,16 @@ class ThermalJoin(SpatialJoinAlgorithm):
         finally:
             self.count_only = was_count_only
         assert result.pairs is not None
-        self._maintained = MaintainedPairSet(len(dataset), *result.pairs)
-        self._maintained_uid = dataset.uid
-        self._maintained_version = dataset.version
+        if self.tuner is None or self.tuner.converged:
+            self._maintained = MaintainedPairSet(len(dataset), *result.pairs)
+            self._maintained_uid = dataset.uid
+            self._maintained_version = dataset.version
+        else:
+            self._drop_maintained()
         self.churn.observe_full(self._operations_cost(result))
-        self._incr["maintained_pairs"] = len(self._maintained)
+        self._incr["maintained_pairs"] = (
+            0 if self._maintained is None else len(self._maintained)
+        )
         # Refresh only the incremental entry: re-snapshotting every
         # provider here would run *after* a possible tuner retune
         # dropped the P-Grid, wiping the engine-time pgrid counters.
@@ -900,9 +909,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
 
         maintained_meta = meta["maintained"]
         if maintained_meta is None:
-            self._maintained = None
-            self._maintained_uid = None
-            self._maintained_version = None
+            self._drop_maintained()
         else:
             n = int(maintained_meta["n"])
             if n != len(dataset):
@@ -940,6 +947,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
         retried step a clean seeding full join.
         """
         self.pgrid = None
+        self._drop_maintained()
+
+    def _drop_maintained(self) -> None:
         self._maintained = None
         self._maintained_uid = None
         self._maintained_version = None

@@ -15,6 +15,13 @@ The tuner follows the paper's protocol:
   threshold (Equation 1; the paper uses 10 % and observes convergence in
   6–8 time steps), and settle at the cheapest probe of the tuning
   phase — not at the last one, which Equation 1 only says is close;
+* stop climbing as soon as the cheapest probe is bracketed — a probe on
+  each side of it has lost — because on a convex cost no finer walk can
+  find a point the bracket does not already enclose;
+* before settling by either rule, probe once the vertex of the parabola
+  through the last three probes, but only when it predicts a cost more
+  than the threshold below the best: each probe is a full join step,
+  and the probes on the fine side of ``r = 1`` cost the most;
 * once converged, stop tuning but keep watching the cost at the chosen
   ``r'``; when it drifts by more than the threshold from the fixed
   converged-cost reference (Equation 2 — the workload's distribution
@@ -98,6 +105,13 @@ class HillClimbingTuner:
         # Whether the last observation moved r: the next cost is then
         # measured on a grid rebuilt from scratch at the new r.
         self._moved = False
+        # The nearest probe that lost on the far side of the best point
+        # (opposite the climb's direction), as (r, cost); a loser on the
+        # side the climb walks toward then brackets the best.
+        self._lost: tuple[float, float] | None = None
+        # Whether the current r is the vertex probe, after which the
+        # climb settles.
+        self._vertex_probe = False
 
     # ------------------------------------------------------------------
     def observe(self, cost: float) -> bool:
@@ -159,14 +173,22 @@ class HillClimbingTuner:
         The climb keeps the best ``(r, cost)`` seen in the current tuning
         phase; retreats aim at the best point rather than merely the
         previous one, so a walk that wandered into a bad region (or onto
-        the clamped boundary) cannot settle there.
+        the clamped boundary) cannot settle there.  Once a probe on each
+        side of the best has lost, the climb settles there, after at most
+        one probe at the vertex of the parabola through the last three
+        probes.
         """
         self.tuning_steps += 1
         if self._best_cost is None or cost < self._best_cost:
             self._best_r = self.current_r
             self._best_cost = cost
+        assert self._best_r is not None and self._best_cost is not None
 
-        if self._prev_cost is None:
+        if self._vertex_probe:
+            # The vertex was the last probe of the phase.
+            return self._finalize_at(self._best_r)
+
+        if self._prev_r is None or self._prev_cost is None:
             # First probe: remember it and take the initial step.
             self._prev_r = self.current_r
             self._prev_cost = cost
@@ -182,10 +204,12 @@ class HillClimbingTuner:
             # point seen, not a flat stretch of a bad region.  Settle at
             # the cheapest probe: the last one only came within the
             # threshold of its predecessor.
-            return self._finalize_at(self._best_r)
+            return self._settle((self._prev_r, self._prev_cost), cost)
 
         if cost < self._prev_cost:
-            # Improvement: keep walking the same direction.
+            # Improvement: keep walking the same direction.  The probe
+            # just left behind is the nearest loser on the far side.
+            self._lost = (self._prev_r, self._prev_cost)
             self._prev_r = self.current_r
             self._prev_cost = cost
             return self._propose(self.current_r + self._direction * self._step)
@@ -195,9 +219,30 @@ class HillClimbingTuner:
         self._step /= 2.0
         if self._step < self.min_step:
             return self._finalize_at(self._best_r)
+        if self._lost is not None:
+            # A probe on each side of the best has lost: the best is
+            # bracketed, and a finer walk would only re-probe inside it.
+            return self._settle((self._prev_r, self._prev_cost), cost)
+        self._lost = (self.current_r, cost)
         self._prev_r = self._best_r
         self._prev_cost = self._best_cost
         return self._propose(self._best_r + self._direction * self._step)
+
+    def _settle(self, prev: tuple[float, float], cost: float) -> bool:
+        """End the climb at the cheapest probe, or first probe the vertex.
+
+        The vertex of the parabola through the last three probes (the
+        far-side loser, ``prev`` and ``cost`` at the current ``r``) is
+        probed once when it predicts a cost more than the threshold
+        below the best; the observation after it settles.
+        """
+        assert self._best_r is not None and self._best_cost is not None
+        if self._lost is not None:
+            vertex = _parabola_vertex(self._lost, prev, (self.current_r, cost))
+            if vertex is not None and vertex[1] < (1.0 - self.threshold) * self._best_cost:
+                self._vertex_probe = True
+                return self._propose(vertex[0])
+        return self._finalize_at(self._best_r)
 
     def _finalize_at(self, r: float) -> bool:
         """Converge onto ``r``; the drift reference starts fresh."""
@@ -208,6 +253,8 @@ class HillClimbingTuner:
         # Equation-2 reference; comparing against a cost measured at an
         # earlier time step of a moving workload triggers false drift.
         self._converged_cost = None
+        self._lost = None
+        self._vertex_probe = False
         return self._propose(r)
 
     def _propose(self, r: float) -> bool:
@@ -255,6 +302,8 @@ class HillClimbingTuner:
             "best_r": self._best_r,
             "best_cost": self._best_cost,
             "moved": self._moved,
+            "lost": None if self._lost is None else list(self._lost),
+            "vertex_probe": self._vertex_probe,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
@@ -264,6 +313,14 @@ class HillClimbingTuner:
             setattr(self, name, float(state[name]))  # type: ignore[arg-type]
         self.converged = bool(state["converged"])
         self._moved = bool(state["moved"])
+        self._vertex_probe = bool(state["vertex_probe"])
+        lost = state["lost"]
+        if lost is None:
+            self._lost = None
+        elif isinstance(lost, list) and len(lost) == 2:
+            self._lost = (float(lost[0]), float(lost[1]))
+        else:
+            raise ValueError("tuner lost probe must be null or [r, cost]")
         history = state["history"]
         if not isinstance(history, list):
             raise ValueError("tuner history must be a list")
@@ -279,3 +336,18 @@ class HillClimbingTuner:
     def __repr__(self) -> str:
         state = "converged" if self.converged else "tuning"
         return f"HillClimbingTuner(r={self.current_r:.3f}, {state})"
+
+
+def _parabola_vertex(*probes: tuple[float, float]) -> tuple[float, float] | None:
+    """Vertex ``(r, cost)`` of the parabola through three ``(r, cost)``
+    probes; ``None`` unless their ``r`` are distinct (a clamped probe
+    repeats its ``r``) and the parabola is convex."""
+    (a, fa), (b, fb), (c, fc) = sorted(probes)
+    if not a < b < c:
+        return None
+    slope_left = (fb - fa) / (b - a)
+    curvature = ((fc - fb) / (c - b) - slope_left) / (c - a)
+    if curvature <= 0.0:
+        return None
+    slope = slope_left + curvature * (b - a)  # the parabola's slope at b
+    return b - slope / (2.0 * curvature), fb - slope * slope / (4.0 * curvature)

@@ -28,9 +28,10 @@ Tasks are pure functions of the plan's context, so they are retryable
 units.  Every executor records robustness *events* (drained into
 :class:`~repro.joins.base.JoinStatistics.events` by the step driver):
 
-* a failed task is retried — on the pool for ``ProcessExecutor``, then
-  re-executed inline in the parent as a last resort, so a transient
-  worker fault never changes the merged pair set;
+* a failed task is retried up to ``max_retries`` times — on the pool
+  for ``ProcessExecutor``, inline in the parent otherwise — so a
+  transient worker fault never changes the merged pair set; once the
+  budget is spent the last error propagates;
 * ``task_timeout`` is a shared per-step budget: one deadline is taken
   when the step's waits begin and every pooled wait draws on the
   remaining budget, so a slow task queued behind another slow task
@@ -195,8 +196,7 @@ class Executor:
     Parameters
     ----------
     max_retries:
-        Scheduled re-attempts for a failed task before the inline
-        last resort (pool executors) or before the failure propagates.
+        Re-attempts for a failed task before the failure propagates.
     task_timeout:
         Wall-clock budget in seconds shared by all of a step's pooled
         waits; ``None`` (default) disables timeouts.  The deadline is
@@ -489,7 +489,7 @@ class ProcessExecutor(Executor):
     flagged ``process_safe=False`` run inline in the parent process.
 
     Recovery (see the module docstring): failed tasks are retried on
-    the pool then inline; timed-out tasks re-run inline; a broken pool
+    the pool; timed-out tasks re-run inline; a broken pool
     is rebuilt once, after which the executor permanently degrades to
     thread and ultimately serial execution for the rest of the run.
     ``degraded`` exposes the current rung (``None`` when healthy).
@@ -616,17 +616,12 @@ class ProcessExecutor(Executor):
                             break
                         except Exception as exc:
                             attempts[k] += 1
-                            if attempts[k] <= self.max_retries:
-                                self._record_event(
-                                    "task_retry", task=k, error=repr(exc)
-                                )
-                                submission[k] = tasks[k]
-                                retry_round.append(k)
-                            else:
-                                self._record_event(
-                                    "task_inline", task=k, error=repr(exc)
-                                )
-                                results[k] = _run_inline(tasks[k], ctx, count_only)
+                            if attempts[k] > self.max_retries:
+                                # Budget spent: the last error propagates.
+                                raise
+                            self._record_event("task_retry", task=k, error=repr(exc))
+                            submission[k] = tasks[k]
+                            retry_round.append(k)
                         else:
                             results[k] = _result_from_payload(payload, count_only)
                 if broken is not None:

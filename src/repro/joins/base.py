@@ -67,7 +67,7 @@ FLOAT_BYTES = 8
 #: Robustness-event kinds that represent a re-execution of a task.
 #: Defined here because ``JoinStatistics.task_retries`` is *defined* as
 #: the count of these kinds; the executors re-export the tuple.
-RETRY_EVENT_KINDS = ("task_retry", "task_inline", "task_timeout")
+RETRY_EVENT_KINDS = ("task_retry", "task_timeout")
 
 
 @dataclass
@@ -101,7 +101,7 @@ class JoinStatistics:
     events:
         Robustness events the executor recorded during the step, in
         occurrence order.  Each is a dict with a ``kind`` key —
-        ``task_retry``, ``task_inline``, ``task_timeout``,
+        ``task_retry``, ``task_timeout``,
         ``pool_broken``, ``pool_rebuild`` or ``degraded`` — plus
         kind-specific detail (task index, error repr, downgrade rung).
         Empty on a clean step.

@@ -77,6 +77,37 @@ class FlakyTask:
         return {"overlap_tests": 0}
 
 
+class FileFlakyTask:
+    """Process-safe JoinTask that fails its first ``failures`` attempts.
+
+    Attempts are counted as bytes appended to ``path``, so the count
+    holds across the worker processes a pool retry may land on.
+    """
+
+    phase = "join"
+    process_safe = True
+
+    def __init__(self, path, failures: int) -> None:
+        self.path = str(path)
+        self.failures = failures
+
+    @property
+    def attempts(self) -> int:
+        try:
+            with open(self.path, "rb") as handle:
+                return len(handle.read())
+        except FileNotFoundError:
+            return 0
+
+    def run(self, ctx, accumulator):
+        with open(self.path, "ab") as handle:
+            handle.write(b"x")
+        attempt = self.attempts
+        if attempt <= self.failures:
+            raise RuntimeError(f"injected failure #{attempt}")
+        return {"overlap_tests": 0}
+
+
 # ----------------------------------------------------------------------
 # Shared per-step deadline (pre-fix: each wait got its own timeout)
 # ----------------------------------------------------------------------
@@ -174,6 +205,7 @@ class TestInlineRetryBudget:
 _BUDGET_EXECUTORS = {
     "serial": lambda retries: SerialExecutor(max_retries=retries),
     "thread:2": lambda retries: ThreadExecutor(2, max_retries=retries),
+    "process:2": lambda retries: ProcessExecutor(2, max_retries=retries),
 }
 
 
@@ -181,32 +213,45 @@ _BUDGET_EXECUTORS = {
 class TestPoolRetryBudget:
     """Every executor gives a failing task the same retry budget.
 
-    Two tasks, so the thread executor runs them on its pool; the first
-    fails its first ``failures`` attempts.
+    Two process-safe tasks and a context to publish, so the thread and
+    process executors run them on their pools; the first fails its
+    first ``failures`` attempts.  A process executor used to run such a
+    task inline once more after spending the budget on the pool.
     """
 
-    def _run(self, spec, retries, failures):
+    def _run(self, spec, retries, failures, tmp_path):
         executor = _BUDGET_EXECUTORS[spec](retries)
-        task = FlakyTask(failures=failures)
+        task = FileFlakyTask(tmp_path / "attempts", failures=failures)
+        other = FileFlakyTask(tmp_path / "other", failures=0)
+        ctx = {"unused": np.zeros(1)}
         try:
-            return executor, task, executor.run([task, FlakyTask(0)], {}, False)
+            return executor, task, executor.run([task, other], ctx, False)
         finally:
             executor.close()
 
-    def test_zero_retries_fails_fast(self, spec):
+    def test_zero_retries_fails_fast(self, spec, tmp_path):
         with pytest.raises(RuntimeError, match="injected failure #1"):
-            self._run(spec, retries=0, failures=1)
+            self._run(spec, retries=0, failures=1, tmp_path=tmp_path)
+        assert FileFlakyTask(tmp_path / "attempts", 0).attempts == 1
 
-    def test_retries_up_to_budget(self, spec):
-        executor, task, results = self._run(spec, retries=3, failures=3)
+    def test_one_retry_runs_the_task_twice(self, spec, tmp_path):
+        with pytest.raises(RuntimeError, match="injected failure #2"):
+            self._run(spec, retries=1, failures=10, tmp_path=tmp_path)
+        assert FileFlakyTask(tmp_path / "attempts", 0).attempts == 2
+
+    def test_retries_up_to_budget(self, spec, tmp_path):
+        executor, task, results = self._run(
+            spec, retries=3, failures=3, tmp_path=tmp_path
+        )
         assert task.attempts == 4  # first launch + three retries
         assert [r.counters for r in results] == [{"overlap_tests": 0}] * 2
         events = executor.drain_events()
         assert [(e["kind"], e["task"]) for e in events] == [("task_retry", 0)] * 3
 
-    def test_budget_exhaustion_raises_last_error(self, spec):
+    def test_budget_exhaustion_raises_last_error(self, spec, tmp_path):
         with pytest.raises(RuntimeError, match="injected failure #3"):
-            self._run(spec, retries=2, failures=10)
+            self._run(spec, retries=2, failures=10, tmp_path=tmp_path)
+        assert FileFlakyTask(tmp_path / "attempts", 0).attempts == 3
 
 
 # ----------------------------------------------------------------------

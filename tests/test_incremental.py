@@ -136,6 +136,62 @@ class TestBitIdentity:
         assert first[2] == second[2]
 
 
+class TestSeeding:
+    """The maintained set is seeded only once the tuner has converged:
+    incremental steps need a converged tuner, so a set seeded on a step
+    that leaves the climb running would never be read."""
+
+    def test_warm_up_builds_the_maintained_set_once(self, monkeypatch):
+        built = []
+
+        class CountingPairSet(MaintainedPairSet):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.thermal.MaintainedPairSet", CountingPairSet)
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True)
+        delta = None
+        built_before_step, modes = [], []
+        for _ in range(8):
+            built_before_step.append(len(built))
+            result = algorithm.step_delta(dataset, delta)
+            assert np.array_equal(
+                result_keys(result, len(dataset)), oracle_keys(dataset)
+            )
+            modes.append(algorithm._incr["mode"])
+            if not algorithm.tuner.converged:
+                assert algorithm._maintained is None
+                assert algorithm._incr["maintained_pairs"] == 0
+            delta = motion.step(dataset)
+        first_incremental = modes.index("incremental")
+        assert modes[:first_incremental] == ["full"] * first_incremental
+        assert first_incremental > 1  # the warm-up explored at least once
+        assert built_before_step[first_incremental] == 1
+
+    def test_unconverged_steps_record_no_maintained_pairs(self):
+        dataset = small_dataset()
+        runner = SimulationRunner(
+            dataset,
+            MOTIONS["intermittent-low"](dataset),
+            ThermalJoin(pair_maintenance=True),
+        )
+        records = runner.run(8)
+        tuner = runner.algorithm.tuner
+        assert tuner.converged and tuner.retunes == 0
+        # Step k fed the tuner its k-th observation: the last one of the
+        # climb converged it, and that step seeded the set.
+        settled = tuner.tuning_steps - 1
+        assert settled >= 1
+        for record in records[:settled]:
+            assert record.incremental["mode"] == "full"
+            assert record.incremental["maintained_pairs"] == 0
+        seeded = records[settled]
+        assert seeded.incremental["maintained_pairs"] == seeded.n_results
+
+
 # ----------------------------------------------------------------------
 # Fallback semantics
 # ----------------------------------------------------------------------

@@ -368,7 +368,35 @@ class TestResumeBitIdentity:
         assert [r.index_counters["tuner"]["resolution"] for r in resumed.records] == [
             t["resolution"] for t in tuner_series
         ]
-        assert resumed.algorithm.tuner.retunes == 0
+        # The drift reference is seeded on the first recycled step, and
+        # the workload itself may drift past it later in the run: the
+        # resumed run must retune exactly when the uninterrupted one does.
+        assert resumed.algorithm.tuner.retunes == baseline.algorithm.tuner.retunes
+
+    def test_resume_between_the_two_losing_probes(self, tmp_path):
+        """Checkpoint after the first probe lost: the resumed tuner must
+        remember that side, or the second loser does not bracket the
+        best and the climb walks on."""
+        dataset, motion = _make_workload("uniform", seed=3)
+        baseline = SimulationRunner(dataset, motion, ThermalJoin())
+        baseline.run(N_STEPS)
+
+        dataset2, motion2 = _make_workload("uniform", seed=3)
+        first = SimulationRunner(
+            dataset2, motion2, ThermalJoin(), checkpoint_dir=tmp_path,
+            checkpoint_every=2,
+        )
+        first.run(2)
+        tuner = first.algorithm.tuner
+        assert not tuner.converged
+        assert [r for r, _cost in tuner.history] == [1.0, 0.75]
+        assert tuner.state_dict()["lost"] == [0.75, tuner.history[1][1]]
+
+        resumed = SimulationRunner.resume(tmp_path, ThermalJoin())
+        assert resumed._next_step == 2
+        resumed.run(N_STEPS)
+        assert_trajectories_identical(baseline.records, resumed.records)
+        assert resumed.algorithm.tuner.history == baseline.algorithm.tuner.history
 
     def test_version_1_maintained_keys_never_restored(self, tmp_path):
         # Version 1 packed maintained pairs as i * n + j.  Rewrite the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,15 +247,14 @@ class TestSettlesAtBestProbe:
     reference is seeded only once the grid at ``r'`` is recycled."""
 
     def test_recorded_10k_probes_converge_at_the_best(self):
-        # Operation costs of scaled_uniform(10_000, seed=1): the last
-        # probe (1.03125) is within 10% of its predecessor, but r = 1.0
-        # measured cheapest.
+        # Operation costs of scaled_uniform(10_000, seed=1): r = 1.0 is
+        # bracketed once 0.75 and 1.125 have both lost, and the vertex
+        # of the parabola through the three predicts less than a 10%
+        # gain, so the climb settles without probing 0.9375 or 1.03125.
         probes = {
             1.0: 2129203.5,
             0.75: 3340022.95,
             1.125: 2710549.2,
-            0.9375: 4650673.75,
-            1.03125: 2239772.45,
         }
         tuner = HillClimbingTuner()
         for _ in probes:
@@ -275,6 +276,41 @@ class TestSettlesAtBestProbe:
         assert tuner.converged
         assert tuner.retunes == 0
         assert tuner.current_r == 0.5
+
+    @pytest.mark.parametrize("optimum", [0.3, 0.5, 0.6, 0.8, 0.9, 1.0, 1.1, 1.4, 1.9])
+    @pytest.mark.parametrize("curvature", [5, 50, 500, 2000])
+    def test_settles_near_the_minimum_of_a_parabola(self, optimum, curvature):
+        def landscape(r):
+            return 10.0 + curvature * (r - optimum) ** 2
+
+        tuner = run_on_function(HillClimbingTuner(), landscape)
+        assert tuner.converged
+        assert landscape(tuner.current_r) <= 1.05 * 10.0
+
+    def test_vertex_probe_when_the_bracket_promises_a_gain(self):
+        # 0.75 and 1.125 bracket r = 1.0; the parabola through the three
+        # probes bottoms out at 0.9 with a cost more than 10% below the
+        # best, so the climb probes 0.9 once and settles there.
+        landscape = lambda r: 10 + 500 * (r - 0.9) ** 2  # noqa: E731
+        tuner = run_on_function(HillClimbingTuner(), landscape)
+        assert [r for r, _cost in tuner.history] == pytest.approx([1.0, 0.75, 1.125, 0.9])
+        assert tuner.converged
+        assert tuner.current_r == pytest.approx(0.9)
+
+    def test_vertex_probe_that_loses_settles_at_the_best(self):
+        # The bracket's parabola promises a gain the landscape does not
+        # deliver: the climb returns to the best probe, without probing
+        # anything after the vertex.
+        costs = {1.0: 100.0, 0.75: 1000.0, 1.125: 111.0}
+        tuner = HillClimbingTuner()
+        for _ in range(3):
+            tuner.observe(costs[tuner.current_r])
+        vertex = tuner.current_r
+        assert not tuner.converged and vertex not in costs
+        assert tuner.observe(500.0)  # moves back to the best probe
+        assert tuner.converged
+        assert tuner.current_r == 1.0
+        assert [r for r, _cost in tuner.history] == [1.0, 0.75, 1.125, vertex]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -303,3 +339,40 @@ class TestSettlesAtBestProbe:
             )
         assert tuner.converged
         assert tuner.retunes == 0
+
+
+class TestStateDict:
+    def _mid_climb(self):
+        # 0.75 lost against r = 1.0: the climb now walks up, with the
+        # far side's loser remembered.
+        tuner = HillClimbingTuner()
+        tuner.observe(100.0)
+        tuner.observe(150.0)
+        return tuner
+
+    def test_round_trips_the_far_side_loser(self):
+        tuner = self._mid_climb()
+        state = json.loads(json.dumps(tuner.state_dict()))
+        assert state["lost"] == [0.75, 150.0]
+        assert state["vertex_probe"] is False
+        restored = HillClimbingTuner()
+        restored.load_state_dict(state)
+        assert restored.state_dict() == tuner.state_dict()
+
+    def test_restored_climb_decides_like_the_original(self):
+        landscape = lambda r: 10 + 500 * (r - 0.9) ** 2  # noqa: E731
+        tuner = HillClimbingTuner()
+        for _ in range(2):
+            tuner.observe(landscape(tuner.current_r))
+        restored = HillClimbingTuner()
+        restored.load_state_dict(json.loads(json.dumps(tuner.state_dict())))
+        for t in (tuner, restored):
+            run_on_function(t, landscape)
+        assert restored.history == tuner.history
+        assert restored.current_r == tuner.current_r
+
+    def test_converged_state_holds_no_climb(self):
+        tuner = run_on_function(HillClimbingTuner(), lambda r: 10 + 500 * (r - 0.9) ** 2)
+        assert tuner.converged
+        state = tuner.state_dict()
+        assert state["lost"] is None and state["vertex_probe"] is False
