@@ -17,11 +17,11 @@ from repro.experiments.workloads import scaled_neural
 from conftest import NEURAL_N
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_parallel_external_join(benchmark, n_workers):
+@pytest.mark.parametrize("executor", ["serial", "thread:2", "thread:4"])
+def test_parallel_external_join(benchmark, executor):
     """Threaded external join at 1/2/4 workers (identical results)."""
     dataset, _motion, _labels = scaled_neural(NEURAL_N, seed=801)
-    join = ThermalJoin(resolution=1.0, count_only=True, n_workers=n_workers)
+    join = ThermalJoin(resolution=1.0, count_only=True, executor=executor)
 
     result = benchmark(lambda: join.step(dataset))
     assert result.n_results > 0
@@ -31,7 +31,7 @@ def test_parallel_results_match_serial():
     dataset, _motion, _labels = scaled_neural(NEURAL_N, seed=802)
     serial = ThermalJoin(resolution=1.0, count_only=True).step(dataset)
     threaded = ThermalJoin(
-        resolution=1.0, count_only=True, n_workers=4
+        resolution=1.0, count_only=True, executor="thread:4"
     ).step(dataset)
     assert threaded.n_results == serial.n_results
     assert threaded.stats.overlap_tests == serial.stats.overlap_tests

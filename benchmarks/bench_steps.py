@@ -71,9 +71,10 @@ from repro.obs import (  # noqa: E402
     environment_info,
     run_aggregates,
     set_tracer,
-    step_record_to_json,
+    to_jsonable,
     validate_bench,
 )
+from repro.recovery import step_record_to_jsonable  # noqa: E402
 from repro.service import JoinService  # noqa: E402
 from repro.simulation import SimulationRunner  # noqa: E402
 
@@ -122,6 +123,11 @@ INCREMENTAL_SCENARIOS = (
     ("uniform-low-motion", {"move_fraction": 0.02, "distance": 3.0}, None),
     ("uniform-high-churn", {"move_fraction": 0.50, "distance": 10.0}, 0.0),
 )
+
+
+def _steps_json(records):
+    """The bench schema's ``steps`` list for ``records``."""
+    return to_jsonable([step_record_to_jsonable(record) for record in records])
 
 
 def _algorithms(executor):
@@ -213,7 +219,7 @@ def _run_matrix_inner(config):
                         "checkpoint_every": 0,
                         "n_objects": len(dataset),
                         "n_steps": len(records),
-                        "steps": [step_record_to_json(record) for record in records],
+                        "steps": _steps_json(records),
                         "aggregates": run_aggregates(runner),
                     }
                 )
@@ -265,7 +271,7 @@ def _incremental_runs(config):
                     "checkpoint_every": 0,
                     "n_objects": len(dataset),
                     "n_steps": len(records),
-                    "steps": [step_record_to_json(record) for record in records],
+                    "steps": _steps_json(records),
                     "aggregates": run_aggregates(runner),
                 }
             )
@@ -303,7 +309,7 @@ def _scaling_runs(config):
                 "checkpoint_every": 0,
                 "n_objects": len(dataset),
                 "n_steps": len(records),
-                "steps": [step_record_to_json(record) for record in records],
+                "steps": _steps_json(records),
                 "aggregates": run_aggregates(runner),
             }
         )
@@ -357,7 +363,7 @@ def _checkpoint_runs(config):
                 "checkpoint_every": every,
                 "n_objects": len(dataset),
                 "n_steps": len(records),
-                "steps": [step_record_to_json(record) for record in records],
+                "steps": _steps_json(records),
                 "aggregates": run_aggregates(runner),
             }
         )
@@ -426,7 +432,7 @@ def _service_runs(config):
     records, degraded_steps, wall, frontend = asyncio.run(drive())
     if degraded_steps < 1:
         raise AssertionError("the injected shard kill left no degraded epoch")
-    steps = [step_record_to_json(record) for record in records]
+    steps = _steps_json(records)
     return [
         {
             "workload": "uniform-service",

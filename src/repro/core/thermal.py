@@ -161,15 +161,13 @@ class ThermalJoin(SpatialJoinAlgorithm):
         and the grid coarsened just enough to fit; the tuner simply
         observes the resulting costs, so it converges within the
         quota-feasible region.
-    n_workers:
-        Back-compat worker count (§2.1: "THERMAL-JOIN ... can be
-        parallelized like the aforementioned approaches"; cell pairs are
-        independent work units).  ``n_workers > 1`` with no explicit
-        ``executor`` selects a thread executor of that size.  Results
-        and statistics are identical to the serial run.
     executor:
         Engine executor for the verify stage (see
-        :class:`~repro.joins.base.SpatialJoinAlgorithm`).
+        :class:`~repro.joins.base.SpatialJoinAlgorithm`).  §2.1 notes
+        that THERMAL-JOIN "can be parallelized like the aforementioned
+        approaches": cell pairs are independent work units, so
+        ``"thread:N"`` or ``"process:N"`` runs them on ``N`` workers
+        with results and statistics identical to the serial run.
     """
 
     name = "thermal-join"
@@ -189,13 +187,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         pair_maintenance: bool | None = None,
         churn_threshold: float | None = None,
         memory_quota_bytes: int | None = None,
-        n_workers: int = 1,
         executor: Executor | str | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-        if executor is None and n_workers > 1:
-            executor = f"thread:{int(n_workers)}"
         super().__init__(count_only=count_only, executor=executor)
         if memory_quota_bytes is not None and memory_quota_bytes <= 0:
             raise ValueError(
@@ -215,7 +208,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self.enclosure_shortcut = bool(enclosure_shortcut)
         self.incremental = bool(incremental)
         self.memory_quota_bytes = memory_quota_bytes
-        self.n_workers = int(n_workers)
         if tgrid_min_objects < 2:
             raise ValueError(
                 f"tgrid_min_objects must be at least 2, got {tgrid_min_objects}"

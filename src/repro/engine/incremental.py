@@ -35,6 +35,12 @@ INCREMENTAL_ENV_VAR = "REPRO_INCREMENTAL"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
+#: Bounds of the adaptive threshold and the weight of each new cost
+#: observation in its exponential moving average.
+CHURN_FLOOR = 0.02
+CHURN_CEILING = 0.75
+CHURN_EMA = 0.3
+
 
 def incremental_from_env() -> bool:
     """Resolve the :data:`INCREMENTAL_ENV_VAR` opt-in (default off)."""
@@ -51,8 +57,9 @@ class ChurnPolicy:
     re-estimated from observed costs: if a full join costs ``C_full``
     and incremental steps cost ``C_incr(f) ≈ unit · f`` at moved
     fraction ``f``, the break-even point is ``C_full / unit``; the
-    estimate is smoothed with an exponential moving average and clipped
-    to ``[floor, ceiling]``.  Feed it deterministic cost signals
+    estimate is smoothed with an exponential moving average
+    (:data:`CHURN_EMA`) and clipped to
+    ``[CHURN_FLOOR, CHURN_CEILING]``.  Feed it deterministic cost signals
     (operation counts) — the decision sequence is then reproducible
     across executors, which the bit-identity tests rely on.
 
@@ -63,19 +70,10 @@ class ChurnPolicy:
 
     threshold: float = 0.35
     adaptive: bool = True
-    floor: float = 0.02
-    ceiling: float = 0.75
-    ema: float = 0.3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not 0.0 < self.floor <= self.ceiling <= 1.0:
-            raise ValueError(
-                f"need 0 < floor <= ceiling <= 1, got {self.floor}, {self.ceiling}"
-            )
-        if not 0.0 < self.ema <= 1.0:
-            raise ValueError(f"ema must be in (0, 1], got {self.ema}")
         self._full_cost: float | None = None
         self._unit_cost: float | None = None
 
@@ -86,7 +84,7 @@ class ChurnPolicy:
     def _smooth(self, old: float | None, value: float) -> float:
         if old is None:
             return value
-        return (1.0 - self.ema) * old + self.ema * value
+        return (1.0 - CHURN_EMA) * old + CHURN_EMA * value
 
     def observe_full(self, cost: float) -> None:
         """Record the cost of one full re-join."""
@@ -105,7 +103,7 @@ class ChurnPolicy:
         if not self.adaptive or self._full_cost is None or self._unit_cost is None:
             return
         break_even = self._full_cost / self._unit_cost
-        self.threshold = float(min(max(break_even, self.floor), self.ceiling))
+        self.threshold = float(min(max(break_even, CHURN_FLOOR), CHURN_CEILING))
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -113,9 +111,9 @@ class ChurnPolicy:
     def state_dict(self) -> dict[str, object]:
         """JSON-serializable snapshot of the adaptive state.
 
-        The static knobs (``adaptive``/``floor``/``ceiling``/``ema``)
-        come back from the algorithm's configuration; only the observed
-        estimates and the current threshold travel in the checkpoint.
+        ``adaptive`` comes back from the algorithm's configuration; only
+        the observed estimates and the current threshold travel in the
+        checkpoint.
         """
         return {
             "threshold": self.threshold,

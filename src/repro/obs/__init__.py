@@ -30,7 +30,6 @@ from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     environment_info,
     run_aggregates,
-    step_record_to_json,
     validate_bench,
 )
 from repro.obs.jsonl import JsonlWriter, json_default, to_jsonable
@@ -59,7 +58,6 @@ __all__ = [
     "to_jsonable",
     "BENCH_SCHEMA_VERSION",
     "environment_info",
-    "step_record_to_json",
     "run_aggregates",
     "validate_bench",
 ]

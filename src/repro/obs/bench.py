@@ -70,15 +70,12 @@ import platform
 import sys
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.jsonl import to_jsonable
-
 if TYPE_CHECKING:
-    from repro.simulation.runner import SimulationRunner, StepRecord
+    from repro.simulation.runner import SimulationRunner
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "environment_info",
-    "step_record_to_json",
     "run_aggregates",
     "validate_bench",
 ]
@@ -148,27 +145,6 @@ def environment_info() -> dict[str, Any]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def step_record_to_json(record: StepRecord) -> dict[str, Any]:
-    """One :class:`~repro.simulation.runner.StepRecord` as a JSON-ready
-    step entry of the bench schema."""
-    return to_jsonable(
-        {
-            "step": record.step,
-            "n_results": record.n_results,
-            "join_seconds": record.join_seconds,
-            "build_seconds": record.build_seconds,
-            "overlap_tests": record.overlap_tests,
-            "memory_bytes": record.memory_bytes,
-            "phase_seconds": dict(record.phase_seconds),
-            "stage_seconds": dict(record.stage_seconds),
-            "index_counters": dict(record.index_counters),
-            "events": list(record.events),
-            "task_retries": record.task_retries,
-            "incremental": dict(getattr(record, "incremental", {}) or {}),
-        }
-    )
 
 
 def run_aggregates(runner: SimulationRunner) -> dict[str, Any]:

@@ -7,8 +7,8 @@ long-lived sharded join state alive behind an asyncio front-end:
   sharding with upward halos, so per-shard joins on a shared executor
   also find every cross-shard pair exactly once, snapshot-based
   re-homing and stale-but-marked degradation.
-* :mod:`repro.service.cache` — the ``(shard, step, query)`` result
-  cache, invalidated per shard by the ring's update path.
+* :mod:`repro.service.cache` — the bounded cache of assembled ring
+  answers, cleared by the ring's update path.
 * :mod:`repro.service.service` — :class:`JoinService`: update streams,
   join/distance/neighbor queries, request batching and admission
   control.

@@ -1,20 +1,15 @@
-"""Result cache for the sharded join service.
+"""Result cache for the sharded join service's assembled answers.
 
-Entries are keyed on ``(shard, step, query)`` tuples: the shard (an
-integer shard id, or the reserved label ``"ring"`` for assembled
-answers), the *step* the answer was computed against (the shard's
-committed version, or an epoch/generation pair for assembled answers)
-and a hashable query descriptor.
+Entries are keyed on ``(epoch, generation, query)`` tuples: the ring
+epoch and shard-health generation the answer was assembled at, and a
+hashable query descriptor.  Both stamps make the cache
+*self-validating* — an entry can only be looked up again while the
+ring is still at that epoch and generation — so clearing is not needed
+for correctness.  It is needed for *memory*: the ring's update path
+calls :meth:`ResultCache.clear`, so no answer outlives its epoch.
 
-The version component makes the cache *self-validating* — an entry
-computed at version ``v`` can only ever be looked up again while the
-shard is still at version ``v`` — so invalidation is not needed for
-correctness.  It is needed for *memory*: without it a long-running
-service accumulates one dead entry per (shard, update, query)
-forever.  :meth:`invalidate_shard` is driven by the ring's update
-path — exactly the shards whose home or halo members a motion delta
-changed or moved are evicted, and provably-fresh entries on untouched
-shards survive to keep serving hits across epochs.
+Per-shard answers are not kept here; each shard keeps its own latest
+join and distance answer (see :mod:`repro.service.sharding`).
 """
 
 from __future__ import annotations
@@ -23,21 +18,21 @@ from typing import Any, Hashable
 
 __all__ = ["ResultCache"]
 
-#: Reserved shard label for assembled, cross-shard answers.
-RING_KEY = "ring"
+#: Entry bound of a :class:`ResultCache`.
+CACHE_ENTRIES = 512
 
 
 class ResultCache:
-    """Bounded insertion-ordered cache of join answers.
+    """Bounded insertion-ordered cache of assembled join answers.
 
-    Keys are ``(shard, step, query)`` tuples (see the module
-    docstring); values are opaque to the cache.  Eviction is FIFO on
-    insertion order once ``max_entries`` is reached — answer sizes are
-    dominated by the pair arrays, which the service bounds elsewhere,
-    so a simple entry count is an adequate memory bound.
+    Keys are tuples (see the module docstring); values are opaque to
+    the cache.  Eviction is FIFO on insertion order once
+    ``max_entries`` is reached — answer sizes are dominated by the pair
+    arrays, which the service bounds elsewhere, so a simple entry count
+    is an adequate memory bound.
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
+    def __init__(self, max_entries: int = CACHE_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = int(max_entries)
@@ -66,19 +61,6 @@ class ResultCache:
             del self._entries[oldest]
             self.evicted += 1
         self._entries[key] = value
-
-    def invalidate_shard(self, shard: Hashable) -> int:
-        """Evict every entry whose shard component is ``shard``.
-
-        Returns the number of entries removed.  Called with the shard
-        ids a motion delta touched, plus ``"ring"`` for the assembled
-        answers.
-        """
-        stale = [key for key in self._entries if key[0] == shard]
-        for key in stale:
-            del self._entries[key]
-        self.invalidated += len(stale)
-        return len(stale)
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

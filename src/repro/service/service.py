@@ -13,7 +13,7 @@ Three front-end behaviours on top of the ring:
   :class:`ServiceOverloadedError` instead of growing an unbounded
   backlog.
 * **Request batching** — the worker drains the queue in batches (up
-  to ``max_batch``); duplicate queries within a batch are computed
+  to :data:`MAX_BATCH`); duplicate queries within a batch are computed
   once and fanned out, with the duplicates marked ``cached``.  An
   update (or shard kill) inside a batch is a barrier: answers
   computed before it are not reused after it.
@@ -80,6 +80,9 @@ class _Request:
 #: Queue sentinel that shuts the worker down.
 _STOP = object()
 
+#: Most requests the worker takes off the queue per batch.
+MAX_BATCH = 32
+
 
 class JoinService:
     """Long-running sharded join service over one dataset.
@@ -104,22 +107,16 @@ class JoinService:
         executor: Executor | str | None = None,
         algorithm_factory: AlgorithmFactory | None = None,
         max_pending: int = 256,
-        max_batch: int = 32,
-        cache_entries: int = 512,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
         self.ring = ShardRing(
             dataset,
             n_shards=n_shards,
             executor=executor,
             algorithm_factory=algorithm_factory,
-            cache_entries=cache_entries,
         )
         self.max_pending = int(max_pending)
-        self.max_batch = int(max_batch)
         self._queue: asyncio.Queue[Any] | None = None
         self._worker: asyncio.Task[None] | None = None
         self._pending = 0
@@ -235,7 +232,7 @@ class JoinService:
         stopping = False
         while not stopping:
             batch: list[Any] = [await self._queue.get()]
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:

@@ -39,14 +39,23 @@ set.  Other algorithms answer it on the shard's own instance; ST2B,
 the one that keeps an index across steps, rebuilds it because the
 enlarged extents change its cell width.
 
+Each shard keeps one bounded answer store: its latest join answer and
+its latest distance answer, each stamped with the shard version it was
+computed at.  A join whose stamp is the shard's version is served
+without recomputing, so a shard an update did not touch keeps its
+answer.  A distance answer is never served fresh (its halo depends on
+the distance, which the version does not track); it is kept only as the
+dead-shard fallback below.
+
 Degradation instead of death: a shard whose compute raises is re-homed
 (restored from its last :func:`~repro.recovery.snapshot_shard` when
 fresh, rebuilt from the ring's authoritative arrays otherwise) and the
 query retried once; a shard that fails again is marked dead and its
-last successfully served answer — including the cross-shard pairs it
-owns — is returned *marked stale* rather than failing the query.
-Every transition is recorded as a robustness event and surfaced
-through the obs metrics registry.
+stored answer to the same query — including the cross-shard pairs it
+owns — is returned *marked stale* rather than failing the query.  For
+distance queries that is only the latest distance asked.  Every
+transition is recorded as a robustness event and surfaced through the
+obs metrics registry.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -66,13 +75,16 @@ from repro.geometry import pairs_to_adjacency, unique_pairs
 from repro.joins.base import RETRY_EVENT_KINDS, SpatialJoinAlgorithm
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.state import restore_shard, snapshot_shard
-from repro.service.cache import RING_KEY, ResultCache
+from repro.service.cache import ResultCache
 from repro.simulation.runner import StepRecord
 
 __all__ = ["RingAnswer", "Shard", "ShardRing"]
 
 #: Query-key tuple: ``("join",)`` or ``("distance", d)``.
 QueryKey = tuple[Hashable, ...]
+
+#: Owned pairs of one shard answer, ``(i, j)`` in global indices.
+Pairs = tuple[np.ndarray, np.ndarray]
 
 AlgorithmFactory = Callable[[], SpatialJoinAlgorithm]
 
@@ -125,7 +137,7 @@ class Shard:
     join: SpatialJoinAlgorithm | None
     #: Ring epoch (global dataset version) of the last update that
     #: changed or moved this shard's members; untouched shards keep
-    #: older versions so their cached answers stay provably valid.
+    #: older versions so their stored join answers stay provably valid.
     version: int
     alive: bool = True
     pending_delta: MotionDelta | None = None
@@ -137,6 +149,10 @@ class Shard:
     #: join and by its last distance join.
     join_memory_bytes: int = 0
     distance_memory_bytes: int = 0
+
+    #: The answer store: the latest answer per query kind (``"join"``,
+    #: ``"distance"``) as ``(query key, version computed at, owned pairs)``.
+    answers: dict[str, tuple[QueryKey, int, Pairs]] = field(default_factory=dict)
 
     @property
     def memory_bytes(self) -> int:
@@ -161,7 +177,6 @@ class ShardRing:
         n_shards: int = 4,
         executor: Executor | str | None = None,
         algorithm_factory: AlgorithmFactory | None = None,
-        cache_entries: int = 512,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -172,7 +187,7 @@ class ShardRing:
         if algorithm_factory is None:
             algorithm_factory = self._default_factory
         self._factory = algorithm_factory
-        self.cache = ResultCache(max_entries=cache_entries)
+        self.cache = ResultCache()
 
         lo, hi = self.dataset.bounds
         self._axis = int(np.argmax(hi - lo))
@@ -191,9 +206,6 @@ class ShardRing:
         ]
         #: Last committed (arrays, meta, ring-epoch) snapshot per shard.
         self._snapshots: dict[int, tuple[dict[str, np.ndarray], dict[str, Any], int]] = {}
-        #: Last successfully served answer per (shard, query) — the
-        #: stale-but-marked fallback for dead shards.
-        self._stale: dict[tuple[int, QueryKey], tuple[np.ndarray, np.ndarray]] = {}
         #: Injected shard failures: shard id -> "once" | "permanent".
         self._poison: dict[int, str] = {}
         #: Bumped whenever shard health changes; part of assembled keys.
@@ -268,7 +280,6 @@ class ShardRing:
         shard.version = self.dataset.version
         shard.pending_delta = None
         shard.alive = True
-        self.cache.invalidate_shard(k)
         self._snapshot(k)
 
     def _snapshot(self, k: int) -> None:
@@ -289,10 +300,10 @@ class ShardRing:
         Each shard's member array (home plus halo) is recomputed and
         compared with its old one: a shard whose members *changed* is
         rebuilt; a shard whose members merely moved in place gets a
-        local delta and a cache invalidation.  Untouched shards keep
-        their version — and therefore their cached answers — across the
-        epoch bump.  Non-finite centers are refused before anything is
-        mutated.
+        local delta and a new version.  Untouched shards keep their
+        version — and therefore their stored join answers — across the
+        epoch bump.  The assembled answers are dropped.  Non-finite
+        centers are refused before anything is mutated.
         """
         new_centers = np.asarray(new_centers, dtype=np.float64)
         if new_centers.shape != self.dataset.centers.shape:
@@ -318,7 +329,7 @@ class ShardRing:
                 self._build_shard(shard.shard_id, members)
             elif moved[members].any():
                 self._refresh_shard(shard.shard_id)
-        self.cache.invalidate_shard(RING_KEY)
+        self.cache.clear()
         return self.epoch
 
     def _refresh_shard(self, k: int) -> None:
@@ -334,7 +345,6 @@ class ShardRing:
         # query into a (correct, merely slower) full re-join.
         shard.pending_delta = local_delta if shard.pending_delta is None else None
         shard.version = self.dataset.version
-        self.cache.invalidate_shard(k)
         self._snapshot(k)
 
     # ------------------------------------------------------------------
@@ -351,7 +361,7 @@ class ShardRing:
         return self._query(("distance", float(distance)), float(distance))
 
     def _query(self, qkey: QueryKey, distance: float | None) -> RingAnswer:
-        ring_key = (RING_KEY, self.epoch, self._generation, qkey)
+        ring_key = (self.epoch, self._generation, qkey)
         cached = self.cache.get(ring_key)
         if cached is not None:
             assert isinstance(cached, RingAnswer)
@@ -394,12 +404,11 @@ class ShardRing:
 
     def _shard_pairs(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
+    ) -> tuple[Pairs, bool]:
         """Shard contribution with the degradation ladder around it."""
         if not shard.alive and self._poison.get(shard.shard_id) == "permanent":
-            stale = self._stale.get((shard.shard_id, qkey))
+            stale = self._stale_answer(shard, qkey)
             if stale is not None:
-                self.stale_served += 1
                 return stale, True
         try:
             return self._compute_shard(shard, qkey, distance), False
@@ -417,35 +426,39 @@ class ShardRing:
                 self._record_event(
                     "shard_dead", shard=shard.shard_id, error=repr(retry_exc)
                 )
-                stale = self._stale.get((shard.shard_id, qkey))
+                stale = self._stale_answer(shard, qkey)
                 if stale is None:
                     raise
-                self.stale_served += 1
                 return stale, True
             shard.alive = True
             self._record_event("shard_rehomed", shard=shard.shard_id)
             return pairs, False
 
+    def _stale_answer(self, shard: Shard, qkey: QueryKey) -> Pairs | None:
+        """The dead shard's stored answer to ``qkey``, counted as served stale."""
+        stored = shard.answers.get(str(qkey[0]))
+        if stored is None or stored[0] != qkey:
+            return None
+        self.stale_served += 1
+        return stored[2]
+
     def _compute_shard(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Pairs:
         """The pairs ``shard`` owns (at least one home endpoint), in global indices.
 
-        Overlap joins are cached per shard version.  Distance joins run
-        over a halo grown by the distance, which the version does not
-        track, so they are recomputed per query (the assembled answer
-        is still cached per epoch).
+        A stored join answer at the shard's version is returned as is.
+        Distance joins run over a halo grown by the distance, which the
+        version does not track, so they are recomputed per query (the
+        assembled answer is still cached per epoch).
         """
         if self._poison.get(shard.shard_id) is not None:
             raise RuntimeError(
                 f"injected shard failure on shard {shard.shard_id}"
             )
-        key = (shard.shard_id, shard.version, qkey)
-        if distance is None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                gi, gj = cached
-                return gi, gj
+        stored = shard.answers.get("join")
+        if distance is None and stored is not None and stored[1] == shard.version:
+            return stored[2]
         assert shard.dataset is not None and shard.join is not None
         started = time.perf_counter()
         if distance is None:
@@ -479,9 +492,7 @@ class ShardRing:
         self._bump("join_seconds", result.stats.join_seconds)
 
         pairs = (gi, gj)
-        if distance is None:
-            self.cache.put(key, pairs)
-        self._stale[(shard.shard_id, qkey)] = pairs
+        shard.answers[str(qkey[0])] = (qkey, shard.version, pairs)
         return pairs
 
     def _rehome(self, shard: Shard) -> None:
@@ -512,7 +523,6 @@ class ShardRing:
             )
         shard.join = algorithm
         shard.pending_delta = None
-        self.cache.invalidate_shard(shard.shard_id)
 
     # ------------------------------------------------------------------
     # Fault injection and accounting

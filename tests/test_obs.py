@@ -23,10 +23,10 @@ from repro.obs import (
     get_tracer,
     run_aggregates,
     set_tracer,
-    step_record_to_json,
     to_jsonable,
     validate_bench,
 )
+from repro.recovery import step_record_to_jsonable
 from repro.simulation import SimulationRunner
 
 
@@ -177,7 +177,7 @@ class TestBenchSchema:
                     "checkpoint_every": 0,
                     "n_objects": len(dataset),
                     "n_steps": len(runner.records),
-                    "steps": [step_record_to_json(r) for r in runner.records],
+                    "steps": to_jsonable([step_record_to_jsonable(r) for r in runner.records]),
                     "aggregates": run_aggregates(runner),
                 }
             ],

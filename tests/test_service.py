@@ -20,6 +20,7 @@ from repro.datasets.motion import IntermittentTranslation, RandomTranslation
 from repro.engine import SerialExecutor, install_fault_plan, parse_faults
 from repro.engine import faults as faults_module
 from repro.engine.executors import _LIVE_SEGMENTS
+from repro.experiments.workloads import scaled_uniform
 from repro.geometry import pack_pairs, pairs_to_adjacency, unique_pairs
 from repro.service import (
     JoinService,
@@ -308,7 +309,7 @@ class TestDistanceOnShardAlgorithm:
 
 
 # ----------------------------------------------------------------------
-# Result cache: versioned keys, per-shard invalidation
+# Result cache: assembled answers; untouched shards keep their store
 # ----------------------------------------------------------------------
 class TestResultCache:
     def test_repeated_query_hits_assembled_cache(self, service_dataset):
@@ -346,9 +347,9 @@ class TestResultCache:
             assert ring._shards[0].version != shard_versions[0]
             assert ring._shards[1].version == shard_versions[1]
 
-            hits_before = ring.cache.hits
+            queries_before = ring._shards[1].queries
             answer = ring.join_pairs()
-            assert ring.cache.hits > hits_before  # shard 1 served from cache
+            assert ring._shards[1].queries == queries_before  # served from its store
             assert np.array_equal(_keys(answer.pairs, n), _library_join_keys(baseline))
 
     def test_halo_only_motion_invalidates_the_lower_shard(self):
@@ -390,12 +391,46 @@ class TestResultCache:
         assert cache.evicted == 1
         assert cache.get((0, 0, "a")) is None  # miss
         assert cache.get((1, 0, "c")) == 3  # hit
-        assert cache.invalidate_shard(0) == 1
-        assert cache.metrics()["invalidated"] == 1
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.metrics()["invalidated"] == 2
 
     def test_cache_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(max_entries=0)
+
+
+# ----------------------------------------------------------------------
+# Answer store: one bounded join and distance answer per shard
+# ----------------------------------------------------------------------
+class TestAnswerStore:
+    def test_store_stays_bounded_across_distances_and_an_update(self):
+        dataset, motion = scaled_uniform(4000, seed=1)
+        with ShardRing(dataset, n_shards=4, executor="serial") as ring:
+            ring.join_pairs()
+            for k in range(40):
+                ring.distance_pairs(0.05 * (k + 1))
+            motion.step(dataset)
+            ring.apply_update(dataset.centers)
+            sizes = [len(shard.answers) for shard in ring._shards]
+            assert max(sizes) <= 2, sizes
+            assert len(ring.cache) == 0  # the update dropped the assembled answers
+
+    def test_permanent_kill_serves_the_latest_distance_stale(self, service_dataset):
+        n = len(service_dataset)
+        with ShardRing(service_dataset, n_shards=3) as ring:
+            ring.distance_pairs(1.0)
+            ring.distance_pairs(2.0)  # the shard's latest distance answer
+            ring.kill_shard(2, permanent=True)
+            answer = ring.distance_pairs(2.0)
+            assert np.array_equal(
+                _keys(answer.pairs, n), _library_distance_keys(service_dataset, 2.0)
+            )
+            assert answer.degraded and answer.stale
+            assert ring.stale_served == 1
+            # Only the latest distance is kept, so an older one has no fallback.
+            with pytest.raises(RuntimeError, match="injected shard failure"):
+                ring.distance_pairs(1.0)
 
 
 # ----------------------------------------------------------------------
