@@ -16,7 +16,7 @@ from conftest import NEURAL_N
 def test_tuned_steady_state_step(benchmark):
     """Per-step time after the tuner has converged."""
     dataset, motion, _labels = scaled_neural(NEURAL_N, seed=601)
-    join = ThermalJoin(cost_model="operations")
+    join = ThermalJoin()
     for _ in range(12):  # warm up: let the tuner converge
         join.step(dataset)
         motion.step(dataset)
@@ -33,7 +33,7 @@ def test_tuned_steady_state_step(benchmark):
 def test_convergence_within_paper_budget():
     """Hill climbing settles in a handful of steps (paper: 6–8)."""
     dataset, motion, _labels = scaled_neural(NEURAL_N, seed=602)
-    join = ThermalJoin(cost_model="operations")
+    join = ThermalJoin()
     for _ in range(15):
         join.step(dataset)
         motion.step(dataset)
@@ -48,7 +48,7 @@ def test_tuned_beats_bad_fixed_resolution():
     is no slower (in machine-independent operations) than a deliberately
     mis-configured fine grid."""
     dataset, motion, _labels = scaled_neural(NEURAL_N, seed=603)
-    tuned = ThermalJoin(cost_model="operations")
+    tuned = ThermalJoin()
     for _ in range(12):
         tuned_result = tuned.step(dataset)
         motion.step(dataset)

@@ -33,7 +33,7 @@ def main():
         bounds=(np.zeros(3), np.full(3, WORLD_SIDE)),
     )
     movement = RandomTranslation(world, distance=SPEED_PER_TICK, seed=100)
-    join = ThermalJoin(cost_model="operations")
+    join = ThermalJoin()
 
     previous = np.empty(0, dtype=np.int64)
     print(f"{'tick':>4} {'visible pairs':>13} {'entered':>8} {'left':>6} {'join [ms]':>10}")

@@ -43,7 +43,7 @@ def main():
         bounds=(np.zeros(3), np.full(3, 200.0)),
         attributes={"mass": masses},
     )
-    join = ThermalJoin(cost_model="operations")
+    join = ThermalJoin()
 
     print(f"{'step':>4} {'pairs':>10} {'join [ms]':>10} {'kinetic E':>12} {'max |v|':>9}")
     for step in range(N_STEPS):

@@ -35,7 +35,7 @@ def main():
     # The distance join: a shared-center view with extents enlarged by d.
     interaction_view = dataset.with_enlarged_extent(INTERACTION_DISTANCE)
 
-    thermal = ThermalJoin(cost_model="operations")
+    thermal = ThermalJoin()
     crtree = CRTreeJoin()
 
     print(f"\n{'step':>4} {'pairs':>10} {'thermal [ms]':>13} {'cr-tree [ms]':>13} {'tests t/c':>16}")

@@ -19,7 +19,7 @@ def main():
     dataset, motion = make_uniform_workload(
         8_000, width=15.0, bounds=((0, 0, 0), (420, 420, 420)), seed=5
     )
-    join = ThermalJoin(cost_model="operations")
+    join = ThermalJoin()
 
     print("phase 1: tuning from scratch on the uniform workload")
     print(f"{'step':>4} {'r used':>7} {'cost (ops)':>12} {'state':>10}")

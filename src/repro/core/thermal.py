@@ -71,15 +71,21 @@ if TYPE_CHECKING:
 
 __all__ = ["ThermalJoin", "TGridCellsTask"]
 
-# Weights of the deterministic operation-count cost model (used when
-# ``cost_model="operations"``): one unit per overlap test, plus charges
-# for cell-pair join calls, cell creation, cell visits and result
-# emission.  Coarse by design — it only needs to rank resolutions the
-# same way wall time does, machine-independently.
+# Weights of the deterministic operation-count cost the tuner and the
+# churn policy read: one unit per overlap test, plus charges for
+# cell-pair join calls, cell creation, cell visits and result emission.
+# Coarse by design — it only needs to rank resolutions the same way
+# wall time does, machine-independently.
 _OPS_CELL_PAIR = 2.0
 _OPS_CELL_CREATED = 8.0
 _OPS_CELL_VISIT = 2.0
 _OPS_RESULT = 0.05
+
+#: Non-hot-spot cells below this population take a plain in-cell plane
+#: sweep instead of a T-Grid: building a grid for a handful of objects
+#: costs more than it saves, and the T-Grid's target — the paper's
+#: dense-cell degeneration — needs a large population.
+TGRID_MIN_OBJECTS = 24
 
 
 @dataclass
@@ -109,25 +115,13 @@ class ThermalJoin(SpatialJoinAlgorithm):
     resolution:
         Fixed normalized P-Grid resolution ``r`` (cell width = ``r`` ×
         largest object width).  ``None`` (default) enables the paper's
-        self-tuning: no parameter sweep is needed (§5.1.2).
-    tuner:
-        Optional pre-configured :class:`HillClimbingTuner`; ignored when
-        ``resolution`` is fixed.
+        self-tuning: no parameter sweep is needed (§5.1.2).  The tuner
+        climbs on a deterministic, machine-independent operation count,
+        so the chosen ``r`` is the same on every run and executor.
     gc_threshold:
         Vacant-cell fraction triggering garbage collection (paper: 0.35).
-    cost_model:
-        ``"operations"`` (default) — tune on a deterministic,
-        machine-independent operation count; ``"time"`` — tune on wall
-        time, the paper's exact protocol (prefer it on a quiet dedicated
-        machine; on shared hardware timing noise can spuriously trip the
-        10 % drift trigger).
     count_only:
         Count results without materialising pairs.
-    tgrid_min_objects:
-        Non-hot-spot cells below this population take a plain in-cell
-        plane sweep instead of a T-Grid (building a grid for a handful
-        of objects costs more than it saves; the T-Grid's target — the
-        paper's dense-cell degeneration — needs a large population).
     hot_spots:
         Ablation knob: disable the hot-spot concept entirely — every
         cell's internal join runs as a plane sweep (no combinatorial
@@ -176,11 +170,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def __init__(
         self,
         resolution: float | None = None,
-        tuner: HillClimbingTuner | None = None,
         gc_threshold: float = 0.35,
-        cost_model: str = "operations",
         count_only: bool = False,
-        tgrid_min_objects: int = 24,
         hot_spots: bool = True,
         enclosure_shortcut: bool = True,
         incremental: bool = True,
@@ -194,25 +185,15 @@ class ThermalJoin(SpatialJoinAlgorithm):
             raise ValueError(
                 f"memory_quota_bytes must be positive, got {memory_quota_bytes}"
             )
-        if cost_model not in ("time", "operations"):
-            raise ValueError(f"unknown cost_model {cost_model!r}")
         if resolution is not None and resolution <= 0:
             raise ValueError(f"resolution must be positive, got {resolution}")
         self.resolution = resolution
-        self.tuner = None
-        if resolution is None:
-            self.tuner = tuner if tuner is not None else HillClimbingTuner()
+        self.tuner = HillClimbingTuner() if resolution is None else None
         self.gc_threshold = gc_threshold
-        self.cost_model = cost_model
         self.hot_spots = bool(hot_spots)
         self.enclosure_shortcut = bool(enclosure_shortcut)
         self.incremental = bool(incremental)
         self.memory_quota_bytes = memory_quota_bytes
-        if tgrid_min_objects < 2:
-            raise ValueError(
-                f"tgrid_min_objects must be at least 2, got {tgrid_min_objects}"
-            )
-        self.tgrid_min_objects = int(tgrid_min_objects)
         self.pgrid: PGrid | None = None
         # T-Grid diagnostics over the join's lifetime: P-Grid cells joined
         # by the fallback sweep, and the most T-cells built in one step.
@@ -442,7 +423,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             # take the in-cell plane sweep in one batched task (their
             # sweep cannot "degenerate into a nested-loop join" — the
             # degeneration the paper worries about needs a dense cell).
-            large = np.logical_and(not_hot, sizes >= self.tgrid_min_objects)
+            large = np.logical_and(not_hot, sizes >= TGRID_MIN_OBJECTS)
             small_slots = np.flatnonzero(np.logical_and(not_hot, ~large))
             if small_slots.size:
                 tasks.append(
@@ -647,16 +628,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def _plain_step(self, dataset: SpatialDataset) -> JoinResult:
         """One from-scratch join step, feeding the resolution tuner."""
         result = super().step(dataset)
-        if self.tuner is not None:
-            cost = (
-                result.stats.total_seconds
-                if self.cost_model == "time"
-                else self._operations_cost(result)
-            )
-            resolution_changed = self.tuner.observe(cost)
-            if resolution_changed:
-                # Force a from-scratch rebuild at the new resolution.
-                self.pgrid = None
+        if self.tuner is not None and self.tuner.observe(self._operations_cost(result)):
+            # The resolution moved: force a from-scratch rebuild at it.
+            self.pgrid = None
         return result
 
     def _full_step(self, dataset: SpatialDataset, mode: str) -> JoinResult:
@@ -777,29 +751,13 @@ class ThermalJoin(SpatialJoinAlgorithm):
         instance would feed its cost to the tuner (a false drift that
         retunes ``r``) and re-seed the maintained pair set over a copy no
         later delta refers to (the next :meth:`step_delta` would run
-        full).  The fresh instance shares only the executor, and runs
-        without pair maintenance: one step would seed a set nobody reads.
+        full).  The fresh instance is built from :meth:`_settings`, shares
+        only the executor, and runs without pair maintenance: one step
+        would seed a set nobody reads.
         """
-        tuner = self.tuner
         fresh = ThermalJoin(
-            resolution=self.resolution,
-            tuner=None if tuner is None else HillClimbingTuner(
-                initial=tuner.initial,
-                initial_step=tuner.initial_step,
-                threshold=tuner.threshold,
-                r_min=tuner.r_min,
-                r_max=tuner.r_max,
-                min_step=tuner.min_step,
-            ),
-            gc_threshold=self.gc_threshold,
-            cost_model=self.cost_model,
+            **{**self._settings(), "pair_maintenance": False},
             count_only=self.count_only,
-            tgrid_min_objects=self.tgrid_min_objects,
-            hot_spots=self.hot_spots,
-            enclosure_shortcut=self.enclosure_shortcut,
-            incremental=self.incremental,
-            pair_maintenance=False,
-            memory_quota_bytes=self.memory_quota_bytes,
             executor=self.executor,
         )
         return fresh.step(dataset.with_enlarged_extent(distance))
@@ -823,17 +781,25 @@ class ThermalJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Checkpoint / recovery protocol
     # ------------------------------------------------------------------
-    def _config_fingerprint(self) -> dict[str, object]:
-        """The configuration a checkpoint is only replayable under."""
+    def _settings(self) -> dict[str, Any]:
+        """Every setting that shapes the trajectory, as constructor keywords.
+
+        The one list of this join's configuration: a checkpoint records
+        it and is only replayable under an equal list, and
+        :meth:`distance_join` builds its fresh instance from it.
+        ``count_only`` and the executor are left out — neither changes a
+        pair, a count or a tuner decision.  ``churn_threshold`` is
+        ``None`` when the churn policy is adaptive.
+        """
         return {
             "resolution": self.resolution,
             "gc_threshold": self.gc_threshold,
-            "cost_model": self.cost_model,
             "hot_spots": self.hot_spots,
             "enclosure_shortcut": self.enclosure_shortcut,
             "incremental": self.incremental,
             "pair_maintenance": self.pair_maintenance,
-            "tgrid_min_objects": self.tgrid_min_objects,
+            "churn_threshold": None if self.churn.adaptive else self.churn.threshold,
+            "memory_quota_bytes": self.memory_quota_bytes,
         }
 
     def snapshot_state(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
@@ -849,7 +815,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
         arrays: dict[str, np.ndarray] = {}
         meta: dict[str, Any] = {
             "algorithm": self.name,
-            "config": self._config_fingerprint(),
+            "config": self._settings(),
             "tuner": None if self.tuner is None else self.tuner.state_dict(),
             "churn": self.churn.state_dict(),
             "incr": dict(self._incr),
@@ -881,10 +847,10 @@ class ThermalJoin(SpatialJoinAlgorithm):
     ) -> None:
         super().restore_state(arrays, meta, dataset)
         recorded = meta.get("config")
-        if recorded != self._config_fingerprint():
+        if recorded != self._settings():
             raise ValueError(
                 "checkpoint was written under a different ThermalJoin "
-                f"configuration: {recorded!r} != {self._config_fingerprint()!r}"
+                f"configuration: {recorded!r} != {self._settings()!r}"
             )
         tuner_state = meta["tuner"]
         if (tuner_state is None) != (self.tuner is None):

@@ -34,59 +34,40 @@ The tuner follows the paper's protocol:
   re-triggers tuning once it passes the threshold, not just one-step
   jumps.
 
-The cost signal is whatever the caller feeds :meth:`observe` — wall
-time, like the paper, or a deterministic operation count for
-reproducible tests (see ``ThermalJoin(cost_model="operations")``).
+The cost signal is whatever the caller feeds :meth:`observe`.
+:class:`~repro.core.thermal.ThermalJoin` feeds a deterministic,
+machine-independent operation count, so the chosen ``r`` — and with it
+every overlap-test count — is the same on every run and executor.  The
+paper tunes on wall time; the protocol is the same either way.
 """
 
 from __future__ import annotations
 
 __all__ = ["HillClimbingTuner"]
 
+#: Starting resolution (the paper starts at 1.0).
+INITIAL = 1.0
+#: First step size; halved on every direction reversal.
+INITIAL_STEP = 0.25
+#: Relative cost-change threshold for both convergence (Eq. 1) and
+#: re-tune triggering (Eq. 2); the paper's 10 %.
+THRESHOLD = 0.1
+#: Hard bounds on the explored resolution.
+R_MIN = 0.2
+R_MAX = 2.0
+#: Convergence is also declared when the step shrinks below this.
+MIN_STEP = 0.02
+
 
 class HillClimbingTuner:
     """Hill climber over the normalized P-Grid resolution ``r``.
 
-    Parameters
-    ----------
-    initial:
-        Starting resolution (the paper starts at 1.0).
-    initial_step:
-        First step size; halved on every direction reversal.
-    threshold:
-        Relative cost-change threshold for both convergence (Eq. 1) and
-        re-tune triggering (Eq. 2).  Paper default: 0.1.
-    r_min, r_max:
-        Hard bounds on the explored resolution.
-    min_step:
-        Convergence is also declared when the step shrinks below this.
+    It takes no settings: the paper's point is that no parameter sweep
+    is needed, so the climb's values are the module constants above.
     """
 
-    def __init__(
-        self,
-        initial: float = 1.0,
-        initial_step: float = 0.25,
-        threshold: float = 0.1,
-        r_min: float = 0.2,
-        r_max: float = 2.0,
-        min_step: float = 0.02,
-    ) -> None:
-        if not r_min < r_max:
-            raise ValueError(f"need r_min < r_max, got {r_min} >= {r_max}")
-        if not r_min <= initial <= r_max:
-            raise ValueError(f"initial resolution {initial} outside [{r_min}, {r_max}]")
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if initial_step <= 0 or min_step <= 0:
-            raise ValueError("step sizes must be positive")
-        self.initial = float(initial)
-        self.initial_step = float(initial_step)
-        self.threshold = float(threshold)
-        self.r_min = float(r_min)
-        self.r_max = float(r_max)
-        self.min_step = float(min_step)
-
-        self.current_r = self.initial
+    def __init__(self) -> None:
+        self.current_r = INITIAL
         self.converged = False
         #: (r, cost) pairs in observation order (diagnostics/Figure 6-style plots).
         self.history: list[tuple[float, float]] = []
@@ -95,7 +76,7 @@ class HillClimbingTuner:
         #: Number of times drift re-triggered tuning (Eq. 2).
         self.retunes = 0
 
-        self._step = self.initial_step
+        self._step = INITIAL_STEP
         self._direction = -1.0  # explore finer grids first (Fig. 6 optima sit below 1)
         self._prev_r: float | None = None
         self._prev_cost: float | None = None
@@ -152,10 +133,10 @@ class HillClimbingTuner:
             if not rebuilt:
                 self._converged_cost = cost
             return False
-        if abs(cost - reference) > self.threshold * reference:
+        if abs(cost - reference) > THRESHOLD * reference:
             self.converged = False
             self.retunes += 1
-            self._step = self.initial_step
+            self._step = INITIAL_STEP
             self._prev_r = None
             self._prev_cost = None
             self._converged_cost = None
@@ -199,7 +180,7 @@ class HillClimbingTuner:
             if self._prev_cost > 0
             else 0.0
         )
-        if relative_change <= self.threshold and cost <= 1.3 * self._best_cost:
+        if relative_change <= THRESHOLD and cost <= 1.3 * self._best_cost:
             # Equation 1 — and the plateau is genuinely near the best
             # point seen, not a flat stretch of a bad region.  Settle at
             # the cheapest probe: the last one only came within the
@@ -217,7 +198,7 @@ class HillClimbingTuner:
         # Worse: retreat toward the best point, reverse, halve the step.
         self._direction = -self._direction
         self._step /= 2.0
-        if self._step < self.min_step:
+        if self._step < MIN_STEP:
             return self._finalize_at(self._best_r)
         if self._lost is not None:
             # A probe on each side of the best has lost: the best is
@@ -239,7 +220,7 @@ class HillClimbingTuner:
         assert self._best_r is not None and self._best_cost is not None
         if self._lost is not None:
             vertex = _parabola_vertex(self._lost, prev, (self.current_r, cost))
-            if vertex is not None and vertex[1] < (1.0 - self.threshold) * self._best_cost:
+            if vertex is not None and vertex[1] < (1.0 - THRESHOLD) * self._best_cost:
                 self._vertex_probe = True
                 return self._propose(vertex[0])
         return self._finalize_at(self._best_r)
@@ -259,7 +240,7 @@ class HillClimbingTuner:
 
     def _propose(self, r: float) -> bool:
         """Clamp and adopt a new resolution; report whether it changed."""
-        r = min(max(r, self.r_min), self.r_max)
+        r = min(max(r, R_MIN), R_MAX)
         changed = abs(r - self.current_r) > 1e-12
         self.current_r = r
         if not changed and not self.converged:
@@ -267,7 +248,7 @@ class HillClimbingTuner:
             # climb cannot make progress in this direction.
             self._direction = -self._direction
             self._step /= 2.0
-            if self._step < self.min_step:
+            if self._step < MIN_STEP:
                 best = self._best_r if self._best_r is not None else self.current_r
                 return self._finalize_at(best)
         return changed
@@ -283,12 +264,6 @@ class HillClimbingTuner:
         observation stream.
         """
         return {
-            "initial": self.initial,
-            "initial_step": self.initial_step,
-            "threshold": self.threshold,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "min_step": self.min_step,
             "current_r": self.current_r,
             "converged": self.converged,
             "history": [[r, cost] for r, cost in self.history],
@@ -308,9 +283,7 @@ class HillClimbingTuner:
 
     def load_state_dict(self, state: dict[str, object]) -> None:
         """Restore state produced by :meth:`state_dict`."""
-        for name in ("initial", "initial_step", "threshold", "r_min", "r_max",
-                     "min_step", "current_r"):
-            setattr(self, name, float(state[name]))  # type: ignore[arg-type]
+        self.current_r = float(state["current_r"])  # type: ignore[arg-type]
         self.converged = bool(state["converged"])
         self._moved = bool(state["moved"])
         self._vertex_probe = bool(state["vertex_probe"])

@@ -110,12 +110,11 @@ ALGORITHM_FACTORIES = {
     "cr-tree": lambda count_only=True, executor=None: CRTreeJoin(
         count_only=count_only, executor=executor
     ),
-    # The tuner consumes the deterministic operation-count cost signal:
-    # wall-time noise on a shared machine would otherwise trip the 10%
-    # drift trigger spuriously (the paper tunes on wall time on a quiet
-    # dedicated box; the protocol is identical either way).
+    # The tuner climbs on a deterministic operation count, so the chosen
+    # resolution is the same on every run (the paper tunes on wall time
+    # on a quiet dedicated box; the protocol is identical either way).
     "thermal-join": lambda count_only=True, executor=None: ThermalJoin(
-        count_only=count_only, cost_model="operations", executor=executor
+        count_only=count_only, executor=executor
     ),
 }
 
@@ -595,7 +594,7 @@ def tuning(
     """Hill-climbing convergence on a live workload (§4.3.2 claims)."""
     preset = SCALES[scale]
     dataset, motion, _labels = scaled_neural(preset["neural_n"], seed=23)
-    join = ThermalJoin(cost_model="operations", executor=executor)
+    join = ThermalJoin(executor=executor)
     resolutions = []
     costs = []
     for _step in range(24):

@@ -59,12 +59,6 @@ class TouchJoin(SpatialJoinAlgorithm):
         self._boxes = (lo, hi)
         self._tree = STRTree(lo, hi, self.fanout)
 
-    def _subtree_object_range(self, level: int, node: int) -> tuple[int, int]:
-        """Contiguous ``leaf_order`` range below ``node`` at ``level``."""
-        span = self.fanout ** (level + 1)
-        start = node * span
-        return start, min(start + span, self._tree.n_objects)
-
     def _join(self, dataset: SpatialDataset, accumulator: PairAccumulator) -> None:
         tree = self._tree
         lo, hi = self._boxes

@@ -43,7 +43,9 @@ MANIFEST_FORMAT = "repro-checkpoint"
 #: Current checkpoint format version.  Version 2 packs maintained pair
 #: keys as ``(i << b) | j`` (version 1: ``i * n + j``), so a version-1
 #: key array would be misread; the version check refuses it instead.
-FORMAT_VERSION = 2
+#: Version 3 drops the tuner's constants from its state and records the
+#: memory quota and churn mode in THERMAL-JOIN's configuration.
+FORMAT_VERSION = 3
 
 _MANIFEST_RE = re.compile(r"^step-(\d{6,})\.json$")
 

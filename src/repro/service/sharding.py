@@ -361,8 +361,9 @@ class ShardRing:
         return self._query(("distance", float(distance)), float(distance))
 
     def _query(self, qkey: QueryKey, distance: float | None) -> RingAnswer:
+        kind = str(qkey[0])
         ring_key = (self.epoch, self._generation, qkey)
-        cached = self.cache.get(ring_key)
+        cached = self.cache.get(kind, ring_key)
         if cached is not None:
             assert isinstance(cached, RingAnswer)
             return cached
@@ -391,7 +392,7 @@ class ShardRing:
             or getattr(self.executor, "degraded", None) is not None
         )
         answer = RingAnswer(
-            kind=str(qkey[0]),
+            kind=kind,
             epoch=self.epoch,
             n_results=int(pair_i.shape[0]),
             pairs=(pair_i, pair_j),
@@ -399,7 +400,7 @@ class ShardRing:
             stale=any_stale,
             n_objects=len(self.dataset),
         )
-        self.cache.put(ring_key, answer)
+        self.cache.put(kind, ring_key, answer)
         return answer
 
     def _shard_pairs(

@@ -221,7 +221,7 @@ class TestBitIdentity:
         previous = set_tracer(tracer)
         try:
             dataset, motion = small_workload(n=400, seed=11)
-            join = ThermalJoin(cost_model="operations")
+            join = ThermalJoin()
             outcomes = []
             for _ in range(4):
                 result = join.step(dataset)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HillClimbingTuner, PGrid, ThermalJoin, pack_cell_ids, unpack_cell_ids
+from repro.core.tuning import R_MAX, R_MIN
 from repro.datasets import SpatialDataset
 from repro.geometry import (
     brute_force_pairs,
@@ -219,7 +220,7 @@ class TestTunerProperties:
             if tuner.converged:
                 break
         assert tuner.converged
-        assert tuner.r_min <= tuner.current_r <= tuner.r_max
+        assert R_MIN <= tuner.current_r <= R_MAX
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=60))
     @settings(max_examples=80)
@@ -227,7 +228,7 @@ class TestTunerProperties:
         tuner = HillClimbingTuner()
         for cost in costs:
             tuner.observe(cost)
-            assert tuner.r_min <= tuner.current_r <= tuner.r_max
+            assert R_MIN <= tuner.current_r <= R_MAX
 
 
 # ----------------------------------------------------------------------

@@ -484,6 +484,21 @@ class TestResumeBitIdentity:
         with pytest.raises(ValueError, match="config"):
             SimulationRunner.resume(tmp_path, ThermalJoin(resolution=0.25))
 
+    @pytest.mark.parametrize(
+        "setting", [{"memory_quota_bytes": 10**6}, {"churn_threshold": 0.3}]
+    )
+    def test_resume_refuses_a_different_quota_or_churn_mode(self, setting, tmp_path):
+        # Both change the trajectory, so a resume without them would
+        # silently diverge from the checkpointed run.
+        dataset, motion = _make_workload("uniform")
+        runner = SimulationRunner(
+            dataset, motion, ThermalJoin(**setting), checkpoint_dir=tmp_path,
+            checkpoint_every=2,
+        )
+        runner.run(3)
+        with pytest.raises(ValueError, match="config"):
+            SimulationRunner.resume(tmp_path, ThermalJoin())
+
     def test_checkpoint_event_recorded_identically(self, tmp_path):
         # The checkpointed run and its resumed continuation must agree
         # on the checkpoint events too (they are part of the records).

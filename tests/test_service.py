@@ -383,21 +383,21 @@ class TestResultCache:
             assert not answer.degraded
 
     def test_cache_eviction_and_counters(self):
-        cache = ResultCache(max_entries=2)
-        cache.put((0, 0, "a"), 1)
-        cache.put((0, 0, "b"), 2)
-        cache.put((1, 0, "c"), 3)  # evicts the oldest
+        cache = ResultCache()
+        cache.put("join", (0, 0, ("join",)), 1)
+        cache.put("distance", (0, 0, ("distance", 1.0)), 2)
+        cache.put("distance", (0, 0, ("distance", 2.0)), 3)  # replaces 1.0
         assert len(cache) == 2
         assert cache.evicted == 1
-        assert cache.get((0, 0, "a")) is None  # miss
-        assert cache.get((1, 0, "c")) == 3  # hit
+        assert cache.get("distance", (0, 0, ("distance", 1.0))) is None  # miss
+        assert cache.get("distance", (0, 0, ("distance", 2.0))) == 3  # hit
+        assert cache.get("join", (1, 0, ("join",))) is None  # older epoch: miss
+        assert cache.get("join", (0, 0, ("join",))) == 1  # hit
         cache.clear()
         assert len(cache) == 0
-        assert cache.metrics()["invalidated"] == 2
-
-    def test_cache_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            ResultCache(max_entries=0)
+        assert cache.metrics() == {
+            "entries": 0, "hits": 2, "misses": 2, "invalidated": 2, "evicted": 1,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +415,17 @@ class TestAnswerStore:
             sizes = [len(shard.answers) for shard in ring._shards]
             assert max(sizes) <= 2, sizes
             assert len(ring.cache) == 0  # the update dropped the assembled answers
+
+    def test_assembled_cache_keeps_one_answer_per_kind(self):
+        dataset, _motion = scaled_uniform(4000, seed=1)
+        with ShardRing(dataset, n_shards=4, executor="serial") as ring:
+            ring.join_pairs()
+            for k in range(40):
+                ring.distance_pairs(0.05 * (k + 1))
+            # The join and the latest distance; each distance replaced
+            # the one before it within the epoch.
+            assert len(ring.cache) <= 2
+            assert ring.cache.evicted == 39
 
     def test_permanent_kill_serves_the_latest_distance_stale(self, service_dataset):
         n = len(service_dataset)

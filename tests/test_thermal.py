@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import HillClimbingTuner, ThermalJoin
+from repro.core import ThermalJoin, thermal
 from repro.datasets import (
     SpatialDataset,
     make_clustered_workload,
@@ -45,7 +45,7 @@ class TestAgainstOracle:
         dataset, motion = make_uniform_workload(
             600, width=15.0, bounds=(np.zeros(3), np.full(3, 140.0)), seed=13
         )
-        join = ThermalJoin(cost_model="operations")
+        join = ThermalJoin()
         n = len(dataset)
         for _ in range(10):
             result = join.step(dataset)
@@ -108,10 +108,11 @@ class TestHotSpotBehaviour:
         join.step(uniform_small)
         assert join.last_step_info["hot_spot_cells"] > 0
 
-    def test_coarse_grid_uses_tgrids(self, uniform_small):
+    def test_coarse_grid_uses_tgrids(self, uniform_small, monkeypatch):
         # Small populations take the in-cell sweep; force the T-Grid by
         # lowering its population threshold.
-        join = ThermalJoin(resolution=2.0, tgrid_min_objects=2)
+        monkeypatch.setattr(thermal, "TGRID_MIN_OBJECTS", 2)
+        join = ThermalJoin(resolution=2.0)
         join.step(uniform_small)
         info = join.last_step_info
         assert info["tgrid_cells"] > 0
@@ -138,7 +139,7 @@ class TestMaintenance:
         dataset, motion = make_uniform_workload(
             400, width=15.0, bounds=(np.zeros(3), np.full(3, 120.0)), seed=29
         )
-        join = ThermalJoin(cost_model="operations")
+        join = ThermalJoin()
         join.step(dataset)
         width_first = join.last_step_info["cell_width"]
         assert join.pgrid is None  # first probe moved r -> grid dropped
@@ -166,19 +167,27 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             ThermalJoin(resolution=0.0)
 
-    def test_rejects_bad_cost_model(self):
-        with pytest.raises(ValueError):
-            ThermalJoin(cost_model="magic")
-
     def test_fixed_resolution_disables_tuner(self):
         join = ThermalJoin(resolution=0.8)
         assert join.tuner is None
         assert join.current_resolution == 0.8
 
-    def test_custom_tuner_accepted(self):
-        tuner = HillClimbingTuner(initial=0.6)
-        join = ThermalJoin(tuner=tuner)
-        assert join.current_resolution == 0.6
+    def test_distance_join_keeps_every_setting(self, uniform_small):
+        settings = dict(
+            resolution=0.4,
+            hot_spots=False,
+            enclosure_shortcut=False,
+            gc_threshold=0.5,
+        )
+        enlarged = uniform_small.with_enlarged_extent(2.0)
+        unbounded = ThermalJoin(**settings).step(enlarged).stats.memory_bytes
+        settings["memory_quota_bytes"] = unbounded * 3 // 4
+        expected = ThermalJoin(**settings).step(enlarged)
+        assert expected.stats.memory_bytes < unbounded  # the quota binds
+        got = ThermalJoin(**settings).distance_join(uniform_small, 2.0)
+        assert got.n_results == expected.n_results
+        assert got.stats.overlap_tests == expected.stats.overlap_tests
+        assert got.stats.memory_bytes == expected.stats.memory_bytes
 
     def test_count_only_mode(self, uniform_small):
         full = ThermalJoin(resolution=1.0).step(uniform_small)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HillClimbingTuner
+from repro.core.tuning import R_MAX, R_MIN
 
 
 def run_on_function(tuner, fn, n_steps=50):
@@ -36,22 +37,6 @@ def run_with_rebuilds(tuner, fn, surcharge, n_steps=200):
 
 
 class TestValidation:
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            HillClimbingTuner(r_min=1.0, r_max=0.5)
-
-    def test_initial_outside_bounds(self):
-        with pytest.raises(ValueError):
-            HillClimbingTuner(initial=5.0, r_max=2.0)
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            HillClimbingTuner(threshold=0.0)
-
-    def test_bad_steps(self):
-        with pytest.raises(ValueError):
-            HillClimbingTuner(initial_step=0.0)
-
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             HillClimbingTuner().observe(-1.0)
@@ -84,9 +69,9 @@ class TestClimbing:
         assert tuner.tuning_steps <= 2
 
     def test_respects_bounds(self):
-        tuner = HillClimbingTuner(r_min=0.4, r_max=1.5)
+        tuner = HillClimbingTuner()
         run_on_function(tuner, lambda r: r)  # minimum at the lower bound
-        assert all(0.4 <= r <= 1.5 for r, _cost in tuner.history)
+        assert all(R_MIN <= r <= R_MAX for r, _cost in tuner.history)
 
     def test_history_records_observations(self):
         tuner = run_on_function(HillClimbingTuner(), lambda r: 10 + (r - 0.5) ** 2)
@@ -155,7 +140,7 @@ class TestDriftRetuning:
         declared the optimum when a far better point was already seen."""
         # Cost rises steeply toward r_min: best is near the start.
         landscape = lambda r: 10.0 / r  # noqa: E731
-        tuner = HillClimbingTuner(r_min=0.2, r_max=2.0)
+        tuner = HillClimbingTuner()
         for _ in range(60):
             tuner.observe(landscape(tuner.current_r))
             if tuner.converged:
@@ -229,14 +214,14 @@ class TestDriftRetuning:
     def test_clamped_boundary_convergence_keeps_drift_watch(self):
         """Converging *on* a clamp bound must still arm Equation 2: the
         next big cost change at the boundary point re-triggers tuning."""
-        landscape = lambda r: 10 + 50 * (r - 0.1) ** 2  # optimum below r_min  # noqa: E731
-        tuner = HillClimbingTuner(r_min=0.5, r_max=2.0)
+        landscape = lambda r: 10 + 50 * (r - 0.1) ** 2  # optimum below R_MIN  # noqa: E731
+        tuner = HillClimbingTuner()
         for _ in range(60):
             tuner.observe(landscape(tuner.current_r))
             if tuner.converged:
                 break
         assert tuner.converged
-        assert tuner.r_min <= tuner.current_r <= tuner.r_max
+        assert R_MIN <= tuner.current_r <= R_MAX
         tuner.observe(landscape(tuner.current_r))  # seeds the reference
         tuner.observe(5.0 * landscape(tuner.current_r))
         assert tuner.retunes == 1
