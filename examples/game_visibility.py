@@ -15,7 +15,6 @@ Run::
 import numpy as np
 
 from repro import RandomTranslation, SpatialDataset, ThermalJoin
-from repro.geometry import pack_pairs
 
 N_PLAYERS = 3_000
 VISIBILITY_RADIUS = 40.0
@@ -39,7 +38,7 @@ def main():
     print(f"{'tick':>4} {'visible pairs':>13} {'entered':>8} {'left':>6} {'join [ms]':>10}")
     for tick in range(N_TICKS):
         result = join.step(world)
-        current = np.sort(pack_pairs(*result.pairs, N_PLAYERS))
+        current = np.sort(result.keys)  # one packed key per visible pair
         entered = np.setdiff1d(current, previous, assume_unique=True)
         left = np.setdiff1d(previous, current, assume_unique=True)
         print(

@@ -636,12 +636,12 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def _full_step(self, dataset: SpatialDataset, mode: str) -> JoinResult:
         """Full re-join that (re)seeds the maintained pair set.
 
-        Pairs must be materialised to seed the set, so ``count_only`` is
-        lifted around the engine step and the returned result re-honours
-        it.  The set is seeded only when the tuner is converged (or
-        absent) after the step: :meth:`_delta_applicable` refuses an
-        unconverged tuner, so the next step would be full anyway and a
-        set seeded now would never be read.  The seeded state is
+        The step's pair keys seed the set (sorted, never decoded), so
+        ``count_only`` is lifted around the engine step and the returned
+        result re-honours it.  The set is seeded only when the tuner is
+        converged (or absent) after the step: :meth:`_delta_applicable`
+        refuses an unconverged tuner, so the next step would be full
+        anyway and a set seeded now would never be read.  The seeded state is
         re-snapshot into ``index_counters`` so the step's record already
         shows the maintained-set size.
         """
@@ -661,9 +661,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
             result = self._plain_step(dataset)
         finally:
             self.count_only = was_count_only
-        assert result.pairs is not None
+        assert result.keys is not None
         if self.tuner is None or self.tuner.converged:
-            self._maintained = MaintainedPairSet(len(dataset), *result.pairs)
+            self._maintained = MaintainedPairSet(len(dataset), result.keys)
             self._maintained_uid = dataset.uid
             self._maintained_version = dataset.version
         else:
@@ -684,7 +684,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         return JoinResult(
             n_results=result.n_results,
             stats=result.stats,
-            pairs=None if was_count_only else result.pairs,
+            keys=None if was_count_only else result.keys,
+            n_objects=result.n_objects,
         )
 
     def _delta_applicable(self, dataset: SpatialDataset, delta: MotionDelta) -> bool:
@@ -827,6 +828,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "pgrid": None,
         }
         if self._maintained is not None:
+            # The stored keys are read-only and every step replaces them,
+            # so the checkpoint takes the array itself, not a copy.
             arrays["maintained_keys"] = self._maintained.packed_keys()
             meta["maintained"] = {
                 "n": self._maintained.n,

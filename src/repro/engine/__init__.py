@@ -19,8 +19,10 @@ the candidate-generation/refinement split of adaptive geospatial joins):
     :mod:`repro.geometry.kernels` directly, emitting pairs into a
     private :class:`~repro.geometry.PairAccumulator` shard.
 ``merge``
-    Shards are merged in task order into canonical pairs; per-task
-    counters are aggregated into :class:`~repro.joins.base.JoinStatistics`.
+    Shards are merged in task order into one array of canonical pair
+    keys, which the :class:`~repro.joins.base.JoinResult` keeps (its
+    ``pairs`` decodes them on first read); per-task counters are
+    aggregated into :class:`~repro.joins.base.JoinStatistics`.
 
 Executors are interchangeable: results are a pure function of the plan,
 so serial, thread-pool and process-pool execution produce identical pair

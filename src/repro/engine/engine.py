@@ -77,6 +77,7 @@ def execute_step(
         raise ValueError("an incremental step needs both delta and maintained")
     # Delta tasks always materialise: the maintained set needs the pairs.
     count_only = algorithm.count_only and delta is None
+    n_objects = len(dataset)
 
     executor = algorithm.executor
     tracer = get_tracer()
@@ -108,15 +109,16 @@ def execute_step(
                 partition_span.counters["n_tasks"] = len(plan.tasks)
         t2 = time.perf_counter()
         with tracer.span("verify", parent=step_span) as verify_span:
-            results = executor.run(plan.tasks, plan.context, count_only)
+            results = executor.run(plan.tasks, plan.context, n_objects, count_only)
             events = executor.drain_events()  # robustness: retries, downgrades
         t3 = time.perf_counter()
 
-        # merge: shards → canonical pairs (patched into the maintained
-        # set on an incremental step) → the result arrays, counters →
-        # aggregate statistics.
+        # merge: shards → canonical pair keys (patched into the
+        # maintained set on an incremental step) → the result keys,
+        # counters → aggregate statistics.  Nothing here decodes a key:
+        # the result's ``pairs`` does that, when someone reads it.
         with tracer.span("merge", parent=step_span):
-            merged = PairAccumulator(count_only=count_only)
+            merged = PairAccumulator(n_objects, count_only=count_only)
             for task_result in results:
                 merged.merge(task_result.accumulator)
             if plan.on_complete is not None:
@@ -124,10 +126,10 @@ def execute_step(
             maintenance = None
             if delta is not None and maintained is not None:
                 maintenance = _patch_maintained(maintained, delta, merged)
-            answer: PairAccumulator | MaintainedPairSet = (
-                merged if maintained is None else maintained
-            )
-            pairs = None if algorithm.count_only else answer.as_arrays()
+                n_results, stored = len(maintained), maintained.packed_keys
+            else:
+                n_results, stored = len(merged), merged.as_keys
+            keys = None if algorithm.count_only else stored()
         t4 = time.perf_counter()
 
         if traced:
@@ -178,9 +180,10 @@ def execute_step(
         stats.record_index_counters(registry.snapshot())
 
     algorithm.stats = stats
-    result = JoinResult(n_results=len(answer), stats=stats, pairs=pairs)
-    assert (result.pairs is None) == algorithm.count_only, (
-        "JoinResult.pairs must be materialised exactly when not count_only"
+    result = JoinResult(n_results=n_results, stats=stats, keys=keys, n_objects=n_objects)
+    # On the stored form: reading ``pairs`` here would decode every step.
+    assert (result.keys is None) == algorithm.count_only, (
+        "JoinResult keys must be kept exactly when not count_only"
     )
     return result
 
@@ -191,7 +194,7 @@ def _patch_maintained(
     """Drop moved-incident pairs, merge the re-verified ones; return counters."""
     pairs_before = len(maintained)
     dropped = maintained.remove_incident(delta.moved_mask())
-    added = maintained.merge_delta(*reverified.as_arrays())
+    added = maintained.merge_delta(reverified.as_keys())
     return {
         "pairs_reused": pairs_before - dropped,
         "pairs_dropped": dropped,

@@ -102,14 +102,16 @@ TASK_RETRIES_ENV_VAR = "REPRO_TASK_RETRIES"
 #: Attach spec for one published context array: (segment name, shape, dtype str).
 ContextSpec = tuple[str, tuple[int, ...], str]
 
-#: Picklable result tuple returned by :func:`_process_worker`.
-WorkerPayload = tuple[
-    dict[str, Any], float, int, "tuple[np.ndarray, np.ndarray] | None", str, float
-]
+#: Picklable result tuple returned by :func:`_process_worker`: counters,
+#: wall seconds, pair count, the shard's one pair-key array (``None``
+#: when counting only), phase and CPU seconds.
+WorkerPayload = tuple[dict[str, Any], float, int, "np.ndarray | None", str, float]
 
 
-def _run_inline(task: JoinTask, ctx: Mapping[str, np.ndarray], count_only: bool) -> TaskResult:
-    accumulator = PairAccumulator(count_only=count_only)
+def _run_inline(
+    task: JoinTask, ctx: Mapping[str, np.ndarray], n_objects: int, count_only: bool
+) -> TaskResult:
+    accumulator = PairAccumulator(n_objects, count_only=count_only)
     t0 = time.perf_counter()
     c0 = time.process_time()
     counters = task.run(ctx, accumulator)
@@ -217,8 +219,18 @@ class Executor:
         self.task_timeout = task_timeout
         self._events = []
 
-    def run(self, tasks: Sequence[JoinTask], ctx: Mapping[str, np.ndarray], count_only: bool) -> list[TaskResult]:
-        """Execute ``tasks`` against ``ctx``; return ordered TaskResults."""
+    def run(
+        self,
+        tasks: Sequence[JoinTask],
+        ctx: Mapping[str, np.ndarray],
+        n_objects: int,
+        count_only: bool,
+    ) -> list[TaskResult]:
+        """Execute ``tasks`` against ``ctx``; return ordered TaskResults.
+
+        Every task emits into its own accumulator of pair keys over
+        ``n_objects`` objects (the step's dataset size).
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -240,6 +252,7 @@ class Executor:
         task: JoinTask,
         original: JoinTask,
         ctx: Mapping[str, np.ndarray],
+        n_objects: int,
         count_only: bool,
         index: int,
     ) -> TaskResult:
@@ -252,14 +265,15 @@ class Executor:
         genuine, deterministic task bugs must still surface.
         """
         try:
-            return _run_inline(task, ctx, count_only)
+            return _run_inline(task, ctx, n_objects, count_only)
         except Exception as exc:
-            return self._retry_inline(original, ctx, count_only, index, exc)
+            return self._retry_inline(original, ctx, n_objects, count_only, index, exc)
 
     def _retry_inline(
         self,
         task: JoinTask,
         ctx: Mapping[str, np.ndarray],
+        n_objects: int,
         count_only: bool,
         index: int,
         error: Exception,
@@ -272,7 +286,7 @@ class Executor:
         for _ in range(self.max_retries):
             self._record_event("task_retry", task=index, error=repr(error))
             try:
-                return _run_inline(task, ctx, count_only)
+                return _run_inline(task, ctx, n_objects, count_only)
             except Exception as exc:
                 error = exc
         raise error
@@ -302,10 +316,16 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, tasks: Sequence[JoinTask], ctx: Mapping[str, np.ndarray], count_only: bool) -> list[TaskResult]:
+    def run(
+        self,
+        tasks: Sequence[JoinTask],
+        ctx: Mapping[str, np.ndarray],
+        n_objects: int,
+        count_only: bool,
+    ) -> list[TaskResult]:
         launched = faults.wrap_tasks(tasks)
         return [
-            self._attempt_inline(launched[k], tasks[k], ctx, count_only, k)
+            self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
             for k in range(len(tasks))
         ]
 
@@ -357,26 +377,33 @@ class ThreadExecutor(Executor):
             self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
         return self._pool
 
-    def run(self, tasks: Sequence[JoinTask], ctx: Mapping[str, np.ndarray], count_only: bool) -> list[TaskResult]:
-        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, count_only)
+    def run(
+        self,
+        tasks: Sequence[JoinTask],
+        ctx: Mapping[str, np.ndarray],
+        n_objects: int,
+        count_only: bool,
+    ) -> list[TaskResult]:
+        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, n_objects, count_only)
 
     def _run_tasks(
         self,
         launched: Sequence[JoinTask],
         tasks: Sequence[JoinTask],
         ctx: Mapping[str, np.ndarray],
+        n_objects: int,
         count_only: bool,
     ) -> list[TaskResult]:
         if len(tasks) < 2 or self.n_workers < 2:
             return [
-                self._attempt_inline(launched[k], tasks[k], ctx, count_only, k)
+                self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
                 for k in range(len(tasks))
             ]
         import concurrent.futures as cf
 
         pool = self._ensure_pool()
         futures = [
-            pool.submit(_run_inline, launched[k], ctx, count_only)
+            pool.submit(_run_inline, launched[k], ctx, n_objects, count_only)
             for k in range(len(tasks))
         ]
         deadline = self._step_deadline()
@@ -388,9 +415,9 @@ class ThreadExecutor(Executor):
                 self._record_event(
                     "task_timeout", task=k, timeout=self.task_timeout
                 )
-                results.append(_run_inline(tasks[k], ctx, count_only))
+                results.append(_run_inline(tasks[k], ctx, n_objects, count_only))
             except Exception as exc:
-                results.append(self._retry_inline(tasks[k], ctx, count_only, k, exc))
+                results.append(self._retry_inline(tasks[k], ctx, n_objects, count_only, k, exc))
         return results
 
     def close(self) -> None:
@@ -444,30 +471,32 @@ def _process_worker(
     specs: Mapping[str, ContextSpec],
     token: tuple[int, int],
     task: JoinTask,
+    n_objects: int,
     count_only: bool,
 ) -> WorkerPayload:
     """Run one task in a worker process; return a picklable result.
 
     The worker times the task itself (wall and CPU) so the measurement
-    rides the existing result channel back to the parent's tracer.
+    rides the existing result channel back to the parent's tracer.  Its
+    pairs travel as one key array, half the bytes of two index arrays.
     """
     ctx = _attach_context(specs, token)
-    accumulator = PairAccumulator(count_only=count_only)
+    accumulator = PairAccumulator(n_objects, count_only=count_only)
     t0 = time.perf_counter()
     c0 = time.process_time()
     counters = task.run(ctx, accumulator)
     cpu_seconds = time.process_time() - c0
     seconds = time.perf_counter() - t0
-    pairs = None if count_only else accumulator.as_arrays()
-    return counters, seconds, len(accumulator), pairs, task.phase, cpu_seconds
+    keys = None if count_only else accumulator.as_keys()
+    return counters, seconds, len(accumulator), keys, task.phase, cpu_seconds
 
 
-def _result_from_payload(payload: WorkerPayload, count_only: bool) -> TaskResult:
+def _result_from_payload(payload: WorkerPayload, n_objects: int, count_only: bool) -> TaskResult:
     """Rehydrate a worker's picklable payload into a TaskResult."""
-    counters, seconds, n_pairs, pairs, phase, cpu_seconds = payload
-    accumulator = PairAccumulator(count_only=count_only)
-    if pairs is not None:
-        accumulator.extend_canonical(*pairs)
+    counters, seconds, n_pairs, keys, phase, cpu_seconds = payload
+    accumulator = PairAccumulator(n_objects, count_only=count_only)
+    if keys is not None:
+        accumulator.extend_keys(keys)
     else:
         accumulator.add_count(n_pairs)
     return TaskResult(
@@ -547,22 +576,29 @@ class ProcessExecutor(Executor):
             info["error"] = error
         self._record_event("degraded", **info)
 
-    def run(self, tasks: Sequence[JoinTask], ctx: Mapping[str, np.ndarray], count_only: bool) -> list[TaskResult]:
-        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, count_only)
+    def run(
+        self,
+        tasks: Sequence[JoinTask],
+        ctx: Mapping[str, np.ndarray],
+        n_objects: int,
+        count_only: bool,
+    ) -> list[TaskResult]:
+        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, n_objects, count_only)
 
     def _run_tasks(
         self,
         launched: Sequence[JoinTask],
         tasks: Sequence[JoinTask],
         ctx: Mapping[str, np.ndarray],
+        n_objects: int,
         count_only: bool,
     ) -> list[TaskResult]:
         if self._degraded is not None:
-            return self._run_degraded(launched, tasks, ctx, count_only)
+            return self._run_degraded(launched, tasks, ctx, n_objects, count_only)
         remote_idx = [k for k, task in enumerate(launched) if task.process_safe]
         if len(remote_idx) < 2 or self.n_workers < 2 or not ctx:
             return [
-                self._attempt_inline(launched[k], tasks[k], ctx, count_only, k)
+                self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
                 for k in range(len(tasks))
             ]
 
@@ -587,7 +623,12 @@ class ProcessExecutor(Executor):
                     pool = self._ensure_pool()
                     for k in remaining:
                         futures[k] = pool.submit(
-                            _process_worker, specs, token, submission[k], count_only
+                            _process_worker,
+                            specs,
+                            token,
+                            submission[k],
+                            n_objects,
+                            count_only,
                         )
                 except BrokenProcessPool as exc:
                     broken = exc
@@ -596,7 +637,7 @@ class ProcessExecutor(Executor):
                     for k in range(len(tasks)):
                         if k not in attempts:
                             results[k] = self._attempt_inline(
-                                launched[k], tasks[k], ctx, count_only, k
+                                launched[k], tasks[k], ctx, n_objects, count_only, k
                             )
                     inline_done = True
                 retry_round = []
@@ -610,7 +651,7 @@ class ProcessExecutor(Executor):
                             self._record_event(
                                 "task_timeout", task=k, timeout=self.task_timeout
                             )
-                            results[k] = _run_inline(tasks[k], ctx, count_only)
+                            results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
                         except BrokenProcessPool as exc:
                             broken = exc
                             break
@@ -623,7 +664,7 @@ class ProcessExecutor(Executor):
                             submission[k] = tasks[k]
                             retry_round.append(k)
                         else:
-                            results[k] = _result_from_payload(payload, count_only)
+                            results[k] = _result_from_payload(payload, n_objects, count_only)
                 if broken is not None:
                     self._record_event("pool_broken", error=repr(broken))
                     self._discard_pool()
@@ -636,7 +677,7 @@ class ProcessExecutor(Executor):
                         # rest of the run and finish this step inline.
                         self._degrade_to("thread", error=repr(broken))
                         for k in unresolved:
-                            results[k] = _run_inline(tasks[k], ctx, count_only)
+                            results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
                         remaining = []
                     else:
                         self._record_event("pool_rebuild")
@@ -650,6 +691,7 @@ class ProcessExecutor(Executor):
         launched: Sequence[JoinTask],
         tasks: Sequence[JoinTask],
         ctx: Mapping[str, np.ndarray],
+        n_objects: int,
         count_only: bool,
     ) -> list[TaskResult]:
         """Run a step below the process rung: threads, then serial."""
@@ -662,14 +704,14 @@ class ProcessExecutor(Executor):
                 )
             fallback = self._thread_fallback
             try:
-                results = fallback._run_tasks(launched, tasks, ctx, count_only)
+                results = fallback._run_tasks(launched, tasks, ctx, n_objects, count_only)
                 self._events.extend(fallback.drain_events())
                 return results
             except Exception as exc:
                 self._events.extend(fallback.drain_events())
                 self._degrade_to("serial", error=repr(exc))
         return [
-            self._attempt_inline(launched[k], tasks[k], ctx, count_only, k)
+            self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
             for k in range(len(tasks))
         ]
 

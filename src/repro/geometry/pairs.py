@@ -8,12 +8,14 @@ semantics are identical across algorithms and trivially comparable in
 tests.
 
 Pairs are canonicalised as ``i < j`` over the objects' positional indices
-in the dataset and, where a single array is convenient, packed into an
-``int64`` key ``(i << b) | j`` with ``b = max(1, (n - 1).bit_length())``
-bits for each index.  Since ``j < 2**b``, the keys sort in lexicographic
-``(i, j)`` order, one object's pairs as the lower index form the key
-range ``[i << b, (i + 1) << b)``, and :func:`unpack_pairs`, the only
-decoder, is a shift and a mask instead of an integer division.
+in the dataset and packed into an ``int64`` key ``(i << b) | j`` with
+``b = max(1, (n - 1).bit_length())`` bits for each index.  Since
+``j < 2**b``, the keys sort in lexicographic ``(i, j)`` order, one
+object's pairs as the lower index form the key range
+``[i << b, (i + 1) << b)``, and :func:`unpack_pairs`, the only decoder,
+is a shift and a mask instead of an integer division.  A pair is one
+key from the moment a kernel emits it (:class:`PairAccumulator`) until
+a consumer reads ``JoinResult.pairs``, which decodes once.
 Deduplication sorts those keys (:func:`sorted_unique_keys`) rather than
 hashing them.
 """
@@ -130,19 +132,22 @@ class PairAccumulator:
     Python list and concatenating once at the end is far cheaper than
     repeated ``np.concatenate`` and keeps the emitting code simple.
 
-    The accumulator canonicalises every batch on entry, so the final
-    array is free of reflexive pairs and uses ``i < j`` ordering.  It
-    does *not* deduplicate — algorithms that can emit duplicates (PBSM
-    without reference points, for instance) must deduplicate themselves
-    or call :meth:`as_unique_array`.
+    Each batch is stored as one array of canonical pair keys over ``n``
+    objects (:func:`pack_pairs`), so canonicalisation happens in the
+    emit: reflexive pairs are dropped and ``i < j`` holds in every key.
+    A pair stays a key until a consumer decodes it (:meth:`as_arrays`).
+    The accumulator does *not* deduplicate — algorithms that can emit
+    duplicates (PBSM without reference points, for instance) must
+    deduplicate themselves or call :meth:`as_unique_arrays`.
 
     A ``count_only`` accumulator records only the number of pairs, which
     the benchmark harness uses to keep large sweeps memory-friendly.
     """
 
-    def __init__(self, count_only: bool = False) -> None:
-        self._batches_i = []
-        self._batches_j = []
+    def __init__(self, n: int, count_only: bool = False) -> None:
+        self.n = int(n)
+        self._bits = np.int64(_index_bits(n))
+        self._batches: list[np.ndarray] = []
         self._count = 0
         self.count_only = count_only
 
@@ -151,11 +156,21 @@ class PairAccumulator:
 
     def extend(self, i_idx: np.ndarray, j_idx: np.ndarray) -> None:
         """Add a batch of pairs (any order; reflexive entries dropped)."""
-        lo, hi = canonicalize_pairs(i_idx, j_idx)
-        self._count += int(lo.size)
-        if not self.count_only and lo.size:
-            self._batches_i.append(lo)
-            self._batches_j.append(hi)
+        i_idx = np.asarray(i_idx, dtype=np.int64)
+        j_idx = np.asarray(j_idx, dtype=np.int64)
+        if i_idx.shape != j_idx.shape:
+            raise ValueError("pair index arrays must have the same shape")
+        distinct = i_idx != j_idx
+        if self.count_only:
+            self._count += int(np.count_nonzero(distinct))
+            return
+        keys = np.minimum(i_idx, j_idx)
+        keys <<= self._bits
+        keys |= np.maximum(i_idx, j_idx)
+        keys = keys[distinct]
+        self._count += int(keys.size)
+        if keys.size:
+            self._batches.append(keys)
 
     def extend_canonical(self, i_idx: np.ndarray, j_idx: np.ndarray) -> None:
         """Add a batch already known to satisfy ``i < j``.
@@ -165,11 +180,20 @@ class PairAccumulator:
         construction.
         """
         i_idx = np.asarray(i_idx, dtype=np.int64)
-        j_idx = np.asarray(j_idx, dtype=np.int64)
         self._count += int(i_idx.size)
         if not self.count_only and i_idx.size:
-            self._batches_i.append(i_idx)
-            self._batches_j.append(j_idx)
+            self._batches.append((i_idx << self._bits) | np.asarray(j_idx, dtype=np.int64))
+
+    def extend_keys(self, keys: np.ndarray) -> None:
+        """Add a batch of canonical pair keys over the same ``n`` objects.
+
+        How a process worker's shard, shipped as :meth:`as_keys`, joins
+        the parent's accumulator.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        self._count += int(keys.size)
+        if not self.count_only and keys.size:
+            self._batches.append(keys)
 
     def add_count(self, n: int) -> None:
         """Record ``n`` pairs without materialising them.
@@ -184,34 +208,47 @@ class PairAccumulator:
     def merge(self, other: PairAccumulator) -> None:
         """Absorb another accumulator's batches (parallel join shards).
 
-        The other accumulator must have the same ``count_only`` mode; it
-        is left empty afterwards.
+        The other accumulator must have the same ``count_only`` mode and
+        object count; it is left empty afterwards.
         """
         if other.count_only != self.count_only:
             raise ValueError("cannot merge accumulators with different modes")
+        if other.n != self.n:
+            raise ValueError(
+                f"cannot merge keys over {other.n} objects into keys over {self.n}"
+            )
         self._count += other._count
-        self._batches_i.extend(other._batches_i)
-        self._batches_j.extend(other._batches_j)
-        other._batches_i = []
-        other._batches_j = []
+        self._batches.extend(other._batches)
+        other._batches = []
         other._count = 0
+
+    def as_keys(self) -> np.ndarray:
+        """All accumulated pairs as one canonical key array (unsorted)."""
+        if self.count_only:
+            raise RuntimeError("accumulator was created count_only; pairs not kept")
+        if not self._batches:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(self._batches)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(i, j)`` arrays with all accumulated pairs (unsorted)."""
-        if self.count_only:
-            raise RuntimeError("accumulator was created count_only; pairs not kept")
-        if not self._batches_i:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return (
-            np.concatenate(self._batches_i),
-            np.concatenate(self._batches_j),
-        )
+        return unpack_pairs(self.as_keys(), self.n)
 
-    def as_unique_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def as_unique_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return deduplicated, sorted ``(i, j)`` arrays."""
-        i_idx, j_idx = self.as_arrays()
-        return unique_pairs(i_idx, j_idx, n)
+        return unpack_pairs(sorted_unique_keys(self.as_keys()), self.n)
+
+
+def _frozen(keys: np.ndarray) -> np.ndarray:
+    """Mark a stored key array read-only and return it.
+
+    Stored keys are shared, never copied: a step's ``JoinResult`` and a
+    checkpoint may hold the array a :class:`MaintainedPairSet` holds.
+    Every mutator builds a new array, and the flag makes an in-place
+    write raise instead of reaching a kept result.
+    """
+    keys.setflags(write=False)
+    return keys
 
 
 class MaintainedPairSet:
@@ -224,21 +261,27 @@ class MaintainedPairSet:
     are stored as sorted unique packed ``int64`` keys in the canonical
     ``i < j`` encoding of :func:`pack_pairs`, so set algebra is exact and
     the extracted arrays are deterministic regardless of executor or task
-    order.  No step decodes the whole set except :meth:`as_arrays`: the
-    pairs a moved object holds as the lower index are one key range, and
-    those it holds as the upper index are the keys whose low field it
-    owns.
+    order.  No step decodes the set: the pairs a moved object holds as
+    the lower index are one key range, those it holds as the upper index
+    are the keys whose low field it owns, and the step's result takes
+    the keys themselves (:meth:`packed_keys`).
 
     These two operations (plus construction from a full join result) are
     the *only* sanctioned mutators — repro-lint rule RPL203 enforces
     that library code never pokes the underlying key array directly,
     which is what makes the bit-identity contract with the full re-join
-    auditable.
+    auditable.  Each one replaces the read-only key array with a new
+    one, so an array handed out earlier never changes.
     """
 
-    def __init__(self, n: int, i_idx: np.ndarray, j_idx: np.ndarray) -> None:
-        lo, hi = canonicalize_pairs(i_idx, j_idx)
-        self._keys = sorted_unique_keys(pack_pairs(lo, hi, n))
+    def __init__(self, n: int, keys: np.ndarray) -> None:
+        """Seed the set from canonical pair keys over ``n`` objects.
+
+        ``keys`` is what a :class:`PairAccumulator` emits (any order,
+        duplicates allowed); it is sorted and deduplicated, not decoded.
+        """
+        _index_bits(n)  # rejects n outside [1, 2**31]
+        self._keys = _frozen(sorted_unique_keys(np.asarray(keys, dtype=np.int64)))
         self.n = int(n)
 
     @classmethod
@@ -268,7 +311,7 @@ class MaintainedPairSet:
                 raise ValueError("packed keys must encode canonical i < j pairs")
         restored = cls.__new__(cls)
         restored.n = int(n)
-        restored._keys = keys.copy()
+        restored._keys = _frozen(keys.copy())
         return restored
 
     def __len__(self) -> int:
@@ -303,17 +346,17 @@ class MaintainedPairSet:
         keep[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)] = False
         kept = self._keys[keep]
         removed = int(self._keys.size - kept.size)
-        self._keys = kept
+        self._keys = _frozen(kept)
         return removed
 
-    def merge_delta(self, i_idx: np.ndarray, j_idx: np.ndarray) -> int:
-        """Insert re-verified pairs (any order); returns the number added.
+    def merge_delta(self, keys: np.ndarray) -> int:
+        """Insert re-verified canonical pair keys; returns the number added.
 
-        Input pairs are canonicalised and deduplicated before the merge,
-        so emitting the same pair from two verify tasks is harmless.
+        ``keys`` is what a :class:`PairAccumulator` emits: any order, and
+        deduplicated before the merge, so emitting the same pair from two
+        verify tasks is harmless.
         """
-        lo, hi = canonicalize_pairs(i_idx, j_idx)
-        fresh = sorted_unique_keys(pack_pairs(lo, hi, self.n))
+        fresh = sorted_unique_keys(np.asarray(keys, dtype=np.int64))
         # Both sides are sorted, so merge by insertion position instead
         # of re-sorting the whole key set: one O(P) pass for P maintained
         # keys plus O(k log P) for k fresh ones.  At 1.07M keys and 39k
@@ -325,7 +368,7 @@ class MaintainedPairSet:
             new = (positions == self._keys.size) | (self._keys[bounded] != fresh)
             fresh = fresh[new]
             positions = positions[new]
-        self._keys = np.insert(self._keys, positions, fresh)
+        self._keys = _frozen(np.insert(self._keys, positions, fresh))
         return int(fresh.size)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +376,8 @@ class MaintainedPairSet:
         return unpack_pairs(self._keys, self.n)
 
     def packed_keys(self) -> np.ndarray:
-        """Copy of the sorted packed keys (for set comparisons in tests)."""
-        return self._keys.copy()
+        """The sorted packed keys: the stored read-only array, not a copy."""
+        return self._keys
 
 
 def brute_force_pairs(lo: np.ndarray, hi: np.ndarray, chunk_size: int = 512) -> tuple[np.ndarray, np.ndarray]:

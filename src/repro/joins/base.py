@@ -196,14 +196,37 @@ class JoinStatistics:
 class JoinResult:
     """Result of one self-join step.
 
-    ``pairs`` holds canonical ``(i, j)`` index arrays (``i < j``, unique),
-    or ``None`` when the algorithm ran in count-only mode; ``n_results``
-    is always populated.
+    ``keys`` holds the result pairs as canonical packed keys over
+    ``n_objects`` objects (:func:`repro.geometry.pack_pairs`; unique and
+    read-only, in emit order, or sorted after a maintained step), or
+    ``None`` when the algorithm ran in count-only mode; ``n_results`` is
+    always populated.  :attr:`pairs`
+    decodes the keys on first read and keeps the arrays, so a consumer
+    that never reads it never pays for the decode.
     """
 
     n_results: int
     stats: JoinStatistics
-    pairs: tuple | None = None
+    keys: np.ndarray | None = None
+    n_objects: int = 0
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.keys is not None:
+            # The array may be the maintained set's own; nobody may write it.
+            self.keys.setflags(write=False)
+
+    @property
+    def pairs(self) -> tuple | None:
+        """Canonical ``(i, j)`` index arrays (``i < j``, unique), or ``None``
+        in count-only mode."""
+        if self.keys is None:
+            return None
+        if self._pairs is None:
+            from repro.geometry.pairs import unpack_pairs
+
+            self._pairs = unpack_pairs(self.keys, self.n_objects)
+        return self._pairs
 
 
 class SpatialJoinAlgorithm:
@@ -331,10 +354,10 @@ class SpatialJoinAlgorithm:
         if self.count_only:
             raise RuntimeError("algorithm was created count_only")
         result = self.step(dataset)
-        from repro.geometry import unique_pairs
+        from repro.geometry import sorted_unique_keys, unpack_pairs
 
-        assert result.pairs is not None
-        return unique_pairs(*result.pairs, len(dataset))
+        assert result.keys is not None
+        return unpack_pairs(sorted_unique_keys(result.keys), len(dataset))
 
     def distance_join(self, dataset: SpatialDataset, distance: float) -> JoinResult:
         """Self-join with a distance predicate (the paper's §3.1 reduction).
@@ -352,14 +375,9 @@ class SpatialJoinAlgorithm:
         The representation simulations iterate over: object ``k``'s
         overlap partners are ``neighbors[offsets[k]:offsets[k + 1]]``.
         """
-        if self.count_only:
-            raise RuntimeError("algorithm was created count_only")
-        result = self.step(dataset)
-        from repro.geometry import pairs_to_adjacency, unique_pairs
+        from repro.geometry import pairs_to_adjacency
 
-        assert result.pairs is not None
-        i_idx, j_idx = unique_pairs(*result.pairs, len(dataset))
-        return pairs_to_adjacency(i_idx, j_idx, len(dataset))
+        return pairs_to_adjacency(*self.join_pairs(dataset), len(dataset))
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery protocol

@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 from repro.experiments.figures import ALGORITHM_FACTORIES
 from repro.experiments.workloads import scaled_clustered, scaled_neural, scaled_uniform
-from repro.geometry import brute_force_pairs, pack_pairs, unique_pairs
+from repro.geometry import brute_force_pairs, pack_pairs, sorted_unique_keys
 
 __all__ = ["validate", "main"]
 
@@ -63,9 +63,9 @@ def validate(
     for step in range(steps):
         keys = {}
         for name, algorithm in instances.items():
-            result = algorithm.step(dataset)
-            i_idx, j_idx = unique_pairs(*result.pairs, n)
-            keys[name] = pack_pairs(i_idx, j_idx, n)
+            # The result's keys use the oracle's encoding: compare them
+            # deduplicated, without decoding a pair.
+            keys[name] = sorted_unique_keys(algorithm.step(dataset).keys)
         if use_oracle:
             keys["<oracle>"] = pack_pairs(*brute_force_pairs(*dataset.boxes()), n)
         reference_name = next(iter(keys))

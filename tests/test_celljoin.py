@@ -154,7 +154,7 @@ class TestJoinCellPairsBatched:
             for gb in range(ga + 1, n_groups):
                 pair_a.append(ga)
                 pair_b.append(gb)
-        acc = PairAccumulator()
+        acc = PairAccumulator(lo.shape[0])
         tests, shortcuts = cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi,
             np.asarray(pair_a), np.asarray(pair_b), acc, **kwargs,
@@ -204,11 +204,11 @@ class TestJoinCellPairsBatched:
         )
         pair_a = np.asarray([0, 1, 2])
         pair_b = np.asarray([1, 2, 3])
-        batched_acc = PairAccumulator()
+        batched_acc = PairAccumulator(lo.shape[0])
         batched_tests, batched_shortcuts = cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, batched_acc
         )
-        seq_acc = PairAccumulator()
+        seq_acc = PairAccumulator(lo.shape[0])
         seq_tests = 0
         seq_shortcuts = 0
         for ga, gb in zip(pair_a, pair_b, strict=True):
@@ -225,15 +225,15 @@ class TestJoinCellPairsBatched:
             seq_shortcuts += s
         n = lo.shape[0]
         assert np.array_equal(
-            pack_pairs(*batched_acc.as_unique_arrays(n), n),
-            pack_pairs(*seq_acc.as_unique_arrays(n), n),
+            pack_pairs(*batched_acc.as_unique_arrays(), n),
+            pack_pairs(*seq_acc.as_unique_arrays(), n),
         )
         assert batched_tests == seq_tests
         assert batched_shortcuts == seq_shortcuts
 
     def test_empty_pairs(self, rng):
         lo, hi, _c, cat, starts, stops, c_lo, c_hi = make_grouped_boxes(rng, n=20)
-        acc = PairAccumulator()
+        acc = PairAccumulator(lo.shape[0])
         assert cell_pair_sweep(
             lo, hi, cat, starts, stops, c_lo, c_hi,
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), acc,
@@ -243,23 +243,23 @@ class TestJoinCellPairsBatched:
 class TestEmitHotCells:
     def test_matches_per_cell_all_combinations(self, rng):
         lo, hi, _c, cat, starts, stops, _cl, _ch = make_grouped_boxes(rng, n=60)
-        acc_batched = PairAccumulator()
+        acc_batched = PairAccumulator(lo.shape[0])
         hot = np.arange(starts.size)
         emitted = hot_cell_emit(cat, starts, stops, hot, acc_batched)
-        acc_per_cell = PairAccumulator()
+        acc_per_cell = PairAccumulator(lo.shape[0])
         for g in range(starts.size):
             i_ids, j_ids = all_combinations(cat[starts[g]:stops[g]])
             acc_per_cell.extend_canonical(i_ids, j_ids)
         n = lo.shape[0]
         assert emitted == len(acc_per_cell)
         assert np.array_equal(
-            pack_pairs(*acc_batched.as_unique_arrays(n), n),
-            pack_pairs(*acc_per_cell.as_unique_arrays(n), n),
+            pack_pairs(*acc_batched.as_unique_arrays(), n),
+            pack_pairs(*acc_per_cell.as_unique_arrays(), n),
         )
 
     def test_no_hot_cells(self, rng):
         lo, hi, _c, cat, starts, stops, _cl, _ch = make_grouped_boxes(rng, n=20)
-        acc = PairAccumulator()
+        acc = PairAccumulator(lo.shape[0])
         assert hot_cell_emit(
             cat, starts, stops, np.empty(0, dtype=np.int64), acc
         ) == 0
@@ -268,5 +268,5 @@ class TestEmitHotCells:
         cat = np.arange(3, dtype=np.int64)
         starts = np.asarray([0, 1, 2], dtype=np.int64)
         stops = np.asarray([1, 2, 3], dtype=np.int64)
-        acc = PairAccumulator()
+        acc = PairAccumulator(cat.size)
         assert hot_cell_emit(cat, starts, stops, np.arange(3), acc) == 0

@@ -176,6 +176,32 @@ class TestExecutorsMatchOracle:
         assert_matches_oracle(processed, uniform_small)
         assert processed.stats.overlap_tests == serial.stats.overlap_tests
 
+    def test_process_payload_is_one_key_array(self, uniform_small, process_pool, monkeypatch):
+        # Each worker ships its task's pairs as one int64 key array; the
+        # decoded result equals serial's in values and in order.
+        from repro.core import ThermalJoin
+        from repro.engine import executors
+
+        payloads = []
+        rehydrate = executors._result_from_payload
+
+        def record(payload, n_objects, count_only):
+            payloads.append(payload)
+            return rehydrate(payload, n_objects, count_only)
+
+        monkeypatch.setattr(executors, "_result_from_payload", record)
+        processed = ThermalJoin(resolution=1.0, executor=process_pool).step(uniform_small)
+        serial = ThermalJoin(resolution=1.0, executor="serial").step(uniform_small)
+
+        assert len(payloads) >= 2, "no task reached a worker"
+        for _counters, _seconds, n_pairs, keys, _phase, _cpu in payloads:
+            assert isinstance(keys, np.ndarray)
+            assert keys.dtype == np.int64 and keys.ndim == 1 and keys.size == n_pairs
+        assert sum(payload[3].size for payload in payloads) > 0
+        for got, want in zip(processed.pairs, serial.pairs, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(processed.keys, serial.keys)
+
     def test_count_only_counts_agree_across_executors(self, uniform_varied):
         from repro.core import ThermalJoin
 
@@ -262,7 +288,7 @@ class TestPlansAndStatistics:
 
     def test_executor_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Executor().run([], {}, False)
+            Executor().run([], {}, 1, False)
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +296,12 @@ class TestPlansAndStatistics:
 # ----------------------------------------------------------------------
 class TestAddCount:
     def test_add_count_in_count_only_mode(self):
-        accumulator = PairAccumulator(count_only=True)
+        accumulator = PairAccumulator(4, count_only=True)
         accumulator.add_count(7)
         accumulator.add_count(3)
         assert len(accumulator) == 10
 
     def test_add_count_rejected_when_materialising(self):
-        accumulator = PairAccumulator()
+        accumulator = PairAccumulator(4)
         with pytest.raises(RuntimeError):
             accumulator.add_count(1)

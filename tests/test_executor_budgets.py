@@ -165,7 +165,7 @@ class TestInlineRetryBudget:
     def test_inline_retries_up_to_budget(self):
         executor = SerialExecutor(max_retries=3)
         task = FlakyTask(failures=3)
-        results = executor.run([task], {}, False)
+        results = executor.run([task], {}, 1, False)
         assert len(results) == 1
         assert task.attempts == 4  # first launch + three retries
         events = executor.drain_events()
@@ -176,7 +176,7 @@ class TestInlineRetryBudget:
         executor = SerialExecutor(max_retries=2)
         task = FlakyTask(failures=10)
         with pytest.raises(RuntimeError, match="injected failure #3"):
-            executor.run([task], {}, False)
+            executor.run([task], {}, 1, False)
         assert task.attempts == 3  # first launch + two retries, then give up
         assert [e["kind"] for e in executor.drain_events()] == ["task_retry"] * 2
 
@@ -184,7 +184,7 @@ class TestInlineRetryBudget:
         executor = SerialExecutor(max_retries=0)
         task = FlakyTask(failures=1)
         with pytest.raises(RuntimeError, match="injected failure #1"):
-            executor.run([task], {}, False)
+            executor.run([task], {}, 1, False)
         assert task.attempts == 1
         assert executor.drain_events() == []
 
@@ -193,7 +193,7 @@ class TestInlineRetryBudget:
         # larger configured budget.
         executor = SerialExecutor(max_retries=2)
         task = FlakyTask(failures=2)
-        results = executor.run([task], {}, False)
+        results = executor.run([task], {}, 1, False)
         assert results[0].counters == {"overlap_tests": 0}
         assert task.attempts == 3
 
@@ -225,7 +225,7 @@ class TestPoolRetryBudget:
         other = FileFlakyTask(tmp_path / "other", failures=0)
         ctx = {"unused": np.zeros(1)}
         try:
-            return executor, task, executor.run([task, other], ctx, False)
+            return executor, task, executor.run([task, other], ctx, 1, False)
         finally:
             executor.close()
 

@@ -307,6 +307,78 @@ class TestFaults:
 
 
 # ----------------------------------------------------------------------
+# Results keep packed keys: read-only, decoded only when read
+# ----------------------------------------------------------------------
+def _steps_to_first_incremental(algorithm, dataset, motion, limit=12):
+    """Step until the first incremental step and return its result."""
+    delta = None
+    for _ in range(limit):
+        result = algorithm.step_delta(dataset, delta)
+        if algorithm._incr["mode"] == "incremental":
+            return result
+        delta = motion.step(dataset)
+    raise AssertionError("no incremental step")
+
+
+class TestPackedResults:
+    def test_result_keys_are_read_only(self):
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True)
+        full = ThermalJoin(pair_maintenance=False).step(dataset)
+        maintained = _steps_to_first_incremental(algorithm, dataset, motion)
+        for result in (full, maintained):
+            assert result.keys.size
+            with pytest.raises(ValueError, match="read-only"):
+                result.keys[0] = 0
+        # The incremental result shares the maintained set's array.
+        assert maintained.keys is algorithm._maintained.packed_keys()
+        with pytest.raises(ValueError, match="read-only"):
+            algorithm._maintained.packed_keys()[:] = 0
+
+    def test_kept_result_survives_later_steps(self):
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True)
+        kept = _steps_to_first_incremental(algorithm, dataset, motion)
+        expected = brute_force_pairs(*dataset.boxes())
+        for _ in range(3):
+            algorithm.step_delta(dataset, motion.step(dataset))
+            assert algorithm._incr["mode"] == "incremental"
+        assert not np.array_equal(algorithm._maintained.packed_keys(), kept.keys)
+        for got, want in zip(kept.pairs, expected, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_unread_maintained_steps_decode_nothing(self, monkeypatch, tmp_path):
+        import repro.geometry
+        import repro.geometry.pairs
+
+        decoded = []
+        unpack = repro.geometry.pairs.unpack_pairs
+
+        def counting_unpack(keys, n):
+            decoded.append(len(keys))
+            return unpack(keys, n)
+
+        monkeypatch.setattr(repro.geometry.pairs, "unpack_pairs", counting_unpack)
+        monkeypatch.setattr(repro.geometry, "unpack_pairs", counting_unpack)
+        dataset = small_dataset()
+        runner = SimulationRunner(
+            dataset,
+            MOTIONS["intermittent-low"](dataset),
+            ThermalJoin(pair_maintenance=True),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=5,
+        )
+        while runner.run(len(runner.records) + 1)[-1].incremental["mode"] != "incremental":
+            assert len(runner.records) < 12, "no incremental step"
+        decoded.clear()
+        records = runner.run(len(runner.records) + 20)[-20:]
+        assert [r.incremental["mode"] for r in records] == ["incremental"] * 20
+        assert decoded == []
+
+
+# ----------------------------------------------------------------------
 # Runner integration: delta threading and the incremental record block
 # ----------------------------------------------------------------------
 class TestRunnerIntegration:
@@ -471,7 +543,9 @@ class TestMaintainedPairSet:
         i_idx = rng.integers(0, n, 500)
         j_idx = rng.integers(0, n, 500)
         keep = i_idx != j_idx
-        maintained = MaintainedPairSet(n, i_idx[keep], j_idx[keep])
+        maintained = MaintainedPairSet(
+            n, pack_pairs(*canonicalize_pairs(i_idx[keep], j_idx[keep]), n)
+        )
         oracle = {
             (min(a, b), max(a, b))
             for a, b in zip(i_idx[keep].tolist(), j_idx[keep].tolist())
@@ -489,7 +563,9 @@ class TestMaintainedPairSet:
         fresh_i = rng.integers(0, n, 120)
         fresh_j = rng.integers(0, n, 120)
         keep = fresh_i != fresh_j
-        added = maintained.merge_delta(fresh_i[keep], fresh_j[keep])
+        added = maintained.merge_delta(
+            pack_pairs(*canonicalize_pairs(fresh_i[keep], fresh_j[keep]), n)
+        )
         merged = survivors | {
             (min(a, b), max(a, b))
             for a, b in zip(fresh_i[keep].tolist(), fresh_j[keep].tolist())
@@ -500,22 +576,22 @@ class TestMaintainedPairSet:
         assert got == merged
 
     def test_keys_stay_sorted_unique(self):
-        maintained = MaintainedPairSet(10, np.array([3, 1]), np.array([1, 3]))
+        maintained = MaintainedPairSet(10, pack_pairs([1, 1], [3, 3], 10))
         assert len(maintained) == 1
-        maintained.merge_delta(np.array([0, 5, 0]), np.array([2, 4, 2]))
+        maintained.merge_delta(pack_pairs([0, 4, 0], [2, 5, 2], 10))
         keys = maintained.packed_keys()
         assert np.all(np.diff(keys) > 0)
 
     def test_merge_into_empty_set(self):
-        maintained = MaintainedPairSet(5, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        maintained = MaintainedPairSet(5, np.array([], dtype=np.int64))
         assert len(maintained) == 0
-        assert maintained.merge_delta(np.array([0]), np.array([1])) == 1
+        assert maintained.merge_delta(pack_pairs([0], [1], 5)) == 1
         assert len(maintained) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MaintainedPairSet(0, np.array([0]), np.array([1]))
-        maintained = MaintainedPairSet(5, np.array([0]), np.array([1]))
+            MaintainedPairSet(0, np.array([1]))
+        maintained = MaintainedPairSet(5, pack_pairs([0], [1], 5))
         with pytest.raises(ValueError):
             maintained.remove_incident(np.zeros(4, dtype=bool))
 

@@ -276,7 +276,7 @@ class TestTouchRouting:
         dataset, lo, hi = uniform_boxes(200, width=10.0, side=80.0, seed=16)
         join = TouchJoin()
         join._build(dataset)
-        acc = PairAccumulator(count_only=True)
+        acc = PairAccumulator(len(dataset), count_only=True)
         tests = join._join(dataset, acc)
         # Lower bound: each object is at least compared against itself.
         assert tests >= len(dataset)

@@ -174,7 +174,7 @@ class _Collector:
 
 
 def _canonical(accumulator, n):
-    return pack_pairs(*accumulator.as_unique_arrays(n), n).tolist()
+    return pack_pairs(*accumulator.as_unique_arrays(), n).tolist()
 
 
 class TestKernelParity:
@@ -225,7 +225,7 @@ class TestKernelParity:
         pair_a, pair_b = np.triu_indices(starts.size, k=1)
         counters = []
         for bound in (DEFAULT_CHUNK_CANDIDATES, chunk):
-            acc = PairAccumulator()
+            acc = PairAccumulator(n)
             counters.append(kernels.cell_pair_sweep(
                 lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc,
                 chunk_candidates=bound, enclosure_shortcut=shortcut,
@@ -259,7 +259,7 @@ class TestKernelParity:
         index = kernels.sweep_index(lo, hi, cat, starts, stops)
         counters = []
         for given in (None, index):
-            acc = PairAccumulator()
+            acc = PairAccumulator(n)
             counters.append(kernels.cell_pair_sweep(
                 lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc,
                 chunk_candidates=chunk, index=given,
@@ -274,7 +274,7 @@ class TestKernelParity:
         with pytest.raises(ValueError):
             kernels.cell_pair_sweep(
                 lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b,
-                PairAccumulator(), index=stale,
+                PairAccumulator(n), index=stale,
             )
 
     def test_strip_sweep(self, rng):
@@ -285,7 +285,7 @@ class TestKernelParity:
         hi = centers + widths / 2.0
         order = np.argsort(lo[:, 0], kind="stable").astype(np.int64)
         slo, shi, ids = lo[order], hi[order], order
-        union = PairAccumulator()
+        union = PairAccumulator(n)
         total_tests = 0
         for start, stop in ((0, 70), (70, 140), (140, n)):
             if start:
@@ -311,7 +311,7 @@ class TestKernelParity:
         lo, hi = centers - half, centers + half
         cat, starts, stops, _unique = group_by_keys(keys)
         expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["same"]
-        acc = PairAccumulator()
+        acc = PairAccumulator(n)
         hot = np.arange(starts.size, dtype=np.int64)
         emitted = kernels.hot_cell_emit(cat, starts, stops, hot, acc)
         assert emitted == tests_expected["full"] == len(expected) > 0
@@ -320,7 +320,7 @@ class TestKernelParity:
     def test_empty_inputs(self):
         empty_i = np.empty(0, dtype=np.int64)
         empty_box = np.empty((0, 3))
-        acc = PairAccumulator()
+        acc = PairAccumulator(1)
         assert kernels.cell_pair_sweep(
             empty_box, empty_box, empty_i, empty_i, empty_i, empty_box, empty_box,
             empty_i, empty_i, acc,

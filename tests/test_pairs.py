@@ -217,6 +217,13 @@ class TestPairsToAdjacency:
             pairs_to_adjacency([0, 1], [1], 4)
 
 
+def _emitted_keys(n, i_idx, j_idx):
+    """The keys a kernel emitting ``(i_idx, j_idx)`` hands the merge stage."""
+    accumulator = PairAccumulator(n)
+    accumulator.extend(i_idx, j_idx)
+    return accumulator.as_keys()
+
+
 class TestMaintainedPairSetAlgebra:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -230,9 +237,9 @@ class TestMaintainedPairSetAlgebra:
         fresh_i = np.array([p[0] % n for p in fresh], dtype=np.int64)
         fresh_j = np.array([p[1] % n for p in fresh], dtype=np.int64)
 
-        maintained = MaintainedPairSet(n, i_idx, j_idx)
+        maintained = MaintainedPairSet(n, _emitted_keys(n, i_idx, j_idx))
         maintained.remove_incident(moved)
-        maintained.merge_delta(fresh_i, fresh_j)
+        maintained.merge_delta(_emitted_keys(n, fresh_i, fresh_j))
 
         keys = np.unique(pack_pairs(*canonicalize_pairs(i_idx, j_idx), n))
         lo, hi = unpack_pairs(keys, n)
@@ -267,7 +274,7 @@ class TestMaintainedPairSetAlgebra:
             "all-moved": np.ones(n, dtype=bool),
             "empty-set": rng.random(n) < 0.5,
         }[case]
-        maintained = MaintainedPairSet(n, i_idx, j_idx)
+        maintained = MaintainedPairSet(n, _emitted_keys(n, i_idx, j_idx))
         removed = maintained.remove_incident(moved)
         kept, expected_removed = self._reference_remove(i_idx, j_idx, moved)
         assert removed == expected_removed
@@ -278,7 +285,7 @@ class TestMaintainedPairSetAlgebra:
 
 class TestMaintainedPairSetRestore:
     def test_round_trip(self):
-        maintained = MaintainedPairSet(17, [0, 3, 15], [16, 9, 16])
+        maintained = MaintainedPairSet(17, pack_pairs([0, 3, 15], [16, 9, 16], 17))
         restored = MaintainedPairSet.from_packed(17, maintained.packed_keys())
         assert_bit_identical(restored.packed_keys(), maintained.packed_keys())
 
@@ -312,7 +319,7 @@ class TestMaintainedPairSetRestore:
 
 class TestPairAccumulator:
     def test_accumulates_batches(self):
-        acc = PairAccumulator()
+        acc = PairAccumulator(6)
         acc.extend([1, 2], [0, 3])
         acc.extend([5], [4])
         i, j = acc.as_arrays()
@@ -320,36 +327,74 @@ class TestPairAccumulator:
         assert sorted(zip(i.tolist(), j.tolist(), strict=True)) == [(0, 1), (2, 3), (4, 5)]
 
     def test_reflexive_dropped_on_entry(self):
-        acc = PairAccumulator()
-        acc.extend([1, 2], [1, 3])
-        assert len(acc) == 1
+        for count_only in (False, True):
+            acc = PairAccumulator(4, count_only=count_only)
+            acc.extend([1, 2], [1, 3])
+            assert len(acc) == 1
 
     def test_count_only_mode(self):
-        acc = PairAccumulator(count_only=True)
+        acc = PairAccumulator(4, count_only=True)
         acc.extend([1, 2], [0, 3])
         assert len(acc) == 2
         with pytest.raises(RuntimeError):
             acc.as_arrays()
 
     def test_extend_canonical_fast_path(self):
-        acc = PairAccumulator()
+        acc = PairAccumulator(4)
         acc.extend_canonical(np.array([0, 1]), np.array([2, 3]))
         i, j = acc.as_arrays()
         assert i.tolist() == [0, 1]
         assert j.tolist() == [2, 3]
 
     def test_empty_accumulator(self):
-        acc = PairAccumulator()
+        acc = PairAccumulator(4)
         i, j = acc.as_arrays()
         assert i.size == 0 and j.size == 0
+        assert acc.as_keys().dtype == np.int64 and acc.as_keys().size == 0
         assert len(acc) == 0
 
     def test_as_unique_arrays_dedups(self):
-        acc = PairAccumulator()
+        acc = PairAccumulator(4)
         acc.extend([1, 3], [3, 1])  # same pair twice
-        i, j = acc.as_unique_arrays(n=4)
+        i, j = acc.as_unique_arrays()
         assert i.tolist() == [1]
         assert j.tolist() == [3]
+
+    def test_keys_decode_to_the_canonical_batches_in_order(self):
+        # One key per pair, packed at emit: decoding the concatenation
+        # gives each batch's canonicalised pairs, batch by batch.
+        rng = np.random.default_rng(11)
+        n = 37
+        acc = PairAccumulator(n)
+        batches = [
+            (rng.integers(0, n, size), rng.integers(0, n, size)) for size in (0, 1, 9, 40)
+        ]
+        for i_idx, j_idx in batches:
+            acc.extend(i_idx, j_idx)
+        acc.extend_canonical(np.array([2, 5]), np.array([30, 6]))
+        expected = [canonicalize_pairs(i, j) for i, j in batches]
+        expected.append((np.array([2, 5]), np.array([30, 6])))
+        want_i = np.concatenate([lo for lo, _ in expected])
+        want_j = np.concatenate([hi for _, hi in expected])
+        i, j = acc.as_arrays()
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert np.array_equal(acc.as_keys(), pack_pairs(want_i, want_j, n))
+        assert len(acc) == want_i.size
+
+    def test_extend_keys_and_merge(self):
+        shard = PairAccumulator(9)
+        shard.extend([4, 8], [1, 2])
+        parent = PairAccumulator(9)
+        parent.extend_keys(shard.as_keys())
+        parent.merge(shard)
+        assert len(parent) == 4 and len(shard) == 0
+        assert parent.as_arrays()[0].tolist() == [1, 2, 1, 2]
+        with pytest.raises(ValueError, match="objects"):
+            parent.merge(PairAccumulator(10))
+
+    def test_object_count_validated(self):
+        with pytest.raises(ValueError):
+            PairAccumulator(0)
 
 
 class TestBruteForce:

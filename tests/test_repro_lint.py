@@ -629,7 +629,11 @@ class TestJoinResultContract:
             "repro/joins/base.py",
             """
             class JoinResult:
-                pairs: tuple | None = None
+                keys: object = None
+
+                @property
+                def pairs(self) -> tuple | None:
+                    return None
             """,
         )
         assert findings == []
@@ -640,7 +644,30 @@ class TestJoinResultContract:
             "repro/joins/base.py",
             """
             class JoinResult:
-                pairs: list = []
+                @property
+                def pairs(self) -> list:
+                    return []
+            """,
+        )
+        assert codes_of(findings) == {"RPL301"}
+
+    def test_unannotated_or_plain_method_fires(self, tmp_path: Path) -> None:
+        for body in (
+            "@property\n    def pairs(self):\n        return None",
+            "def pairs(self) -> tuple | None:\n        return None",
+        ):
+            source = "class JoinResult:\n    " + body + "\n"
+            findings = lint_source(tmp_path, "repro/joins/base.py", source)
+            assert codes_of(findings) == {"RPL301"}, body
+
+    def test_eager_field_fires(self, tmp_path: Path) -> None:
+        # The pre-key form: a stored field, decoded by every producer.
+        findings = lint_source(
+            tmp_path,
+            "repro/joins/base.py",
+            """
+            class JoinResult:
+                pairs: tuple | None = None
             """,
         )
         assert codes_of(findings) == {"RPL301"}
@@ -657,24 +684,34 @@ class TestJoinResultContract:
         assert codes_of(findings) == {"RPL301"}
 
     def test_list_pairs_construction_fires(self, tmp_path: Path) -> None:
-        findings = lint_source(
-            tmp_path,
-            "repro/joins/mod.py",
-            """
-            def build(n, tests, i_idx, j_idx):
-                return JoinResult(n, tests, pairs=[i_idx, j_idx])
-            """,
-        )
-        assert codes_of(findings) == {"RPL301"}
+        # pairs= is no constructor argument any more: a list or a tuple
+        # of index arrays passed there fires alike.
+        for value in ("[i_idx, j_idx]", "(i_idx, j_idx)"):
+            source = (
+                "def build(n, tests, i_idx, j_idx):\n"
+                f"    return JoinResult(n, tests, pairs={value})\n"
+            )
+            findings = lint_source(tmp_path, "repro/joins/mod.py", source)
+            assert codes_of(findings) == {"RPL301"}, value
 
-    def test_tuple_or_none_construction_is_clean(self, tmp_path: Path) -> None:
+    def test_list_keys_construction_fires(self, tmp_path: Path) -> None:
+        for call in (
+            "JoinResult(n, tests, keys=[i_idx, j_idx])",
+            "JoinResult(n, tests, [i_idx, j_idx])",
+            "JoinResult(n, tests, (i_idx, j_idx))",
+        ):
+            source = f"def build(n, tests, i_idx, j_idx):\n    return {call}\n"
+            findings = lint_source(tmp_path, "repro/joins/mod.py", source)
+            assert codes_of(findings) == {"RPL301"}, call
+
+    def test_keys_or_none_construction_is_clean(self, tmp_path: Path) -> None:
         findings = lint_source(
             tmp_path,
             "repro/joins/mod.py",
             """
-            def build(n, tests, i_idx, j_idx, count_only):
-                pairs = None if count_only else (i_idx, j_idx)
-                return JoinResult(n, tests, pairs=pairs)
+            def build(n, tests, keys, count_only):
+                keys = None if count_only else keys
+                return JoinResult(n, tests, keys=keys, n_objects=n)
             """,
         )
         assert findings == []

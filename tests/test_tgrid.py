@@ -65,14 +65,14 @@ class TestJoinCells:
         dataset = varied_dataset(seed=1)
         cells = build_cells(dataset)
         assert cells[1].size, "fixture produced no multi-member cells"
-        acc = PairAccumulator()
+        acc = PairAccumulator(len(dataset))
         join(cells, acc)
         assert pair_set(acc, len(dataset)) == naive_internal_pairs(dataset, cells)
 
     def test_no_duplicate_emissions(self):
         dataset = varied_dataset(seed=2)
         cells = build_cells(dataset)
-        acc = PairAccumulator()
+        acc = PairAccumulator(len(dataset))
         join(cells, acc)
         i_idx, j_idx = acc.as_arrays()
         keys = pack_pairs(i_idx, j_idx, len(dataset))
@@ -89,7 +89,7 @@ class TestJoinCells:
             centers, widths, bounds=(np.zeros(3), np.full(3, 50.0))
         )
         cells = build_cells(dataset, resolution=2.0)
-        acc = PairAccumulator()
+        acc = PairAccumulator(len(dataset))
         counters = join(cells, acc)
         assert counters["tgrid_fallbacks"] > 0
         assert pair_set(acc, len(dataset)) == naive_internal_pairs(dataset, cells)
@@ -97,14 +97,14 @@ class TestJoinCells:
     def test_peak_cells_tracked(self):
         dataset = varied_dataset(seed=4)
         cells = build_cells(dataset)
-        counters = join(cells, PairAccumulator())
+        counters = join(cells, PairAccumulator(len(dataset)))
         assert counters["tgrid_t_cells"] > 0
 
     def test_single_member_cells_skipped(self):
         dataset = varied_dataset(n=12, seed=5, side=200.0)
         # Every occupied cell, single-member ones included.
         cells = build_cells(dataset, min_members=1)
-        acc = PairAccumulator()
+        acc = PairAccumulator(len(dataset))
         counters = join(cells, acc)
         # Sparse layout: nothing shares a cell, nothing to join.
         assert len(acc) == 0
@@ -114,7 +114,7 @@ class TestJoinCells:
     def test_counts_are_deterministic(self):
         dataset = varied_dataset(seed=6)
         cells = build_cells(dataset)
-        runs = [join(cells, PairAccumulator(count_only=True)) for _ in range(2)]
+        runs = [join(cells, PairAccumulator(len(dataset), count_only=True)) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_batching_is_invisible(self):
@@ -122,10 +122,10 @@ class TestJoinCells:
         # and pair set as one batch: the engine chunks this task freely.
         dataset = varied_dataset(n=500, seed=7, width_low=0.5)
         cells = build_cells(dataset)
-        whole = PairAccumulator()
+        whole = PairAccumulator(len(dataset))
         expected = join(cells, whole)
         assert expected["tgrid_t_cells"] and expected["tgrid_fallbacks"]
-        split = PairAccumulator()
+        split = PairAccumulator(len(dataset))
         middle = cells[1].size // 2
         parts = [join(cells, split, slice(None, middle)), join(cells, split, slice(middle, None))]
         assert {key: sum(p[key] for p in parts) for key in expected} == expected

@@ -148,7 +148,8 @@ PAIRSET_ROOTS: frozenset[str] = frozenset(
 #: (exempt from RPL204 — it is the sanctioned 1-D deduplication).
 PAIRS_MODULE: tuple[str, ...] = ("/repro/geometry/pairs.py",)
 
-#: The exact annotation the ``JoinResult.pairs`` contract requires.
+#: The exact return annotation the lazy ``JoinResult.pairs`` property
+#: must carry.
 JOIN_RESULT_PAIRS_ANNOTATION = "tuple | None"
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ RPL201   overlap predicates go through counted geometry helpers
 RPL202   ``JoinStatistics`` fields written only via recording methods
 RPL203   maintained pair sets mutated only via the delta-maintenance API
 RPL204   1-D ``np.unique`` only via ``sorted_unique_keys``
-RPL301   ``JoinResult.pairs`` contract (``tuple | None``)
+RPL301   ``JoinResult.pairs`` contract (lazy ``tuple | None`` property)
 RPL501   recovery-package file writes go through the atomic writer
 RPL601   event-loop imports confined to ``repro/service/``
 =======  ==============================================================
@@ -520,9 +520,10 @@ class JoinResultContractRule(Rule):
     title = "JoinResult.pairs contract"
     rationale = (
         "JoinResult.pairs is `tuple | None`: canonical (i, j) arrays, or "
-        "None exactly in count-only mode.  Downstream consumers (engine "
-        "merge, unique_pairs, figures) rely on that shape; lists or "
-        "post-hoc mutation break the bit-identical-to-serial guarantee."
+        "None exactly in count-only mode, decoded from the stored pair "
+        "keys on first read.  Downstream consumers (unique_pairs, the "
+        "service, figures) rely on that shape; lists or post-hoc mutation "
+        "break the bit-identical-to-serial guarantee."
     )
 
     def _check_base(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -532,17 +533,21 @@ class JoinResultContractRule(Rule):
             annotation = None
             for statement in node.body:
                 if (
-                    isinstance(statement, ast.AnnAssign)
-                    and isinstance(statement.target, ast.Name)
-                    and statement.target.id == "pairs"
+                    isinstance(statement, ast.FunctionDef)
+                    and statement.name == "pairs"
+                    and any(
+                        isinstance(decorator, ast.Name) and decorator.id == "property"
+                        for decorator in statement.decorator_list
+                    )
+                    and statement.returns is not None
                 ):
-                    annotation = ast.unparse(statement.annotation)
+                    annotation = ast.unparse(statement.returns)
             if annotation != config.JOIN_RESULT_PAIRS_ANNOTATION:
                 yield ctx.diagnostic(
                     node,
                     self.code,
-                    "JoinResult.pairs must stay annotated exactly "
-                    f"`{config.JOIN_RESULT_PAIRS_ANNOTATION}` "
+                    "JoinResult.pairs must stay a property annotated exactly "
+                    f"`-> {config.JOIN_RESULT_PAIRS_ANNOTATION}` "
                     f"(found {annotation!r})",
                 )
 
@@ -574,18 +579,25 @@ class JoinResultContractRule(Rule):
                 )
                 if name != "JoinResult":
                     continue
-                pairs_value: ast.expr | None = None
+                keys_value: ast.expr | None = None
                 for keyword in node.keywords:
                     if keyword.arg == "pairs":
-                        pairs_value = keyword.value
-                if pairs_value is None and len(node.args) >= 3:
-                    pairs_value = node.args[2]
-                if isinstance(pairs_value, (ast.List, ast.ListComp)):
+                        yield ctx.diagnostic(
+                            node,
+                            self.code,
+                            "JoinResult.pairs is decoded from the result's "
+                            "keys; construct with keys=, not pairs=",
+                        )
+                    elif keyword.arg == "keys":
+                        keys_value = keyword.value
+                if keys_value is None and len(node.args) >= 3:
+                    keys_value = node.args[2]
+                if isinstance(keys_value, (ast.List, ast.ListComp, ast.Tuple)):
                     yield ctx.diagnostic(
                         node,
                         self.code,
-                        "JoinResult.pairs must be a tuple of index arrays or "
-                        "None, not a list",
+                        "JoinResult keys must be one pair-key array or None, "
+                        "not a list or tuple",
                     )
 
 
