@@ -12,12 +12,14 @@ in the dataset and packed into an ``int64`` key ``(i << b) | j`` with
 ``b = max(1, (n - 1).bit_length())`` bits for each index.  Since
 ``j < 2**b``, the keys sort in lexicographic ``(i, j)`` order, one
 object's pairs as the lower index form the key range
-``[i << b, (i + 1) << b)``, and :func:`unpack_pairs`, the only decoder,
-is a shift and a mask instead of an integer division.  A pair is one
-key from the moment a kernel emits it (:class:`PairAccumulator`) until
-a consumer reads ``JoinResult.pairs``, which decodes once.
-Deduplication sorts those keys (:func:`sorted_unique_keys`) rather than
-hashing them.
+``[i << b, (i + 1) << b)``, and :func:`unpack_pairs`, the only decoder
+to ``(i, j)`` arrays, is a shift and a mask instead of an integer
+division.  A pair is one key from the moment a kernel emits it
+(:class:`PairAccumulator`) until a consumer reads ``JoinResult.pairs``,
+which decodes once.  Deduplication sorts those keys
+(:func:`sorted_unique_keys`) rather than hashing them, and the CSR
+neighbour lists are one sort of the keys and their transposes
+(:func:`keys_to_adjacency`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "PairAccumulator",
     "MaintainedPairSet",
     "brute_force_pairs",
+    "keys_to_adjacency",
     "all_combinations",
 ]
 
@@ -88,7 +91,7 @@ def pack_pairs(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def unpack_pairs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`pack_pairs`: the library's one pair-key decoder."""
+    """Invert :func:`pack_pairs`: the library's one decoder to ``(i, j)`` arrays."""
     keys = np.asarray(keys, dtype=np.int64)
     bits = _index_bits(n)
     return keys >> np.int64(bits), keys & np.int64((1 << bits) - 1)
@@ -411,12 +414,49 @@ def brute_force_pairs(lo: np.ndarray, hi: np.ndarray, chunk_size: int = 512) -> 
     return i_idx[order], j_idx[order]
 
 
+def keys_to_adjacency(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR neighbour lists of pair keys over ``n`` objects.
+
+    Each key ``(i << b) | j`` gives ``j`` to object ``i``'s list and
+    ``i`` to object ``j``'s.  The keys and their transposes are
+    directed keys ``(source << b) | target``; one sort orders them by
+    source and then target, and the low fields of the sorted array are
+    the neighbour lists.  The keys need not be sorted or canonical, and
+    each key's two indices must lie in ``[0, n)``, which every key
+    :func:`pack_pairs` emits satisfies.
+
+    Returns
+    -------
+    tuple
+        ``(offsets, neighbors)`` — object ``k``'s partners are
+        ``neighbors[offsets[k]:offsets[k + 1]]``, sorted ascending.
+        ``offsets`` has length ``n + 1``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    bits = np.int64(_index_bits(n))
+    low = np.int64((1 << int(bits)) - 1)
+    # One fresh array holds both directions and sorts in place: a copy
+    # would be one more pair-set-sized allocation per call.
+    directed = np.empty(2 * keys.size, dtype=np.int64)
+    directed[: keys.size] = keys
+    transposed = directed[keys.size :]
+    np.bitwise_and(keys, low, out=transposed)
+    transposed <<= bits
+    transposed |= keys >> bits
+    directed.sort()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(directed >> bits, minlength=n), out=offsets[1:])
+    directed &= low
+    return offsets, directed
+
+
 def pairs_to_adjacency(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Convert a pair set into CSR-style per-object neighbour lists.
 
     Simulations consume the join as "the neighbours of each object" (the
     paper's gravitational-force example iterates per object); this turns
-    the canonical pair arrays into that form.
+    the canonical pair arrays into that form through
+    :func:`keys_to_adjacency`.
 
     Returns
     -------
@@ -435,17 +475,8 @@ def pairs_to_adjacency(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np
     j_idx = np.asarray(j_idx, dtype=np.int64)
     if i_idx.shape != j_idx.shape:
         raise ValueError("pair index arrays must have the same shape")
-    # Each unordered pair contributes both directions.  Sorting the
-    # packed directed keys ``(source << b) | target`` orders them by
-    # source and then target; pack_pairs' range check is what makes that
-    # exact.  The keys are a fresh array, so they sort in place: a copy
-    # would be one more pair-set-sized allocation per call.
-    sources = np.concatenate([i_idx, j_idx])
-    keys = pack_pairs(sources, np.concatenate([j_idx, i_idx]), n)
-    keys.sort()
-    counts = np.bincount(sources, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return offsets, unpack_pairs(keys, n)[1]
+    # pack_pairs' range check is what makes the directed-key sort exact.
+    return keys_to_adjacency(pack_pairs(i_idx, j_idx, n), n)
 
 
 def all_combinations(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

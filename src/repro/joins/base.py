@@ -349,15 +349,21 @@ class SpatialJoinAlgorithm:
         """
         return self.step(dataset)
 
-    def join_pairs(self, dataset: SpatialDataset) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience: run a step and return sorted unique ``(i, j)`` arrays."""
+    def _unique_keys(self, dataset: SpatialDataset) -> np.ndarray:
+        """Run a step and return its sorted distinct pair keys."""
         if self.count_only:
             raise RuntimeError("algorithm was created count_only")
         result = self.step(dataset)
-        from repro.geometry import sorted_unique_keys, unpack_pairs
+        from repro.geometry import sorted_unique_keys
 
         assert result.keys is not None
-        return unpack_pairs(sorted_unique_keys(result.keys), len(dataset))
+        return sorted_unique_keys(result.keys)
+
+    def join_pairs(self, dataset: SpatialDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Convenience: run a step and return sorted unique ``(i, j)`` arrays."""
+        from repro.geometry import unpack_pairs
+
+        return unpack_pairs(self._unique_keys(dataset), len(dataset))
 
     def distance_join(self, dataset: SpatialDataset, distance: float) -> JoinResult:
         """Self-join with a distance predicate (the paper's §3.1 reduction).
@@ -375,9 +381,9 @@ class SpatialJoinAlgorithm:
         The representation simulations iterate over: object ``k``'s
         overlap partners are ``neighbors[offsets[k]:offsets[k + 1]]``.
         """
-        from repro.geometry import pairs_to_adjacency
+        from repro.geometry import keys_to_adjacency
 
-        return pairs_to_adjacency(*self.join_pairs(dataset), len(dataset))
+        return keys_to_adjacency(self._unique_keys(dataset), len(dataset))
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery protocol

@@ -27,10 +27,16 @@ is a theorem, not a hope:
 * no other shard emits it: shard ``b`` holds only higher-homed objects
   in its halo, and any other shard holding both objects homes neither.
 
-The concatenated per-shard pairs, canonicalised through
-:func:`~repro.geometry.unique_pairs`, therefore equal the library's
-pair set bit for bit — the property suite enforces it across executors
-and motion models.  Distance queries run the same shard joins over a
+Each shard hands over its owned pairs as pair keys over the ring's
+objects (:func:`~repro.geometry.pack_pairs`).  Member ids are strictly
+increasing, so a shard's local ``i < j`` maps to a global ``i < j``
+and the keys are canonical as emitted.  The shards' key sets are
+disjoint, so one sort of their concatenation is the library's sorted
+pair keys bit for bit — the property suite enforces it across
+executors and motion models.  An answer decodes its keys to ``(i, j)``
+arrays on first read of :attr:`RingAnswer.pairs` and builds its CSR
+neighbour lists from the keys (:func:`~repro.geometry.keys_to_adjacency`).
+Distance queries run the same shard joins over a
 per-query halo grown by the distance, through the shard algorithm's
 own ``distance_join``.  THERMAL-JOIN answers it on a fresh instance of
 its configuration, so distance joins run at the starting resolution
@@ -53,7 +59,9 @@ fresh, rebuilt from the ring's authoritative arrays otherwise) and the
 query retried once; a shard that fails again is marked dead and its
 stored answer to the same query — including the cross-shard pairs it
 owns — is returned *marked stale* rather than failing the query.  For
-distance queries that is only the latest distance asked.  Every
+distance queries that is only the latest distance asked.  A stale
+answer predates the current positions, so it may share pairs with a
+fresh shard's; a stale assembly drops the duplicates.  Every
 transition is recorded as a robustness event and surfaced through the
 obs metrics registry.
 """
@@ -71,7 +79,12 @@ import numpy as np
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.delta import MotionDelta
 from repro.engine.executors import Executor, resolve_executor
-from repro.geometry import pairs_to_adjacency, unique_pairs
+from repro.geometry import (
+    keys_to_adjacency,
+    pack_pairs,
+    sorted_unique_keys,
+    unpack_pairs,
+)
 from repro.joins.base import RETRY_EVENT_KINDS, SpatialJoinAlgorithm
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.state import restore_shard, snapshot_shard
@@ -83,9 +96,6 @@ __all__ = ["RingAnswer", "Shard", "ShardRing"]
 #: Query-key tuple: ``("join",)`` or ``("distance", d)``.
 QueryKey = tuple[Hashable, ...]
 
-#: Owned pairs of one shard answer, ``(i, j)`` in global indices.
-Pairs = tuple[np.ndarray, np.ndarray]
-
 AlgorithmFactory = Callable[[], SpatialJoinAlgorithm]
 
 
@@ -93,37 +103,52 @@ AlgorithmFactory = Callable[[], SpatialJoinAlgorithm]
 class RingAnswer:
     """One assembled ring answer in global object indices.
 
+    ``keys`` are the answer's sorted distinct pair keys over
+    ``n_objects`` objects (:func:`~repro.geometry.pack_pairs`).
     ``degraded`` is True when anything about the answer fell short of
     the healthy path — a stale shard, a dead shard, a re-home, or an
     executor running on a degradation rung.  ``stale`` is the stronger
     flag: at least one shard's contribution is a previously computed
     answer served because the shard could not be revived.  A stale
     answer is *marked*, never silently wrong.
+
+    A cache hit hands every reader the same answer, so ``keys`` and
+    the arrays built from them are read-only.
     """
 
     kind: str
     epoch: int
     n_results: int
-    pairs: tuple[np.ndarray, np.ndarray]
+    keys: np.ndarray
     degraded: bool
     stale: bool
     #: Object count of the ring dataset the pairs index into.
     n_objects: int
 
+    def __post_init__(self) -> None:
+        self.keys.setflags(write=False)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted canonical ``(i, j)`` arrays, decoded on first read."""
+        return _read_only(unpack_pairs(self.keys, self.n_objects))
+
     @functools.cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(offsets, neighbors)`` of ``pairs``, built on first use.
+        """CSR ``(offsets, neighbors)`` of the keys, built on first use.
 
         It is kept on the answer, so it shares the answer's cache entry:
         every ``neighbors`` read of one epoch and generation after the
         first is a hit.  A shard kill makes both unreachable, and the
-        next update drops both.  The arrays are read-only, since every
-        such read gets the same ones.
+        next update drops both.
         """
-        csr = pairs_to_adjacency(*self.pairs, self.n_objects)
-        for array in csr:
-            array.flags.writeable = False
-        return csr
+        return _read_only(keys_to_adjacency(self.keys, self.n_objects))
+
+
+def _read_only(arrays: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 @dataclass
@@ -151,8 +176,9 @@ class Shard:
     distance_memory_bytes: int = 0
 
     #: The answer store: the latest answer per query kind (``"join"``,
-    #: ``"distance"``) as ``(query key, version computed at, owned pairs)``.
-    answers: dict[str, tuple[QueryKey, int, Pairs]] = field(default_factory=dict)
+    #: ``"distance"``) as ``(query key, version computed at, owned keys)``,
+    #: the keys over the ring's objects.
+    answers: dict[str, tuple[QueryKey, int, np.ndarray]] = field(default_factory=dict)
 
     @property
     def memory_bytes(self) -> int:
@@ -245,7 +271,7 @@ class ShardRing:
         )
 
     def _members(self, k: int, distance: float = 0.0) -> np.ndarray:
-        """Sorted member ids of shard ``k``: its home slab plus its upward halo.
+        """Strictly increasing member ids of shard ``k``: home slab plus upward halo.
 
         The halo is every object homed in a higher slab whose box,
         grown by ``distance`` exactly as ``with_enlarged_extent`` grows
@@ -370,20 +396,20 @@ class ShardRing:
 
         events_before = len(self._epoch_events)
         any_stale = False
-        left_parts: list[np.ndarray] = []
-        right_parts: list[np.ndarray] = []
+        parts: list[np.ndarray] = []
         for shard in self._shards:
             if shard.dataset is None:
                 continue
-            (gi, gj), stale = self._shard_pairs(shard, qkey, distance)
+            shard_keys, stale = self._shard_keys(shard, qkey, distance)
             any_stale = any_stale or stale
-            left_parts.append(gi)
-            right_parts.append(gj)
+            parts.append(shard_keys)
 
-        empty = np.empty(0, dtype=np.int64)
-        all_i = np.concatenate(left_parts) if left_parts else empty
-        all_j = np.concatenate(right_parts) if right_parts else empty
-        pair_i, pair_j = unique_pairs(all_i, all_j, len(self.dataset))
+        # A fresh array, so the shards' stored keys are never sorted.
+        keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if any_stale:
+            keys = sorted_unique_keys(keys)
+        else:
+            keys.sort()  # the shards' key sets are disjoint
 
         degraded = (
             any_stale
@@ -394,8 +420,8 @@ class ShardRing:
         answer = RingAnswer(
             kind=kind,
             epoch=self.epoch,
-            n_results=int(pair_i.shape[0]),
-            pairs=(pair_i, pair_j),
+            n_results=int(keys.size),
+            keys=keys,
             degraded=degraded,
             stale=any_stale,
             n_objects=len(self.dataset),
@@ -403,9 +429,9 @@ class ShardRing:
         self.cache.put(kind, ring_key, answer)
         return answer
 
-    def _shard_pairs(
+    def _shard_keys(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> tuple[Pairs, bool]:
+    ) -> tuple[np.ndarray, bool]:
         """Shard contribution with the degradation ladder around it."""
         if not shard.alive and self._poison.get(shard.shard_id) == "permanent":
             stale = self._stale_answer(shard, qkey)
@@ -421,7 +447,7 @@ class ShardRing:
             )
             self._rehome(shard)
             try:
-                pairs = self._compute_shard(shard, qkey, distance)
+                keys = self._compute_shard(shard, qkey, distance)
             except Exception as retry_exc:
                 shard.alive = False
                 self._record_event(
@@ -433,9 +459,9 @@ class ShardRing:
                 return stale, True
             shard.alive = True
             self._record_event("shard_rehomed", shard=shard.shard_id)
-            return pairs, False
+            return keys, False
 
-    def _stale_answer(self, shard: Shard, qkey: QueryKey) -> Pairs | None:
+    def _stale_answer(self, shard: Shard, qkey: QueryKey) -> np.ndarray | None:
         """The dead shard's stored answer to ``qkey``, counted as served stale."""
         stored = shard.answers.get(str(qkey[0]))
         if stored is None or stored[0] != qkey:
@@ -445,8 +471,8 @@ class ShardRing:
 
     def _compute_shard(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> Pairs:
-        """The pairs ``shard`` owns (at least one home endpoint), in global indices.
+    ) -> np.ndarray:
+        """Keys of the pairs ``shard`` owns (at least one home endpoint), over the ring.
 
         A stored join answer at the shard's version is returned as is.
         Distance joins run over a halo grown by the distance, which the
@@ -477,12 +503,12 @@ class ShardRing:
             result = shard.join.distance_join(local, distance)
             shard.distance_memory_bytes = result.stats.memory_bytes
         seconds = time.perf_counter() - started
-        assert result.pairs is not None
-        li, lj = result.pairs
+        assert result.keys is not None
+        li, lj = unpack_pairs(result.keys, members.size)
         home = self._assignment[members] == shard.shard_id
         owned = home[li] | home[lj]
-        gi = members[li[owned]]
-        gj = members[lj[owned]]
+        # members is strictly increasing, so li < lj maps to a canonical pair.
+        keys = pack_pairs(members[li[owned]], members[lj[owned]], len(self.dataset))
 
         shard.queries += 1
         shard.overlap_tests += result.stats.overlap_tests
@@ -492,9 +518,8 @@ class ShardRing:
         self._bump("build_seconds", result.stats.build_seconds)
         self._bump("join_seconds", result.stats.join_seconds)
 
-        pairs = (gi, gj)
-        shard.answers[str(qkey[0])] = (qkey, shard.version, pairs)
-        return pairs
+        shard.answers[str(qkey[0])] = (qkey, shard.version, keys)
+        return keys
 
     def _rehome(self, shard: Shard) -> None:
         """Revive a failed shard from its snapshot or the ring's arrays."""

@@ -13,6 +13,7 @@ from repro.geometry import (
     all_combinations,
     brute_force_pairs,
     canonicalize_pairs,
+    keys_to_adjacency,
     mbr,
     pack_pairs,
     pairs_equal,
@@ -215,6 +216,28 @@ class TestPairsToAdjacency:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairs_to_adjacency([0, 1], [1], 4)
+
+
+class TestKeysToAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(data=pair_sets(canonical=True))
+    def test_matches_lexsort_reference(self, data):
+        n, i_idx, j_idx = data
+        keys = pack_pairs(i_idx, j_idx, n)
+        offsets, neighbors = keys_to_adjacency(keys, n)
+        ref_offsets, ref_neighbors = lexsort_adjacency(i_idx, j_idx, n)
+        assert_bit_identical(offsets, ref_offsets)
+        assert_bit_identical(neighbors, ref_neighbors)
+        # Order and orientation of the keys do not matter.
+        transposed = pack_pairs(j_idx, i_idx, n)[::-1]
+        for got, want in zip(keys_to_adjacency(transposed, n), (offsets, neighbors), strict=True):
+            assert_bit_identical(got, want)
+
+    def test_input_left_untouched(self):
+        keys = pack_pairs([2, 0, 1], [3, 1, 2], 4)
+        before = keys.copy()
+        keys_to_adjacency(keys, 4)
+        assert np.array_equal(keys, before)
 
 
 def _emitted_keys(n, i_idx, j_idx):

@@ -21,7 +21,13 @@ from repro.engine import SerialExecutor, install_fault_plan, parse_faults
 from repro.engine import faults as faults_module
 from repro.engine.executors import _LIVE_SEGMENTS
 from repro.experiments.workloads import scaled_uniform
-from repro.geometry import pack_pairs, pairs_to_adjacency, unique_pairs
+from repro.geometry import (
+    keys_to_adjacency,
+    pack_pairs,
+    pairs_to_adjacency,
+    sorted_unique_keys,
+    unique_pairs,
+)
 from repro.service import (
     JoinService,
     ResultCache,
@@ -167,6 +173,98 @@ class TestRingIdentity:
         ring.close()
         # The ring must not shut down a pool it was lent.
         assert ring.executor is executor
+
+
+# ----------------------------------------------------------------------
+# Answers are sorted pair keys: one sort of disjoint shard keys
+# ----------------------------------------------------------------------
+def _direct_keys(dataset, distance=None):
+    """Sorted distinct keys of a direct THERMAL-JOIN step."""
+    join = ThermalJoin()
+    if distance is None:
+        return sorted_unique_keys(join.step(dataset).keys)
+    return sorted_unique_keys(join.distance_join(dataset, distance).keys)
+
+
+def _assert_served_keys(answer, expected):
+    keys = answer.keys
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, expected)
+    assert (np.diff(keys) > 0).all()
+    assert not keys.flags.writeable
+
+
+class TestRingKeys:
+    @pytest.mark.parametrize("n_shards", [1, 4, 32])
+    def test_keys_equal_a_direct_step(self, service_dataset, n_shards):
+        with ShardRing(service_dataset, n_shards=n_shards) as ring:
+            _assert_served_keys(ring.join_pairs(), _direct_keys(service_dataset))
+            for distance in (0.5, 2.0):
+                _assert_served_keys(
+                    ring.distance_pairs(distance),
+                    _direct_keys(service_dataset, distance),
+                )
+
+    @pytest.mark.parametrize("n_shards", [4, 32])
+    def test_stale_keys_equal_a_direct_step(self, service_dataset, n_shards):
+        with ShardRing(service_dataset, n_shards=n_shards) as ring:
+            ring.join_pairs()
+            ring.distance_pairs(2.0)  # prime both stores
+            ring.kill_shard(1, permanent=True)
+            join = ring.join_pairs()
+            distance = ring.distance_pairs(2.0)
+            assert join.stale and distance.stale
+            _assert_served_keys(join, _direct_keys(service_dataset))
+            _assert_served_keys(distance, _direct_keys(service_dataset, 2.0))
+
+    def test_stale_assembly_after_motion_stays_a_set(self, service_dataset):
+        # After motion, a dead shard's stored pairs can overlap pairs a
+        # fresh shard now owns; the stale assembly drops the copies.
+        baseline = service_dataset.copy()
+        motion = RandomTranslation(baseline, distance=3.0, seed=0)
+        with ShardRing(baseline, n_shards=4) as ring:
+            ring.join_pairs()
+            ring.kill_shard(1, permanent=True)
+            motion.step(baseline)
+            ring.apply_update(baseline.centers)
+            answer = ring.join_pairs()
+            assert answer.stale
+            assert (np.diff(answer.keys) > 0).all()
+            assert answer.n_results == answer.keys.size
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 32])
+    def test_members_strictly_increase(self, service_dataset, n_shards):
+        # What lets a shard's local i < j map to a canonical global key.
+        with ShardRing(service_dataset, n_shards=n_shards) as ring:
+            for distance in (0.0, 0.5, 2.0, 8.0):
+                for k in range(n_shards):
+                    members = ring._members(k, distance)
+                    assert (np.diff(members) > 0).all(), (k, distance)
+
+    def test_pairs_decode_once_read_only(self, service_dataset):
+        with ShardRing(service_dataset, n_shards=3) as ring:
+            answer = ring.join_pairs()
+            assert answer.pairs is answer.pairs
+            assert np.array_equal(
+                pack_pairs(*answer.pairs, len(service_dataset)), answer.keys
+            )
+            assert not any(array.flags.writeable for array in answer.pairs)
+
+    def test_served_answer_cannot_be_written(self):
+        dataset, _motion = scaled_uniform(1000, seed=1)
+        expected = _direct_keys(dataset)
+        with ShardRing(dataset, n_shards=4) as ring:
+            answer = ring.join_pairs()
+            with pytest.raises(ValueError):
+                answer.pairs[0][:] = 0
+            with pytest.raises(ValueError):
+                answer.keys[:] = 0
+            again = ring.join_pairs()
+            assert again is answer  # a cache hit: the same arrays
+            _assert_served_keys(again, expected)
+            assert np.array_equal(
+                pack_pairs(*again.pairs, len(dataset)), expected
+            )
 
 
 # ----------------------------------------------------------------------
@@ -511,9 +609,9 @@ class TestJoinService:
 
         def counting(*args):
             calls.append(args)
-            return pairs_to_adjacency(*args)
+            return keys_to_adjacency(*args)
 
-        monkeypatch.setattr(sharding_module, "pairs_to_adjacency", counting)
+        monkeypatch.setattr(sharding_module, "keys_to_adjacency", counting)
 
         def library_csr(dataset):
             return pairs_to_adjacency(*ThermalJoin().join_pairs(dataset), len(dataset))
