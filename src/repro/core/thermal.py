@@ -221,6 +221,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "pairs_reverified": 0,
             "pairs_added": 0,
             "maintained_pairs": 0,
+            "compactions": 0,
+            "extra_keys": 0,
             "fallbacks": 0,
             "full_steps": 0,
             "incremental_steps": 0,
@@ -653,6 +655,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             pairs_dropped=0,
             pairs_reverified=0,
             pairs_added=0,
+            compactions=0,
+            extra_keys=0,
         )
         self._incr["full_steps"] = int(self._incr["full_steps"]) + 1
         was_count_only = self.count_only
@@ -828,8 +832,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "pgrid": None,
         }
         if self._maintained is not None:
-            # The stored keys are read-only and every step replaces them,
-            # so the checkpoint takes the array itself, not a copy.
+            # Reading the keys folds the set; the folded array is
+            # read-only and later patches replace it, so the checkpoint
+            # takes the array itself, not a copy.
             arrays["maintained_keys"] = self._maintained.packed_keys()
             meta["maintained"] = {
                 "n": self._maintained.n,

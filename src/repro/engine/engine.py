@@ -30,9 +30,11 @@ from typing import TYPE_CHECKING, Any
 from repro.geometry import PairAccumulator
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.datasets import SpatialDataset
     from repro.datasets.delta import MotionDelta
-    from repro.geometry.pairs import MaintainedPairSet
+    from repro.geometry.pairs import KeySnapshot, MaintainedPairSet
     from repro.joins.base import JoinResult, SpatialJoinAlgorithm
 
 __all__ = ["execute_step", "DEFAULT_PARTITION_TASKS"]
@@ -61,7 +63,8 @@ def execute_step(
     the *returned* result honours ``count_only`` as usual.
     ``on_maintained`` (if given) receives the maintenance counters
     (``pairs_reused``, ``pairs_dropped``, ``pairs_reverified``,
-    ``pairs_added``, ``maintained_pairs``) before the metrics-registry
+    ``pairs_added``, ``maintained_pairs``, ``compactions``,
+    ``extra_keys``) before the metrics-registry
     snapshot, so algorithms can surface them through their providers.
 
     When a tracer is active (:func:`repro.obs.get_tracer`), one span is
@@ -115,8 +118,9 @@ def execute_step(
 
         # merge: shards → canonical pair keys (patched into the
         # maintained set on an incremental step) → the result keys,
-        # counters → aggregate statistics.  Nothing here decodes a key:
-        # the result's ``pairs`` does that, when someone reads it.
+        # counters → aggregate statistics.  Nothing here decodes a key
+        # or folds the maintained set: the result's ``keys`` and
+        # ``pairs`` do that, when someone reads them.
         with tracer.span("merge", parent=step_span):
             merged = PairAccumulator(n_objects, count_only=count_only)
             for task_result in results:
@@ -124,12 +128,16 @@ def execute_step(
             if plan.on_complete is not None:
                 plan.on_complete(results)
             maintenance = None
+            keys: np.ndarray | KeySnapshot | None
             if delta is not None and maintained is not None:
                 maintenance = _patch_maintained(maintained, delta, merged)
-                n_results, stored = len(maintained), maintained.packed_keys
+                n_results = len(maintained)
+                # The parts, not a folded array: the result folds them if
+                # someone reads its keys.
+                keys = None if algorithm.count_only else maintained.snapshot()
             else:
-                n_results, stored = len(merged), merged.as_keys
-            keys = None if algorithm.count_only else stored()
+                n_results = len(merged)
+                keys = None if algorithm.count_only else merged.as_keys()
         t4 = time.perf_counter()
 
         if traced:
@@ -181,8 +189,9 @@ def execute_step(
 
     algorithm.stats = stats
     result = JoinResult(n_results=n_results, stats=stats, keys=keys, n_objects=n_objects)
-    # On the stored form: reading ``pairs`` here would decode every step.
-    assert (result.keys is None) == algorithm.count_only, (
+    # On the stored form: reading ``keys`` here would fold, and ``pairs``
+    # decode, every step.
+    assert result.count_only == algorithm.count_only, (
         "JoinResult keys must be kept exactly when not count_only"
     )
     return result
@@ -191,14 +200,21 @@ def execute_step(
 def _patch_maintained(
     maintained: MaintainedPairSet, delta: MotionDelta, reverified: PairAccumulator
 ) -> dict[str, int]:
-    """Drop moved-incident pairs, merge the re-verified ones; return counters."""
+    """Patch the set with the re-verified pairs; return the counters.
+
+    ``compactions`` is 1 on a step whose patch folded the set (the one
+    O(P) write), and ``extra_keys`` counts the keys added since the
+    last fold.
+    """
     pairs_before = len(maintained)
-    dropped = maintained.remove_incident(delta.moved_mask())
-    added = maintained.merge_delta(reverified.as_keys())
+    compactions_before = maintained.compactions
+    dropped, added = maintained.patch(delta.moved_mask(), reverified.as_keys())
     return {
         "pairs_reused": pairs_before - dropped,
         "pairs_dropped": dropped,
         "pairs_reverified": len(reverified),
         "pairs_added": added,
         "maintained_pairs": len(maintained),
+        "compactions": maintained.compactions - compactions_before,
+        "extra_keys": maintained.extra_keys,
     }

@@ -37,6 +37,7 @@ __all__ = [
     "pairs_equal",
     "PairAccumulator",
     "MaintainedPairSet",
+    "KeySnapshot",
     "brute_force_pairs",
     "keys_to_adjacency",
     "all_combinations",
@@ -246,35 +247,112 @@ def _frozen(keys: np.ndarray) -> np.ndarray:
     """Mark a stored key array read-only and return it.
 
     Stored keys are shared, never copied: a step's ``JoinResult`` and a
-    checkpoint may hold the array a :class:`MaintainedPairSet` holds.
-    Every mutator builds a new array, and the flag makes an in-place
+    checkpoint may hold the arrays a :class:`MaintainedPairSet` holds.
+    Every mutator builds new arrays, and the flag makes an in-place
     write raise instead of reaching a kept result.
     """
     keys.setflags(write=False)
     return keys
 
 
+#: A maintained set folds its parts into one sorted array once the keys
+#: added since the last fold outnumber this share of the base keys.  At
+#: ~1.07M pairs and ~4% of them changing per step, that is about every
+#: sixth step.
+COMPACT_SHARE = 0.25
+
+#: Keys per block of the settled-mask gather in
+#: :meth:`MaintainedPairSet.patch` and of the live-key copy of a fold, so
+#: their temporaries stay 512 KiB whatever the set's size.
+_GATHER_BLOCK = 1 << 16
+
+_NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
+
+
+def _fold(base: np.ndarray, alive: np.ndarray | None, extra: np.ndarray, size: int) -> np.ndarray:
+    """The live keys of ``base`` merged with ``extra``: one sorted array.
+
+    ``extra`` is sorted and disjoint from the live base keys.  One output
+    allocation holds both runs, and the stable sort (a run-detecting
+    merge sort for integers) merges them in one pass.  The live keys are
+    copied block by block: ``np.compress`` or one boolean index over the
+    whole base would build a temporary as large as the output.
+    """
+    if alive is None and not extra.size:
+        return base
+    out = np.empty(size, dtype=np.int64)
+    live = size - extra.size
+    if alive is None:
+        out[:live] = base
+    else:
+        filled = 0
+        for start in range(0, base.size, _GATHER_BLOCK):
+            kept = base[start : start + _GATHER_BLOCK][alive[start : start + _GATHER_BLOCK]]
+            out[filled : filled + kept.size] = kept
+            filled += kept.size
+    out[live:] = extra
+    out.sort(kind="stable")
+    return _frozen(out)
+
+
+class KeySnapshot:
+    """A maintained pair set's parts at one step, folded only when read.
+
+    ``base`` holds sorted unique keys, ``alive`` marks the live ones
+    (``None``: all of them), ``extra`` holds the sorted keys added since
+    the last fold, and ``size`` is the exact number of pairs.  Every
+    array is read-only and the set never writes it again, so a kept
+    snapshot keeps its step's answer.
+    """
+
+    __slots__ = ("base", "alive", "extra", "size")
+
+    def __init__(
+        self, base: np.ndarray, alive: np.ndarray | None, extra: np.ndarray, size: int
+    ) -> None:
+        self.base = base
+        self.alive = alive
+        self.extra = extra
+        self.size = size
+
+    def fold(self) -> np.ndarray:
+        """The step's sorted keys; the base itself when nothing is pending."""
+        return _fold(self.base, self.alive, self.extra, self.size)
+
+
 class MaintainedPairSet:
     """A join result maintained across simulation steps.
 
     Incremental pair-set maintenance keeps the previous step's result and
-    patches it instead of recomputing: pairs incident to a moved object
-    are dropped (:meth:`remove_incident`) and the freshly re-verified
-    moved-incident pairs are merged back in (:meth:`merge_delta`).  Pairs
-    are stored as sorted unique packed ``int64`` keys in the canonical
-    ``i < j`` encoding of :func:`pack_pairs`, so set algebra is exact and
-    the extracted arrays are deterministic regardless of executor or task
-    order.  No step decodes the set: the pairs a moved object holds as
-    the lower index are one key range, those it holds as the upper index
-    are the keys whose low field it owns, and the step's result takes
-    the keys themselves (:meth:`packed_keys`).
+    patches it instead of recomputing (:meth:`patch`): pairs incident to
+    a moved object are dropped and the freshly re-verified moved-incident
+    pairs are added.  Pairs are canonical ``i < j`` packed ``int64``
+    keys (:func:`pack_pairs`), so set algebra is exact and the folded
+    array is deterministic regardless of executor or task order.
 
-    These two operations (plus construction from a full join result) are
-    the *only* sanctioned mutators — repro-lint rule RPL203 enforces
-    that library code never pokes the underlying key array directly,
+    The set is two-level, so a patch writes O(moved + changed) keys:
+
+    * ``base``: sorted unique keys, as of the last fold;
+    * ``alive``: a bool mask over ``base`` (``None``: every key lives);
+    * ``extra``: sorted keys added since the last fold, disjoint from
+      the live base keys;
+    * the exact pair count.
+
+    A patch clears the dropped base keys in a new ``alive`` mask and
+    merges its fresh keys into ``extra``.  The parts are folded into one
+    new ``base`` when ``extra`` outgrows :data:`COMPACT_SHARE` of it and
+    whenever :meth:`packed_keys` is called.  No step decodes the set:
+    the pairs a moved object holds as the lower index are one key range
+    of ``base``, and those it holds as the upper index are the keys
+    whose low field it owns.
+
+    :meth:`patch` (plus construction from a full join result or from
+    packed keys) is the *only* sanctioned mutator — repro-lint rule
+    RPL203 enforces that library code never pokes the parts directly,
     which is what makes the bit-identity contract with the full re-join
-    auditable.  Each one replaces the read-only key array with a new
-    one, so an array handed out earlier never changes.
+    auditable.  Every part is read-only and a mutator replaces rather
+    than writes it, so a :meth:`snapshot` handed out earlier never
+    changes.
     """
 
     def __init__(self, n: int, keys: np.ndarray) -> None:
@@ -284,8 +362,12 @@ class MaintainedPairSet:
         duplicates allowed); it is sorted and deduplicated, not decoded.
         """
         _index_bits(n)  # rejects n outside [1, 2**31]
-        self._keys = _frozen(sorted_unique_keys(np.asarray(keys, dtype=np.int64)))
         self.n = int(n)
+        self._base = _frozen(sorted_unique_keys(np.asarray(keys, dtype=np.int64)))
+        self._alive: np.ndarray | None = None
+        self._extra = _NO_KEYS
+        self._count = int(self._base.size)
+        self._compactions = 0
 
     @classmethod
     def from_packed(cls, n: int, keys: np.ndarray) -> MaintainedPairSet:
@@ -312,75 +394,122 @@ class MaintainedPairSet:
                 raise ValueError("packed keys hold an index field >= n")
             if (i_idx >= j_idx).any():
                 raise ValueError("packed keys must encode canonical i < j pairs")
-        restored = cls.__new__(cls)
-        restored.n = int(n)
-        restored._keys = _frozen(keys.copy())
+        restored = cls(n, np.empty(0, dtype=np.int64))
+        restored._base = _frozen(keys.copy())
+        restored._count = int(keys.size)
         return restored
 
     def __len__(self) -> int:
-        return int(self._keys.size)
+        return self._count
 
-    def remove_incident(self, moved_mask: np.ndarray) -> int:
-        """Drop every pair with at least one endpoint in ``moved_mask``.
+    @property
+    def extra_keys(self) -> int:
+        """Keys added since the last fold."""
+        return int(self._extra.size)
 
-        ``moved_mask`` is a boolean ``(n,)`` array; returns the number of
-        pairs removed.  This is exact: a pair between two *settled*
-        objects cannot have changed, so everything that survives is
-        reusable verbatim.
+    @property
+    def compactions(self) -> int:
+        """Folds this set has run since it was built."""
+        return self._compactions
+
+    def patch(self, moved_mask: np.ndarray, fresh_keys: np.ndarray) -> tuple[int, int]:
+        """Drop every pair with a moved endpoint, then add ``fresh_keys``.
+
+        ``moved_mask`` is a boolean ``(n,)`` array.  ``fresh_keys`` are
+        the re-verified canonical pair keys as a :class:`PairAccumulator`
+        emits them (any order, duplicates allowed); each must have an
+        endpoint in ``moved_mask``, or :class:`ValueError` is raised.
+        Returns ``(dropped, added)``.
+
+        This is exact: a pair between two *settled* objects cannot have
+        changed, so everything that survives is reusable verbatim, and
+        since every survivor has two settled endpoints and every fresh
+        key a moved one, the fresh keys are new by construction.  The
+        parts are assigned only at the end, so a raise leaves the set as
+        it was.
         """
         moved_mask = np.asarray(moved_mask, dtype=bool)
         if moved_mask.shape != (self.n,):
             raise ValueError(
                 f"moved_mask must have shape ({self.n},), got {moved_mask.shape}"
             )
+        bits = np.int64(_index_bits(self.n))
+        low = np.int64((1 << int(bits)) - 1)
+        fresh = sorted_unique_keys(np.asarray(fresh_keys, dtype=np.int64))
+        if fresh.size:
+            i_idx, j_idx = fresh >> bits, fresh & low
+            if fresh[0] < 0 or (j_idx >= self.n).any() or (i_idx >= j_idx).any():
+                raise ValueError("fresh keys must be canonical pair keys over n objects")
+            if not (moved_mask[i_idx] | moved_mask[j_idx]).all():
+                raise ValueError("every fresh key needs an endpoint in moved_mask")
+
+        base, alive, extra = self._base, self._alive, self._extra
         moved = np.flatnonzero(moved_mask)
-        if not (moved.size and self._keys.size):
-            return 0
-        bits = _index_bits(self.n)
-        # Upper index moved: one gather of the settled mask by low field.
-        keep = (~moved_mask)[self._keys & np.int64((1 << bits) - 1)]
-        # Lower index moved: the key range [m << b, (m + 1) << b) per
-        # moved object m.  Numbering the ranges' slots 0, 1, ... in
-        # order, slot t of range r lies at starts[r] + t - (ends[r] -
-        # lengths[r]).
-        starts = np.searchsorted(self._keys, moved << bits)
-        lengths = np.searchsorted(self._keys, (moved + 1) << bits) - starts
-        ends = np.cumsum(lengths)
-        keep[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)] = False
-        kept = self._keys[keep]
-        removed = int(self._keys.size - kept.size)
-        self._keys = _frozen(kept)
-        return removed
+        live_before = self._count - extra.size
+        live = live_before
+        if moved.size and live:
+            settled = ~moved_mask
+            # Upper index moved: gather the settled mask at the low
+            # fields, block by block into the new mask.
+            kept = np.empty(base.size, dtype=bool)
+            fields = np.empty(min(base.size, _GATHER_BLOCK), dtype=np.int64)
+            for start in range(0, base.size, _GATHER_BLOCK):
+                block = base[start : start + _GATHER_BLOCK]
+                np.bitwise_and(block, low, out=fields[: block.size])
+                np.take(
+                    settled,
+                    fields[: block.size],
+                    out=kept[start : start + block.size],
+                    mode="clip",
+                )
+            if alive is not None:
+                kept &= alive
+            # Lower index moved: the key range [m << b, (m + 1) << b) per
+            # moved object m.  Numbering the ranges' slots 0, 1, ... in
+            # order, slot t of range r lies at starts[r] + t - (ends[r] -
+            # lengths[r]).
+            starts = np.searchsorted(base, moved << bits)
+            lengths = np.searchsorted(base, (moved + 1) << bits) - starts
+            ends = np.cumsum(lengths)
+            kept[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)] = False
+            alive = _frozen(kept)
+            live = int(np.count_nonzero(alive))
+        dropped = live_before - live
+        if moved.size and extra.size:
+            survives = ~(moved_mask[extra >> bits] | moved_mask[extra & low])
+            dropped += int(extra.size - np.count_nonzero(survives))
+            extra = extra[survives]
+        if fresh.size:
+            merged = np.concatenate((extra, fresh))
+            merged.sort(kind="stable")  # two sorted runs: one merge pass
+            extra = merged
+        count = live + int(extra.size)
+        compactions = self._compactions
+        if extra.size > COMPACT_SHARE * base.size:
+            base, alive, extra = _fold(base, alive, extra, count), None, _NO_KEYS
+            compactions += 1
+        self._base, self._alive, self._extra = base, alive, _frozen(extra)
+        self._count, self._compactions = count, compactions
+        return dropped, int(fresh.size)
 
-    def merge_delta(self, keys: np.ndarray) -> int:
-        """Insert re-verified canonical pair keys; returns the number added.
+    def snapshot(self) -> KeySnapshot:
+        """The current parts, which no later mutation touches."""
+        return KeySnapshot(self._base, self._alive, self._extra, self._count)
 
-        ``keys`` is what a :class:`PairAccumulator` emits: any order, and
-        deduplicated before the merge, so emitting the same pair from two
-        verify tasks is harmless.
+    def packed_keys(self) -> np.ndarray:
+        """The sorted packed keys: folds the parts and returns the new base.
+
+        The array is the stored read-only one, not a copy.
         """
-        fresh = sorted_unique_keys(np.asarray(keys, dtype=np.int64))
-        # Both sides are sorted, so merge by insertion position instead
-        # of re-sorting the whole key set: one O(P) pass for P maintained
-        # keys plus O(k log P) for k fresh ones.  At 1.07M keys and 39k
-        # fresh this measured 6.5 ms, against 15 ms for a stable sort of
-        # the concatenation.
-        positions = np.searchsorted(self._keys, fresh)
-        if self._keys.size:
-            bounded = np.minimum(positions, self._keys.size - 1)
-            new = (positions == self._keys.size) | (self._keys[bounded] != fresh)
-            fresh = fresh[new]
-            positions = positions[new]
-        self._keys = _frozen(np.insert(self._keys, positions, fresh))
-        return int(fresh.size)
+        if self._alive is not None or self._extra.size:
+            self._base = _fold(self._base, self._alive, self._extra, self._count)
+            self._alive, self._extra = None, _NO_KEYS
+            self._compactions += 1
+        return self._base
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Current pair set as sorted canonical ``(i, j)`` arrays."""
-        return unpack_pairs(self._keys, self.n)
-
-    def packed_keys(self) -> np.ndarray:
-        """The sorted packed keys: the stored read-only array, not a copy."""
-        return self._keys
+        return unpack_pairs(self.packed_keys(), self.n)
 
 
 def brute_force_pairs(lo: np.ndarray, hi: np.ndarray, chunk_size: int = 512) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from repro.datasets.delta import MotionDelta
     from repro.engine.executors import Executor
     from repro.engine.plan import JoinPlan
-    from repro.geometry.pairs import PairAccumulator
+    from repro.geometry.pairs import KeySnapshot, PairAccumulator
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -192,7 +192,6 @@ class JoinStatistics:
         }
 
 
-@dataclass
 class JoinResult:
     """Result of one self-join step.
 
@@ -200,32 +199,63 @@ class JoinResult:
     ``n_objects`` objects (:func:`repro.geometry.pack_pairs`; unique and
     read-only, in emit order, or sorted after a maintained step), or
     ``None`` when the algorithm ran in count-only mode; ``n_results`` is
-    always populated.  :attr:`pairs`
-    decodes the keys on first read and keeps the arrays, so a consumer
-    that never reads it never pays for the decode.
+    always populated.  An incremental step passes the maintained set's
+    :class:`~repro.geometry.pairs.KeySnapshot` instead of an array:
+    :attr:`keys` folds it into one sorted array on first read and keeps
+    that, so a step nobody reads writes no pair-set-sized array.
+    :attr:`pairs` likewise decodes the keys on first read and keeps the
+    arrays.
     """
 
-    n_results: int
-    stats: JoinStatistics
-    keys: np.ndarray | None = None
-    n_objects: int = 0
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        n_results: int,
+        stats: JoinStatistics,
+        keys: np.ndarray | KeySnapshot | None = None,
+        n_objects: int = 0,
+    ) -> None:
+        self.n_results = n_results
+        self.stats = stats
+        self.n_objects = n_objects
+        from repro.geometry.pairs import KeySnapshot
 
-    def __post_init__(self) -> None:
-        if self.keys is not None:
+        if keys is not None and not isinstance(keys, KeySnapshot):
             # The array may be the maintained set's own; nobody may write it.
-            self.keys.setflags(write=False)
+            keys.setflags(write=False)
+        self._stored = keys
+        self._pairs: tuple | None = None
+
+    def __repr__(self) -> str:
+        return (
+            f"JoinResult(n_results={self.n_results}, n_objects={self.n_objects}, "
+            f"count_only={self.count_only})"
+        )
+
+    @property
+    def count_only(self) -> bool:
+        """Whether the pairs were counted but not kept; reads the stored form."""
+        return self._stored is None
+
+    @property
+    def keys(self) -> np.ndarray | None:
+        """The result's read-only pair keys, or ``None`` in count-only mode."""
+        from repro.geometry.pairs import KeySnapshot
+
+        if isinstance(self._stored, KeySnapshot):
+            self._stored = self._stored.fold()
+        return self._stored
 
     @property
     def pairs(self) -> tuple | None:
         """Canonical ``(i, j)`` index arrays (``i < j``, unique), or ``None``
         in count-only mode."""
-        if self.keys is None:
+        keys = self.keys
+        if keys is None:
             return None
         if self._pairs is None:
             from repro.geometry.pairs import unpack_pairs
 
-            self._pairs = unpack_pairs(self.keys, self.n_objects)
+            self._pairs = unpack_pairs(keys, self.n_objects)
         return self._pairs
 
 

@@ -1,10 +1,11 @@
 """The sanctioned durable-write primitives of the recovery subsystem.
 
-Every byte the checkpoint layer puts on disk flows through
-:func:`atomic_write_bytes`: the payload is serialized fully in memory,
-written to a sibling temporary file, flushed and fsynced, then renamed
-over the final name (``os.replace`` is atomic on POSIX), and finally
-the containing directory is fsynced so the rename itself is durable.
+Every byte the checkpoint layer puts on disk flows through one commit
+protocol (:func:`_commit`): the payload is written to a sibling
+temporary file (the ``.npz`` streamed array by array, not assembled in
+memory first), flushed and fsynced, then renamed over the final name
+(``os.replace`` is atomic on POSIX), and finally the containing
+directory is fsynced so the rename itself is durable.
 A reader therefore either sees the complete previous file or the
 complete new one — never a torn write — which is what lets the loader
 treat any checksum mismatch as corruption rather than a race.
@@ -15,18 +16,18 @@ repro-lint rule RPL501 forbids any other file-write primitive inside
 
 from __future__ import annotations
 
-import io
 import json
 import os
-from typing import Any
+from collections.abc import Callable
+from typing import Any, BinaryIO
 
 import numpy as np
 
 __all__ = ["atomic_write_bytes", "write_json", "write_npz"]
 
 
-def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> int:
-    """Durably write ``data`` at ``path`` via tmp + fsync + rename.
+def _commit(path: str | os.PathLike[str], write: Callable[[BinaryIO], object]) -> int:
+    """Durably write what ``write`` puts into a handle, via tmp + fsync + rename.
 
     Returns the number of bytes written.  The temporary file lives in
     the same directory (``os.replace`` requires the same filesystem);
@@ -36,7 +37,8 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> int:
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        write(handle)
+        nbytes = handle.tell()
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -46,7 +48,12 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> int:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
-    return len(data)
+    return nbytes
+
+
+def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> int:
+    """Durably write ``data`` at ``path``; returns the number of bytes written."""
+    return _commit(path, lambda handle: handle.write(data))
 
 
 def write_json(path: str | os.PathLike[str], document: dict[str, Any]) -> int:
@@ -63,9 +70,9 @@ def write_npz(path: str | os.PathLike[str], arrays: dict[str, np.ndarray]) -> in
     """Atomically write ``arrays`` as an uncompressed ``.npz``.
 
     Uncompressed on purpose: checkpoints sit on the hot simulation loop
-    and the ≤5 % overhead budget buys fsyncs, not deflate passes.
-    Returns the number of bytes written.
+    and the ≤5 % overhead budget buys fsyncs, not deflate passes.  The
+    archive is streamed into the temporary file, so no copy of the whole
+    payload is built in memory; the bytes equal those ``np.savez``
+    writes into a buffer.  Returns the number of bytes written.
     """
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return atomic_write_bytes(path, buffer.getvalue())
+    return _commit(path, lambda handle: np.savez(handle, **arrays))

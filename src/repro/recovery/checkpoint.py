@@ -75,7 +75,12 @@ class Checkpoint:
 
 
 def _sha256(array: np.ndarray) -> str:
-    return hashlib.sha256(array.tobytes()).hexdigest()
+    """SHA-256 of the array's C-order bytes, as ``array.tobytes()`` holds them.
+
+    A contiguous array is hashed through its buffer, without a copy;
+    only a non-contiguous one is copied first.
+    """
+    return hashlib.sha256(np.ascontiguousarray(array).reshape(-1).view(np.uint8)).hexdigest()
 
 
 class CheckpointManager:

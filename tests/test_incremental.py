@@ -28,7 +28,7 @@ from repro.engine import ChurnPolicy, install_fault_plan
 from repro.engine import faults as faults_module
 from repro.engine.incremental import CHURN_CEILING, CHURN_FLOOR
 from repro.geometry import MaintainedPairSet, brute_force_pairs, pack_pairs
-from repro.geometry.pairs import canonicalize_pairs
+from repro.geometry.pairs import KeySnapshot, canonicalize_pairs
 from repro.joins import PlaneSweepJoin
 from repro.simulation import SimulationRunner
 
@@ -331,10 +331,13 @@ class TestPackedResults:
             assert result.keys.size
             with pytest.raises(ValueError, match="read-only"):
                 result.keys[0] = 0
-        # The incremental result shares the maintained set's array.
-        assert maintained.keys is algorithm._maintained.packed_keys()
-        with pytest.raises(ValueError, match="read-only"):
-            algorithm._maintained.packed_keys()[:] = 0
+        # The incremental result folds the maintained set's parts, which
+        # are read-only too.
+        assert np.array_equal(maintained.keys, algorithm._maintained.packed_keys())
+        snapshot = algorithm._maintained.snapshot()
+        for part in (snapshot.base, snapshot.extra, algorithm._maintained.packed_keys()):
+            with pytest.raises(ValueError, match="read-only"):
+                part[:] = 0
 
     def test_kept_result_survives_later_steps(self):
         dataset = small_dataset()
@@ -348,6 +351,51 @@ class TestPackedResults:
         assert not np.array_equal(algorithm._maintained.packed_keys(), kept.keys)
         for got, want in zip(kept.pairs, expected, strict=True):
             assert np.array_equal(got, want)
+
+    def test_kept_results_survive_a_compaction_and_a_checkpoint(self):
+        """Nine kept maintained results each decode to their own step."""
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True)
+        kept = [_steps_to_first_incremental(algorithm, dataset, motion)]
+        expected = [brute_force_pairs(*dataset.boxes())]
+        pending_at_checkpoint = None
+        compactions = []
+        for step in range(8):
+            if step == 4:
+                pending_at_checkpoint = algorithm._maintained.extra_keys
+                algorithm.snapshot_state()  # what a checkpoint stores: folds the set
+                assert algorithm._maintained.extra_keys == 0
+            kept.append(algorithm.step_delta(dataset, motion.step(dataset)))
+            expected.append(brute_force_pairs(*dataset.boxes()))
+            assert algorithm._incr["mode"] == "incremental"
+            compactions.append(algorithm._incr["compactions"])
+        assert pending_at_checkpoint > 0
+        assert 1 in compactions
+        for result, want in zip(kept, expected, strict=True):
+            for got, reference in zip(result.pairs, want, strict=True):
+                assert np.array_equal(got, reference)
+
+    def test_count_only_maintained_steps_never_fold(self, monkeypatch):
+        calls = []
+        snapshot = MaintainedPairSet.snapshot
+        monkeypatch.setattr(
+            MaintainedPairSet, "snapshot", lambda self: calls.append("snapshot") or snapshot(self)
+        )
+        fold = KeySnapshot.fold
+        monkeypatch.setattr(KeySnapshot, "fold", lambda self: calls.append("fold") or fold(self))
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True, count_only=True)
+        result = _steps_to_first_incremental(algorithm, dataset, motion)
+        for _ in range(4):
+            assert result.count_only
+            assert result.keys is None and result.pairs is None
+            assert result.n_results == len(algorithm._maintained)
+            assert result.n_results == brute_force_pairs(*dataset.boxes())[0].size
+            result = algorithm.step_delta(dataset, motion.step(dataset))
+            assert algorithm._incr["mode"] == "incremental"
+        assert calls == []
 
     def test_unread_maintained_steps_decode_nothing(self, monkeypatch, tmp_path):
         import repro.geometry
@@ -554,18 +602,17 @@ class TestMaintainedPairSet:
 
         moved = np.zeros(n, dtype=bool)
         moved[rng.choice(n, 10, replace=False)] = True
-        dropped = maintained.remove_incident(moved)
         survivors = {
             pair for pair in oracle if not (moved[pair[0]] or moved[pair[1]])
         }
-        assert dropped == len(oracle) - len(survivors)
-
+        # Re-verified pairs have a moved endpoint; some were in the set.
         fresh_i = rng.integers(0, n, 120)
         fresh_j = rng.integers(0, n, 120)
-        keep = fresh_i != fresh_j
-        added = maintained.merge_delta(
-            pack_pairs(*canonicalize_pairs(fresh_i[keep], fresh_j[keep]), n)
+        keep = (fresh_i != fresh_j) & (moved[fresh_i] | moved[fresh_j])
+        dropped, added = maintained.patch(
+            moved, pack_pairs(*canonicalize_pairs(fresh_i[keep], fresh_j[keep]), n)
         )
+        assert dropped == len(oracle) - len(survivors)
         merged = survivors | {
             (min(a, b), max(a, b))
             for a, b in zip(fresh_i[keep].tolist(), fresh_j[keep].tolist())
@@ -578,14 +625,18 @@ class TestMaintainedPairSet:
     def test_keys_stay_sorted_unique(self):
         maintained = MaintainedPairSet(10, pack_pairs([1, 1], [3, 3], 10))
         assert len(maintained) == 1
-        maintained.merge_delta(pack_pairs([0, 4, 0], [2, 5, 2], 10))
+        moved = np.zeros(10, dtype=bool)
+        moved[[0, 4]] = True
+        assert maintained.patch(moved, pack_pairs([0, 4, 0], [2, 5, 2], 10)) == (0, 2)
         keys = maintained.packed_keys()
         assert np.all(np.diff(keys) > 0)
+        assert len(maintained) == keys.size == 3
 
     def test_merge_into_empty_set(self):
         maintained = MaintainedPairSet(5, np.array([], dtype=np.int64))
         assert len(maintained) == 0
-        assert maintained.merge_delta(pack_pairs([0], [1], 5)) == 1
+        moved = np.array([True, False, False, False, False])
+        assert maintained.patch(moved, pack_pairs([0], [1], 5)) == (0, 1)
         assert len(maintained) == 1
 
     def test_validation(self):
@@ -593,7 +644,7 @@ class TestMaintainedPairSet:
             MaintainedPairSet(0, np.array([1]))
         maintained = MaintainedPairSet(5, pack_pairs([0], [1], 5))
         with pytest.raises(ValueError):
-            maintained.remove_incident(np.zeros(4, dtype=bool))
+            maintained.patch(np.zeros(4, dtype=bool), np.empty(0, dtype=np.int64))
 
 
 class TestChurnPolicy:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.geometry import (
     unique_pairs,
     unpack_pairs,
 )
+from repro.geometry import pairs as pairs_module
 
 
 class TestCanonicalize:
@@ -259,18 +262,20 @@ class TestMaintainedPairSetAlgebra:
         moved = np.random.default_rng(moved_seed).random(n) < 0.3
         fresh_i = np.array([p[0] % n for p in fresh], dtype=np.int64)
         fresh_j = np.array([p[1] % n for p in fresh], dtype=np.int64)
+        # Re-verified pairs always have a moved endpoint.
+        incident_fresh = moved[fresh_i] | moved[fresh_j]
+        fresh_i, fresh_j = fresh_i[incident_fresh], fresh_j[incident_fresh]
 
         maintained = MaintainedPairSet(n, _emitted_keys(n, i_idx, j_idx))
-        maintained.remove_incident(moved)
-        maintained.merge_delta(_emitted_keys(n, fresh_i, fresh_j))
+        maintained.patch(moved, _emitted_keys(n, fresh_i, fresh_j))
 
         keys = np.unique(pack_pairs(*canonicalize_pairs(i_idx, j_idx), n))
         lo, hi = unpack_pairs(keys, n)
         incident = keys[moved[lo] | moved[hi]]
         fresh_keys = pack_pairs(*canonicalize_pairs(fresh_i, fresh_j), n)
         expected = np.union1d(np.setdiff1d(keys, incident), fresh_keys)
+        assert_bit_identical(maintained.snapshot().fold(), expected)
         assert_bit_identical(maintained.packed_keys(), expected)
-
 
     @staticmethod
     def _reference_remove(i_idx, j_idx, moved):
@@ -283,6 +288,7 @@ class TestMaintainedPairSetAlgebra:
         "case", ["first-id", "last-id", "none-moved", "all-moved", "empty-set"]
     )
     def test_remove_incident_edge_inputs(self, n, case):
+        """A patch without fresh keys drops exactly the moved-incident pairs."""
         rng = np.random.default_rng(n)
         if case == "empty-set":
             i_idx = j_idx = np.empty(0, dtype=np.int64)
@@ -298,12 +304,159 @@ class TestMaintainedPairSetAlgebra:
             "empty-set": rng.random(n) < 0.5,
         }[case]
         maintained = MaintainedPairSet(n, _emitted_keys(n, i_idx, j_idx))
-        removed = maintained.remove_incident(moved)
+        removed, added = maintained.patch(moved, np.empty(0, dtype=np.int64))
         kept, expected_removed = self._reference_remove(i_idx, j_idx, moved)
-        assert removed == expected_removed
+        assert (removed, added) == (expected_removed, 0)
+        assert len(maintained) == len(kept)
         got_i, got_j = maintained.as_arrays()
         assert list(zip(got_i.tolist(), got_j.tolist(), strict=True)) == kept
-        assert len(maintained) == len(kept)
+
+
+@st.composite
+def patch_sequences(draw):
+    """A seed set over ``n`` objects and a sequence of patch steps.
+
+    Each step is ``(moved mask, fresh pairs, read)``: every fresh pair
+    has a moved endpoint (duplicates and either orientation allowed),
+    and ``read`` asks for :meth:`packed_keys` after the patch, as a
+    checkpoint would.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 5, 17, 40]))
+    index = st.integers(0, n - 1)
+    seed = draw(st.lists(st.tuples(index, index), max_size=150))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        share = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+        moved = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))) < share
+        candidates = draw(st.lists(st.tuples(index, index), max_size=60))
+        fresh = [(a, b) for a, b in candidates if a != b and (moved[a] or moved[b])]
+        steps.append((moved, fresh, draw(st.booleans())))
+    return n, seed, steps
+
+
+def _pair_array(pairs):
+    return (
+        np.array([p[0] for p in pairs], dtype=np.int64),
+        np.array([p[1] for p in pairs], dtype=np.int64),
+    )
+
+
+class TestMaintainedPairSetPatch:
+    """Random patch sequences against a Python-set reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sequence=patch_sequences(),
+        share=st.sampled_from([0.0, 0.25, 1.0, float("inf")]),
+        block=st.sampled_from([1, 3, 1 << 16]),
+    )
+    def test_sequences_match_python_sets(self, sequence, share, block):
+        n, seed, steps = sequence
+        reference = {(min(a, b), max(a, b)) for a, b in seed if a != b}
+        snapshots = []
+        # The fold threshold decides when the parts are compacted and
+        # the block size where the settled-mask gather cuts the base;
+        # neither may change a key.
+        with (
+            mock.patch.object(pairs_module, "COMPACT_SHARE", share),
+            mock.patch.object(pairs_module, "_GATHER_BLOCK", block),
+        ):
+            maintained = MaintainedPairSet(n, _emitted_keys(n, *_pair_array(seed)))
+            for moved, fresh, read in steps:
+                survivors = {p for p in reference if not (moved[p[0]] or moved[p[1]])}
+                added_pairs = {(min(a, b), max(a, b)) for a, b in fresh}
+                dropped, added = maintained.patch(moved, _emitted_keys(n, *_pair_array(fresh)))
+                assert dropped == len(reference) - len(survivors)
+                assert added == len(added_pairs)
+                reference = survivors | added_pairs
+                assert len(maintained) == len(reference)
+                assert maintained.extra_keys <= len(reference)
+                expected = np.array(
+                    [(i << (max(1, (n - 1).bit_length()))) | j for i, j in sorted(reference)],
+                    dtype=np.int64,
+                )
+                snapshot = maintained.snapshot()
+                assert snapshot.size == len(reference)
+                snapshots.append((snapshot, expected))
+                if read:
+                    assert_bit_identical(maintained.packed_keys(), expected)
+                    assert maintained.extra_keys == 0
+        # Every snapshot still folds to its own step's set, whatever the
+        # later patches and folds did.
+        for snapshot, expected in snapshots:
+            assert_bit_identical(snapshot.fold(), expected)
+
+    def test_compaction_boundary(self):
+        """The parts fold exactly when ``extra`` outgrows the base share."""
+        n = 512
+        i_idx, j_idx = np.triu_indices(40, k=1)
+        maintained = MaintainedPairSet(n, pack_pairs(i_idx, j_idx, n))  # 780 keys
+        limit = int(pairs_module.COMPACT_SHARE * len(maintained))
+        moved = np.zeros(n, dtype=bool)
+        moved[n - 1] = True
+        fresh = pack_pairs(np.arange(limit), np.full(limit, n - 1), n)
+        maintained.patch(moved, fresh)
+        assert (maintained.extra_keys, maintained.compactions) == (limit, 0)
+        moved[:] = False
+        moved[n - 2] = True
+        maintained.patch(moved, pack_pairs([0], [n - 2], n))
+        assert (maintained.extra_keys, maintained.compactions) == (0, 1)
+        assert len(maintained) == 780 + limit + 1
+        assert np.all(np.diff(maintained.packed_keys()) > 0)
+        assert maintained.compactions == 1  # nothing pending, nothing folded
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_sets(self, n):
+        maintained = MaintainedPairSet(n, np.empty(0, dtype=np.int64))
+        for moved in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+            assert maintained.patch(moved, np.empty(0, dtype=np.int64)) == (0, 0)
+        if n == 2:
+            moved = np.array([False, True])
+            assert maintained.patch(moved, _emitted_keys(2, [1, 0], [0, 1])) == (0, 1)
+            assert maintained.patch(moved, pack_pairs([0], [1], 2)) == (1, 1)
+            assert maintained.packed_keys().tolist() == [1]
+            assert maintained.patch(np.ones(2, dtype=bool), np.empty(0, dtype=np.int64)) == (1, 0)
+        assert len(maintained) == 0
+        assert maintained.packed_keys().size == 0
+
+    def test_fresh_key_without_moved_endpoint_raises_and_leaves_the_set(self):
+        n = 20
+        i_idx, j_idx = np.triu_indices(10, k=1)
+        maintained = MaintainedPairSet(n, pack_pairs(i_idx, j_idx, n))
+        moved = np.zeros(n, dtype=bool)
+        moved[5] = True
+        maintained.patch(moved, pack_pairs([5], [15], n))
+        before = maintained.snapshot()
+        assert before.alive is not None and before.extra.size == 1
+        expected = maintained.snapshot().fold()
+        moved[:] = False
+        moved[6] = True
+        for fresh in (
+            pack_pairs([6, 1], [16, 8], n),  # (1, 8) has no moved endpoint
+            np.array([-1], dtype=np.int64),
+            pack_pairs([16], [6], n),  # not canonical
+        ):
+            with pytest.raises(ValueError):
+                maintained.patch(moved, fresh)
+            after = maintained.snapshot()
+            assert after.base is before.base
+            assert after.alive is before.alive
+            assert after.extra is before.extra
+            assert after.size == before.size == len(maintained)
+        assert_bit_identical(maintained.packed_keys(), expected)
+
+    def test_parts_are_read_only(self):
+        n = 20
+        i_idx, j_idx = np.triu_indices(10, k=1)
+        maintained = MaintainedPairSet(n, pack_pairs(i_idx, j_idx, n))
+        moved = np.zeros(n, dtype=bool)
+        moved[5] = True
+        maintained.patch(moved, pack_pairs([5], [15], n))
+        snapshot = maintained.snapshot()
+        assert snapshot.alive is not None and snapshot.extra.size == 1
+        for part in (snapshot.base, snapshot.alive, snapshot.extra, maintained.packed_keys()):
+            with pytest.raises(ValueError, match="read-only"):
+                part[:1] = 0
 
 
 class TestMaintainedPairSetRestore:

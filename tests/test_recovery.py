@@ -10,6 +10,8 @@ degrade to the previous one, never to a wrong answer.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 
 from repro.core import ThermalJoin
 from repro.datasets import (
+    IntermittentTranslation,
     make_clustered_workload,
     make_neural_workload,
     make_uniform_workload,
@@ -46,6 +49,7 @@ from repro.recovery import (
     write_json,
     write_npz,
 )
+from repro.recovery.checkpoint import _sha256
 from repro.simulation import SimulationRunner
 
 N_STEPS = 8
@@ -69,6 +73,16 @@ def _make_workload(kind: str, seed: int = 11):
     else:  # pragma: no cover - guard against typos in parametrize lists
         raise ValueError(kind)
     return dataset, motion
+
+
+def _low_motion_runner(directory):
+    """A maintained run that stays incremental, checkpointing every 4 steps."""
+    dataset, _ = _make_workload("uniform")
+    motion = IntermittentTranslation(dataset, distance=3.0, move_fraction=0.05, seed=5)
+    return SimulationRunner(
+        dataset, motion, ThermalJoin(pair_maintenance=True),
+        checkpoint_dir=directory, checkpoint_every=4,
+    )
 
 
 def _strip_checkpoint_events(events):
@@ -141,6 +155,56 @@ class TestAtomicWriter:
         with np.load(path, allow_pickle=False) as payload:
             assert np.array_equal(payload["ints"], arrays["ints"])
             assert np.array_equal(payload["floats"], arrays["floats"])
+
+    def test_streamed_npz_bytes_equal_the_buffered_archive(self, tmp_path):
+        arrays = {
+            "keys": np.arange(0, 3000, 7, dtype=np.int64),
+            "grid": np.linspace(0, 1, 24).reshape(4, 6)[:, ::2],  # non-contiguous
+            "flags": np.array([True, False, True]),
+            "empty": np.empty(0, dtype=np.int64),
+        }
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        path = tmp_path / "arrays.npz"
+        assert write_npz(path, arrays) == len(buffer.getvalue())
+        assert path.read_bytes() == buffer.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arrays.npz"]
+
+    def test_torn_temp_file_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        manager = CheckpointManager(tmp_path)
+        manager.write(0, {"x": np.arange(5, dtype=np.int64)}, {"tag": "old"})
+
+        def torn_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk yanked mid-write")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="mid-write"):
+            manager.write(1, {"x": np.arange(6, dtype=np.int64)}, {"tag": "new"})
+        assert (tmp_path / "step-000001.npz.tmp").exists()
+        assert not (tmp_path / "step-000001.npz").exists()
+        assert not (tmp_path / "step-000001.json").exists()
+        checkpoint, skipped = manager.load_latest()
+        assert (checkpoint.step, skipped, checkpoint.meta["tag"]) == (0, 0, "old")
+        assert np.array_equal(checkpoint.arrays["x"], np.arange(5))
+
+
+class TestChecksums:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(12, dtype=np.int64),
+            np.arange(24, dtype=np.float64).reshape(4, 6),
+            np.arange(24, dtype=np.float64).reshape(4, 6)[:, 1::2],
+            np.arange(24, dtype=np.int32).reshape(4, 6).T,
+            np.array([True, False, True]),
+            np.empty((0, 3)),
+            np.float64(2.5) * np.ones(()),
+        ],
+        ids=["int64", "2d", "strided", "transposed", "bool", "empty", "0-d"],
+    )
+    def test_digest_equals_sha256_of_tobytes(self, array):
+        assert _sha256(array) == hashlib.sha256(array.tobytes()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +402,63 @@ class TestResumeBitIdentity:
         resumed = SimulationRunner.resume(tmp_path, algo())
         resumed.run(N_STEPS)
         assert_trajectories_identical(baseline.records, resumed.records)
+
+    def test_resume_with_pending_extra_keys_is_bit_identical(self, tmp_path):
+        """A checkpoint folds a set with pending extra keys; the resumed
+        run continues from the folded keys exactly as the uninterrupted
+        run (same checkpoint cadence) continues after its own fold."""
+        steps = 16
+        baseline = _low_motion_runner(tmp_path / "baseline")
+        baseline.run(steps)
+        pending = [
+            r.step for r in baseline.records
+            if r.step % 4 == 3 and r.incremental.get("extra_keys", 0) > 0
+        ]
+        assert pending, "no checkpoint was written with pending extra keys"
+        checkpoint_step = pending[0]
+        install_fault_plan(parse_faults(f"crashstep@{checkpoint_step + 2}"))
+        try:
+            with pytest.raises(SimulatedCrash):
+                _low_motion_runner(tmp_path / "crashed").run(steps)
+        finally:
+            install_fault_plan(None)
+        resumed = SimulationRunner.resume(
+            tmp_path / "crashed", ThermalJoin(pair_maintenance=True)
+        )
+        assert resumed._next_step == checkpoint_step + 1
+        resumed.run(steps)
+        assert_trajectories_identical(baseline.records, resumed.records)
+        assert np.array_equal(
+            resumed.algorithm._maintained.packed_keys(),
+            baseline.algorithm._maintained.packed_keys(),
+        )
+
+    def test_checkpoint_without_layout_counters_resumes(self, tmp_path):
+        # Checkpoints written before the set kept its pending keys apart
+        # (same format version) carry no compactions/extra_keys counters.
+        baseline = _low_motion_runner(tmp_path / "baseline")
+        baseline.run(12)
+        first = _low_motion_runner(tmp_path / "old")
+        first.run(8)  # checkpoints at steps 3 and 7
+        manager = CheckpointManager(tmp_path / "old")
+        newest = manager.load(tmp_path / "old" / "step-000007.json")
+        incr = newest.meta["algorithm"]["incr"]
+        assert incr["mode"] == "incremental"
+        del incr["compactions"], incr["extra_keys"]
+        manager.write(7, newest.arrays, newest.meta)
+        resumed = SimulationRunner.resume(
+            tmp_path / "old", ThermalJoin(pair_maintenance=True)
+        )
+        assert resumed._next_step == 8
+        resumed.run(12)
+        for a, b in zip(baseline.records[8:], resumed.records[8:], strict=True):
+            assert (a.n_results, a.overlap_tests, a.incremental) == (
+                b.n_results, b.overlap_tests, b.incremental
+            )
+        assert np.array_equal(
+            resumed.algorithm._maintained.packed_keys(),
+            baseline.algorithm._maintained.packed_keys(),
+        )
 
     def test_resume_on_the_converging_step(self, tmp_path):
         """Checkpoint on the step where the tuner settled at its best

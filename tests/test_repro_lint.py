@@ -493,7 +493,19 @@ class TestPairSetWrite:
             "repro/core/mod.py",
             """
             def patch(maintained, keys):
-                maintained._keys = keys
+                maintained._base = keys
+            """,
+        )
+        assert codes_of(findings) == {"RPL203"}
+
+    @pytest.mark.parametrize("field", ["_alive", "_extra", "_count", "_compactions"])
+    def test_every_layout_field_write_fires(self, tmp_path: Path, field: str) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/engine/mod.py",
+            f"""
+            def poke(algorithm, value):
+                algorithm._maintained.{field} = value
             """,
         )
         assert codes_of(findings) == {"RPL203"}
@@ -515,9 +527,8 @@ class TestPairSetWrite:
             "repro/engine/mod.py",
             """
             def patch(maintained, delta, merged):
-                dropped = maintained.remove_incident(delta)
-                added = maintained.merge_delta(*merged)
-                return dropped, added
+                dropped, added = maintained.patch(delta.moved_mask(), merged)
+                return dropped, added, maintained.snapshot()
             """,
         )
         assert findings == []
@@ -540,8 +551,8 @@ class TestPairSetWrite:
             "repro/geometry/pairs.py",
             """
             class MaintainedPairSet:
-                def merge_delta(self, maintained, keys):
-                    maintained._keys = keys
+                def patch(self, moved_mask, fresh_keys):
+                    self._base, self._extra = fresh_keys, fresh_keys
             """,
             select="RPL203",
         )

@@ -131,11 +131,16 @@ STATISTICS_ROOTS: frozenset[str] = frozenset({"stats", "statistics"})
 # ----------------------------------------------------------------------
 # RPL203 — maintained pair-set writes
 # ----------------------------------------------------------------------
-#: Internal state of ``MaintainedPairSet``: the sorted packed-key array
-#: and the object count that fixes the key's index width.  Writable only from the class's own
-#: delta-maintenance API (``remove_incident`` / ``merge_delta`` and the
-#: constructor) in :data:`PAIRS_MODULE`.
-PAIRSET_FIELDS: frozenset[str] = frozenset({"_keys", "n"})
+#: Internal state of ``MaintainedPairSet``: the two-level layout (the
+#: sorted ``_base`` keys, their ``_alive`` mask, the sorted ``_extra``
+#: keys added since the last fold), the exact ``_count``, the fold
+#: counter and the object count that fixes the key's index width.
+#: Writable only from the class's own delta-maintenance API (``patch``,
+#: the fold in ``packed_keys`` and the constructors) in
+#: :data:`PAIRS_MODULE`.
+PAIRSET_FIELDS: frozenset[str] = frozenset(
+    {"_base", "_alive", "_extra", "_count", "_compactions", "n"}
+)
 
 #: Names an expression may be rooted at for RPL203 to treat it as a
 #: maintained pair set.

@@ -424,10 +424,11 @@ class PairSetWriteRule(Rule):
     rationale = (
         "MaintainedPairSet carries a join result across simulation steps; "
         "its bit-identity contract with a full re-join is auditable only "
-        "because every mutation flows through remove_incident / merge_delta "
-        "(plus construction from a full result).  Poking the packed key "
-        "array or the object count directly would let an unsorted or "
-        "duplicated key slip in and silently corrupt every later step."
+        "because every mutation flows through patch (plus construction "
+        "from a full result or from packed keys).  Poking the base keys, "
+        "their alive mask, the pending extra keys, the count or the object "
+        "count directly would let an unsorted, duplicated or miscounted key "
+        "slip in and silently corrupt every later step."
     )
 
     @staticmethod
@@ -461,7 +462,7 @@ class PairSetWriteRule(Rule):
                         node,
                         self.code,
                         f"direct write to MaintainedPairSet.{target.attr}; "
-                        "mutate only through remove_incident / merge_delta "
+                        "mutate only through patch "
                         "(or rebuild the set from a full join result)",
                     )
 
