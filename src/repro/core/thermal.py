@@ -756,16 +756,23 @@ class ThermalJoin(SpatialJoinAlgorithm):
         instance would feed its cost to the tuner (a false drift that
         retunes ``r``) and re-seed the maintained pair set over a copy no
         later delta refers to (the next :meth:`step_delta` would run
-        full).  The fresh instance is built from :meth:`_settings`, shares
-        only the executor, and runs without pair maintenance: one step
-        would seed a set nobody reads.
+        full).  The fresh instance (:meth:`_fresh`) runs without pair
+        maintenance: one step would seed a set nobody reads.
         """
-        fresh = ThermalJoin(
+        return self._fresh(self.count_only).step(dataset.with_enlarged_extent(distance))
+
+    def _fresh(self, count_only: bool) -> ThermalJoin:
+        """A one-shot instance of this configuration without pair maintenance.
+
+        Built from :meth:`_settings` and sharing only the executor, so
+        nothing it joins reaches this instance's tuner, churn policy,
+        P-Grid or counters.
+        """
+        return ThermalJoin(
             **{**self._settings(), "pair_maintenance": False},
-            count_only=self.count_only,
+            count_only=count_only,
             executor=self.executor,
         )
-        return fresh.step(dataset.with_enlarged_extent(distance))
 
     def _operations_cost(self, result: JoinResult) -> float:
         """Deterministic cost signal for reproducible tuning."""
@@ -791,7 +798,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
 
         The one list of this join's configuration: a checkpoint records
         it and is only replayable under an equal list, and
-        :meth:`distance_join` builds its fresh instance from it.
+        :meth:`_fresh` builds its one-shot instances from it.
         ``count_only`` and the executor are left out — neither changes a
         pair, a count or a tuner decision.  ``churn_threshold`` is
         ``None`` when the churn policy is adaptive.
@@ -808,14 +815,17 @@ class ThermalJoin(SpatialJoinAlgorithm):
         }
 
     def snapshot_state(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-        """Full cross-step state: tuner, churn, grids, maintained pairs.
+        """Full cross-step state: tuner, churn, grids, maintained-set header.
 
         Everything a resumed run needs to continue bit-identically: the
         tuner's climb state, the churn policy's observed estimates, the
-        incremental counters, the T-Grid diagnostics, the maintained
-        pair set (packed keys) and the P-Grid cell table (rebuilding it
-        from scratch would spike ``cells_created`` — a tuner cost input —
-        and drop the vacant cells later steps recycle).
+        incremental counters, the T-Grid diagnostics, the P-Grid cell
+        table (rebuilding it from scratch would spike ``cells_created`` —
+        a tuner cost input — and drop the vacant cells later steps
+        recycle) and, when a pair set is maintained, its object count,
+        dataset version and pair count.  The pairs themselves are not
+        stored: they are a function of the checkpointed positions, and
+        :meth:`restore_state` re-derives them with one full join.
         """
         arrays: dict[str, np.ndarray] = {}
         meta: dict[str, Any] = {
@@ -832,13 +842,14 @@ class ThermalJoin(SpatialJoinAlgorithm):
             "pgrid": None,
         }
         if self._maintained is not None:
-            # Reading the keys folds the set; the folded array is
-            # read-only and later patches replace it, so the checkpoint
-            # takes the array itself, not a copy.
-            arrays["maintained_keys"] = self._maintained.packed_keys()
+            # Fold the set anyway: a restored set starts folded, so the
+            # uninterrupted run must continue from the same parts for the
+            # later steps' compactions and extra_keys to agree.
+            self._maintained.packed_keys()
             meta["maintained"] = {
                 "n": self._maintained.n,
                 "version": self._maintained_version,
+                "pairs": len(self._maintained),
             }
         if self.pgrid is not None:
             pgrid_arrays, pgrid_meta = self.pgrid.snapshot_state()
@@ -883,9 +894,16 @@ class ThermalJoin(SpatialJoinAlgorithm):
                     f"maintained set was built over {n} objects but the "
                     f"restored dataset holds {len(dataset)}"
                 )
-            self._maintained = MaintainedPairSet.from_packed(
-                n, arrays["maintained_keys"]
-            )
+            # One uncounted full join on a fresh instance: this
+            # instance's P-Grid, tuner, churn policy and counters are
+            # left as restored.
+            result = self._fresh(count_only=False).step(dataset)
+            if result.n_results != int(maintained_meta["pairs"]):
+                raise ValueError(
+                    f"re-derived {result.n_results} maintained pairs but the "
+                    f"checkpoint recorded {maintained_meta['pairs']}"
+                )
+            self._maintained = MaintainedPairSet(n, result.keys)
             # The uid is process-local; the maintained set belongs to the
             # freshly reconstructed dataset by construction.
             self._maintained_uid = dataset.uid

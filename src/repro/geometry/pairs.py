@@ -346,8 +346,8 @@ class MaintainedPairSet:
     of ``base``, and those it holds as the upper index are the keys
     whose low field it owns.
 
-    :meth:`patch` (plus construction from a full join result or from
-    packed keys) is the *only* sanctioned mutator — repro-lint rule
+    :meth:`patch` (plus construction from a full join result) is the
+    *only* sanctioned mutator — repro-lint rule
     RPL203 enforces that library code never pokes the parts directly,
     which is what makes the bit-identity contract with the full re-join
     auditable.  Every part is read-only and a mutator replaces rather
@@ -368,36 +368,6 @@ class MaintainedPairSet:
         self._extra = _NO_KEYS
         self._count = int(self._base.size)
         self._compactions = 0
-
-    @classmethod
-    def from_packed(cls, n: int, keys: np.ndarray) -> MaintainedPairSet:
-        """Rebuild a set from :meth:`packed_keys` (checkpoint restore).
-
-        ``keys`` must already be sorted unique canonical packed keys —
-        exactly what :meth:`packed_keys` emits; anything else is
-        rejected so a corrupted checkpoint cannot smuggle in an
-        invariant-breaking key array.
-        """
-        bits = _index_bits(n)
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError(f"packed keys must be 1-D, got shape {keys.shape}")
-        if keys.size:
-            # The largest canonical key is the pair (n - 2, n - 1); with
-            # n == 1 there is no pair at all.
-            if keys[0] < 0 or n < 2 or keys[-1] > ((n - 2) << bits) | (n - 1):
-                raise ValueError("packed keys out of range for n objects")
-            if (np.diff(keys) <= 0).any():
-                raise ValueError("packed keys must be strictly increasing")
-            i_idx, j_idx = unpack_pairs(keys, n)
-            if (j_idx >= n).any():
-                raise ValueError("packed keys hold an index field >= n")
-            if (i_idx >= j_idx).any():
-                raise ValueError("packed keys must encode canonical i < j pairs")
-        restored = cls(n, np.empty(0, dtype=np.int64))
-        restored._base = _frozen(keys.copy())
-        restored._count = int(keys.size)
-        return restored
 
     def __len__(self) -> int:
         return self._count

@@ -6,8 +6,8 @@ The subsystem has three layers:
   primitives (tmp + fsync + rename); repro-lint RPL501 forbids any
   other file write inside this package.
 * :mod:`repro.recovery.checkpoint` — the versioned, checksummed
-  manifest + ``.npz`` format with keep-last-K retention and
-  newest-valid-fallback loading.
+  manifest + ``.npz`` format with chained record segments, keep-last-K
+  retention and newest-valid-fallback loading.
 * :mod:`repro.recovery.state` — codecs between live objects (dataset,
   motion model, step records) and checkpoint (arrays, meta); the
   algorithm side of the protocol lives on

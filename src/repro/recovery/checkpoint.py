@@ -1,25 +1,32 @@
 """Versioned, checksummed checkpoints: manifest JSON + ``.npz`` payload.
 
-A checkpoint for step ``k`` is two files in the checkpoint directory:
+A checkpoint for step ``k`` is two files in the checkpoint directory,
+plus one record segment when it brings new records:
 
 * ``step-%06d.npz`` — the payload: every resumable array (dataset SoA
-  arrays, motion state, maintained pair keys, P-Grid structure).
+  arrays, motion state, P-Grid structure).
+* ``records-%06d.json`` — a record segment: the records completed since
+  the previous checkpoint, plus the previous segment's file name and
+  sha256.  Each record is written once; a checkpoint's full record list
+  is the chain of segments ending at its own.
 * ``step-%06d.json`` — the manifest: format marker + version, the step,
   the payload file name, a per-array ``{sha256, shape, dtype}`` table
-  (checksummed over the raw array bytes) and the JSON-able meta tree
-  (tuner/churn state, RNG state, completed step records, ...).
+  (checksummed over the raw array bytes), the newest segment as
+  ``{file, sha256, count}`` and the JSON-able meta tree (tuner/churn
+  state, RNG state, ...).  Its size does not grow with the step count.
 
-The payload is written first, the manifest second — both atomically via
-:mod:`repro.recovery.atomic` — so the manifest's existence *is* the
-commit point: a manifest never references a payload that was not fully
-durable when the manifest appeared.
+The payload and the segment are written first, the manifest last — all
+atomically via :mod:`repro.recovery.atomic` — so the manifest's
+existence *is* the commit point: a manifest never references a file
+that was not fully durable when the manifest appeared.
 
 Loading walks manifests newest-first and verifies every declared array
-checksum; anything unreadable, mis-shaped or mismatched counts as one
-corrupt skip and falls back to the next older checkpoint.  Retention
-keeps the newest ``keep_last`` checkpoints and deletes the rest —
-deletion needs no atomicity, a half-deleted checkpoint is just a
-corrupt one and skipped like any other.
+checksum and every segment of the record chain; anything unreadable,
+mis-shaped or mismatched counts as one corrupt skip and falls back to
+the next older checkpoint.  Retention keeps the newest ``keep_last``
+checkpoints and deletes the rest — deletion needs no atomicity, a
+half-deleted checkpoint is just a corrupt one and skipped like any
+other.  Segments are never deleted: every later chain shares them.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import os
 import re
 import zipfile
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -45,7 +53,9 @@ MANIFEST_FORMAT = "repro-checkpoint"
 #: key array would be misread; the version check refuses it instead.
 #: Version 3 drops the tuner's constants from its state and records the
 #: memory quota and churn mode in THERMAL-JOIN's configuration.
-FORMAT_VERSION = 3
+#: Version 4 stores no maintained pair keys (a restore re-derives them)
+#: and moves the step records into the chained record segments.
+FORMAT_VERSION = 4
 
 _MANIFEST_RE = re.compile(r"^step-(\d{6,})\.json$")
 
@@ -63,12 +73,16 @@ class Checkpoint:
         arrays: dict[str, np.ndarray],
         meta: dict[str, Any],
         path: Path,
+        records: list[dict[str, Any]],
     ) -> None:
         self.step = step
         self.arrays = arrays
         self.meta = meta
         #: The manifest path this checkpoint was loaded from.
         self.path = path
+        #: Every record of the checkpoint's verified segment chain, oldest
+        #: first.
+        self.records = records
 
     def __repr__(self) -> str:
         return f"Checkpoint(step={self.step}, arrays={len(self.arrays)})"
@@ -92,14 +106,27 @@ class CheckpointManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = int(keep_last)
+        #: ``{file, sha256, count}`` of the newest record segment this
+        #: manager wrote or loaded; the next segment links to it.
+        self._segment: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
     def write(
-        self, step: int, arrays: dict[str, np.ndarray], meta: dict[str, Any]
+        self,
+        step: int,
+        arrays: dict[str, np.ndarray],
+        meta: dict[str, Any],
+        records: Sequence[dict[str, Any]] = (),
     ) -> int:
-        """Durably commit a checkpoint for ``step``; returns bytes written."""
+        """Durably commit a checkpoint for ``step``; returns bytes written.
+
+        ``records`` are the JSON-able records completed since the last
+        checkpoint this manager wrote or loaded.  They go into a new
+        segment linked to that checkpoint's; with none, the manifest
+        points at the existing chain.
+        """
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
         payload_name = f"step-{step:06d}.npz"
@@ -112,15 +139,27 @@ class CheckpointManager:
             for name, array in arrays.items()
         }
         nbytes = write_npz(self.directory / payload_name, arrays)
+        segment = self._segment
+        if records:
+            name = f"records-{step:06d}.json"
+            path = self.directory / name
+            nbytes += write_json(path, {"previous": segment, "records": records})
+            segment = {
+                "file": name,
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "count": len(records) + (0 if segment is None else segment["count"]),
+            }
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": FORMAT_VERSION,
             "step": int(step),
             "payload": payload_name,
             "arrays": checksums,
+            "records": segment,
             "meta": meta,
         }
         nbytes += write_json(self.directory / f"step-{step:06d}.json", manifest)
+        self._segment = segment
         self._retain()
         return nbytes
 
@@ -146,8 +185,27 @@ class CheckpointManager:
                 found.append((int(match.group(1)), path))
         return [path for _step, path in sorted(found)]
 
+    def _read_records(self, segment: dict[str, Any] | None) -> list[dict[str, Any]]:
+        """The verified records of the chain ending at ``segment``, oldest first."""
+        chain = []
+        while segment is not None:
+            path = self.directory / str(segment["file"])
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise CheckpointError(f"unreadable record segment {path}: {exc}") from exc
+            if hashlib.sha256(data).hexdigest() != segment["sha256"]:
+                raise CheckpointError(f"record segment {path} fails checksum verification")
+            document = json.loads(data)
+            chain.append(document["records"])
+            segment = document["previous"]
+        return [record for records in reversed(chain) for record in records]
+
     def load(self, manifest_path: Path) -> Checkpoint:
-        """Load and verify one checkpoint; :class:`CheckpointError` if bad."""
+        """Load and verify one checkpoint; :class:`CheckpointError` if bad.
+
+        Later writes continue the loaded checkpoint's record chain.
+        """
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -186,11 +244,21 @@ class CheckpointManager:
                     f"array {name!r} in {payload_path} fails checksum "
                     "verification"
                 )
+        segment = manifest["records"]
+        records = self._read_records(segment)
+        declared = 0 if segment is None else segment["count"]
+        if len(records) != declared:
+            raise CheckpointError(
+                f"{manifest_path} declares {declared} records but its "
+                f"segment chain holds {len(records)}"
+            )
+        self._segment = segment
         return Checkpoint(
             step=int(manifest["step"]),
             arrays=arrays,
             meta=manifest["meta"],
             path=manifest_path,
+            records=records,
         )
 
     def load_latest(self) -> tuple[Checkpoint, int]:

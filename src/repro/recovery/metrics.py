@@ -25,7 +25,8 @@ class RecoveryMetrics:
 
     #: Checkpoints durably committed by this runner.
     checkpoints_written: int = 0
-    #: Total payload + manifest bytes across those checkpoints.
+    #: Total payload + record segment + manifest bytes across those
+    #: checkpoints.
     checkpoint_bytes: int = 0
     #: Wall seconds spent serializing + durably writing those checkpoints.
     checkpoint_seconds: float = 0.0

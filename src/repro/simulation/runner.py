@@ -183,6 +183,9 @@ class SimulationRunner:
         #: First step the next :meth:`run` call will execute (advanced
         #: by :meth:`resume` past the checkpointed prefix).
         self._next_step = 0
+        #: Records already in the checkpoint record chain; each
+        #: checkpoint writes only the ones after them.
+        self._records_checkpointed = 0
         if checkpoint_dir is not None:
             from repro.recovery import CheckpointManager, RecoveryMetrics
 
@@ -306,13 +309,12 @@ class SimulationRunner:
 
         assert self._checkpoints is not None and self.recovery is not None
         started = time.perf_counter()
-        # The event goes on the record *before* the records are
-        # serialized: a resumed run restores this record from the
-        # checkpoint, and the uninterrupted run's copy carries the
-        # event — bit-identity requires both to agree.  No byte count
-        # in the event on purpose: manifest sizes vary run-to-run
-        # (wall-time floats), and the event stream is part of the
-        # bit-identity contract.
+        # The event goes on the record *before* it is serialized: a
+        # resumed run restores this record from the checkpoint, and the
+        # uninterrupted run's copy carries the event — bit-identity
+        # requires both to agree.  No byte count in the event on
+        # purpose: segment sizes vary run-to-run (wall-time floats), and
+        # the event stream is part of the bit-identity contract.
         self.records[-1].events.append({"kind": "checkpoint", "step": step})
         arrays: dict[str, Any] = {}
         dataset_arrays, dataset_meta = snapshot_dataset(self.dataset)
@@ -333,10 +335,14 @@ class SimulationRunner:
             "runner": {
                 "next_step": step + 1,
                 "checkpoint_every": self.checkpoint_every,
-                "records": [step_record_to_jsonable(r) for r in self.records],
             },
         }
-        nbytes = self._checkpoints.write(step, arrays, meta)
+        records = [
+            step_record_to_jsonable(r)
+            for r in self.records[self._records_checkpointed :]
+        ]
+        nbytes = self._checkpoints.write(step, arrays, meta, records)
+        self._records_checkpointed = len(self.records)
         self.recovery.record_checkpoint(nbytes, time.perf_counter() - started)
 
     @classmethod
@@ -396,9 +402,10 @@ class SimulationRunner:
             ),
             keep_last=keep_last,
         )
-        runner.records = [
-            step_record_from_jsonable(doc) for doc in runner_meta["records"]
-        ]
+        # The loading manager continues the chain it loaded.
+        runner._checkpoints = manager
+        runner.records = [step_record_from_jsonable(doc) for doc in checkpoint.records]
+        runner._records_checkpointed = len(runner.records)
         runner._next_step = int(runner_meta["next_step"])
         assert runner.recovery is not None
         runner.recovery.record_load(skipped)

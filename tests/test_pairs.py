@@ -459,40 +459,6 @@ class TestMaintainedPairSetPatch:
                 part[:1] = 0
 
 
-class TestMaintainedPairSetRestore:
-    def test_round_trip(self):
-        maintained = MaintainedPairSet(17, pack_pairs([0, 3, 15], [16, 9, 16], 17))
-        restored = MaintainedPairSet.from_packed(17, maintained.packed_keys())
-        assert_bit_identical(restored.packed_keys(), maintained.packed_keys())
-
-    def test_low_field_at_or_above_n_rejected(self):
-        # n = 5 packs with 3 bits per index, so a low field of 5..7 fits
-        # the key but names no object.
-        bits = 3
-        for low in (5, 7):
-            keys = np.array([(0 << bits) | 1, (1 << bits) | low], dtype=np.int64)
-            with pytest.raises(ValueError, match="index field"):
-                MaintainedPairSet.from_packed(5, keys)
-
-    def test_key_above_largest_canonical_pair_rejected(self):
-        # The largest canonical key over n = 5 is the pair (3, 4).
-        bits = 3
-        largest = (3 << bits) | 4
-        assert pack_pairs([3], [4], 5)[0] == largest
-        MaintainedPairSet.from_packed(5, np.array([largest], dtype=np.int64))
-        for key in ((4 << bits) | 0, largest + 1, 1 << 40):
-            with pytest.raises(ValueError, match="out of range"):
-                MaintainedPairSet.from_packed(5, np.array([1, key], dtype=np.int64))
-        with pytest.raises(ValueError, match="out of range"):
-            MaintainedPairSet.from_packed(1, np.array([0], dtype=np.int64))
-
-    def test_unsorted_and_non_canonical_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MaintainedPairSet.from_packed(5, pack_pairs([1, 0], [2, 1], 5))
-        with pytest.raises(ValueError, match="canonical"):
-            MaintainedPairSet.from_packed(5, pack_pairs([2], [1], 5))
-
-
 class TestPairAccumulator:
     def test_accumulates_batches(self):
         acc = PairAccumulator(6)

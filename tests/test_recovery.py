@@ -33,7 +33,6 @@ from repro.engine.faults import (
     install_fault_plan,
     parse_faults,
 )
-from repro.geometry import unpack_pairs
 from repro.recovery import (
     FORMAT_VERSION,
     CheckpointError,
@@ -75,13 +74,14 @@ def _make_workload(kind: str, seed: int = 11):
     return dataset, motion
 
 
-def _low_motion_runner(directory):
-    """A maintained run that stays incremental, checkpointing every 4 steps."""
+def _low_motion_runner(directory, checkpoint_every=4, keep_last=3):
+    """A maintained run that stays incremental (checkpoints every 4 steps by default)."""
     dataset, _ = _make_workload("uniform")
     motion = IntermittentTranslation(dataset, distance=3.0, move_fraction=0.05, seed=5)
     return SimulationRunner(
         dataset, motion, ThermalJoin(pair_maintenance=True),
-        checkpoint_dir=directory, checkpoint_every=4,
+        checkpoint_dir=directory, checkpoint_every=checkpoint_every,
+        keep_last=keep_last,
     )
 
 
@@ -519,10 +519,11 @@ class TestResumeBitIdentity:
         assert_trajectories_identical(baseline.records, resumed.records)
         assert resumed.algorithm.tuner.history == baseline.algorithm.tuner.history
 
-    def test_version_1_maintained_keys_never_restored(self, tmp_path):
-        # Version 1 packed maintained pairs as i * n + j.  Rewrite the
-        # newest checkpoint in that form: resume must refuse it as a
-        # skipped checkpoint and fall back, never misread its keys.
+    def test_version_3_checkpoint_with_maintained_keys_refused(self, tmp_path):
+        # Version 3 stored the maintained set as an array of packed keys.
+        # Rewrite the newest checkpoint in that form: resume must refuse
+        # it as a skipped checkpoint and fall back, and with no older
+        # checkpoint left nothing loads.
         def algo():
             return ThermalJoin(incremental=True, pair_maintenance=True)
 
@@ -532,25 +533,28 @@ class TestResumeBitIdentity:
 
         dataset2, motion2 = _make_workload("uniform")
         first = SimulationRunner(
-            dataset2, motion2, algo(), checkpoint_dir=tmp_path,
+            dataset2, motion2, algo(), checkpoint_dir=tmp_path / "run",
             checkpoint_every=2,
         )
         first.run(6)  # checkpoints at steps 1, 3, 5
-        manager = CheckpointManager(tmp_path)
-        newest = manager.load(tmp_path / "step-000005.json")
-        n = newest.meta["algorithm"]["maintained"]["n"]
-        i_idx, j_idx = unpack_pairs(newest.arrays["algorithm/maintained_keys"], n)
-        assert i_idx.size
-        arrays = {**newest.arrays, "algorithm/maintained_keys": i_idx * n + j_idx}
+        keys = first.algorithm._maintained.packed_keys()
+        assert keys.size
+        manager = CheckpointManager(tmp_path / "run")
+        newest = manager.load(tmp_path / "run" / "step-000005.json")
+        arrays = {**newest.arrays, "algorithm/maintained_keys": keys}
+        lone = CheckpointManager(tmp_path / "lone")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.recovery.checkpoint.FORMAT_VERSION", 1)
+            patch.setattr("repro.recovery.checkpoint.FORMAT_VERSION", 3)
             manager.write(5, arrays, newest.meta)
-        manifest = json.loads((tmp_path / "step-000005.json").read_text())
-        assert manifest["version"] == 1
-        with pytest.raises(CheckpointError, match="format version 1"):
-            manager.load(tmp_path / "step-000005.json")
+            lone.write(5, arrays, newest.meta, newest.records)
+        manifest = json.loads((tmp_path / "run" / "step-000005.json").read_text())
+        assert manifest["version"] == 3
+        with pytest.raises(CheckpointError, match="format version 3"):
+            manager.load(tmp_path / "run" / "step-000005.json")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            lone.load_latest()
 
-        resumed = SimulationRunner.resume(tmp_path, algo())
+        resumed = SimulationRunner.resume(tmp_path / "run", algo())
         assert resumed._next_step == 4  # fell back to the step-3 checkpoint
         assert resumed.recovery.corrupt_skipped == 1
         resumed.run(N_STEPS)
@@ -640,6 +644,115 @@ class TestResumeBitIdentity:
         resumed.run(N_STEPS)
         for a, b in zip(full.records, resumed.records):
             assert a.events == b.events, f"step {a.step}"
+
+
+# ----------------------------------------------------------------------
+# What a checkpoint stores: no pair keys, each record once
+# ----------------------------------------------------------------------
+class TestCheckpointContents:
+    def _low_motion_checkpoints(self, directory):
+        runner = _low_motion_runner(directory)
+        runner.run(8)  # checkpoints at steps 3 and 7
+        assert runner.algorithm._maintained is not None
+        return runner
+
+    def test_payload_holds_no_pair_keys(self, tmp_path):
+        self._low_motion_checkpoints(tmp_path)
+        checkpoint, _skipped = CheckpointManager(tmp_path).load_latest()
+        algorithm = checkpoint.meta["algorithm"]
+        assert algorithm["incr"]["mode"] == "incremental"
+        assert algorithm["maintained"]["pairs"] > 0
+        assert not [
+            name for name in checkpoint.arrays
+            if name.startswith("algorithm/") and "keys" in name
+        ]
+
+    def test_manifest_size_does_not_grow_with_the_step_count(self, tmp_path):
+        _low_motion_runner(tmp_path, checkpoint_every=10, keep_last=6).run(60)
+        first = (tmp_path / "step-000009.json").stat().st_size
+        last = (tmp_path / "step-000059.json").stat().st_size
+        assert abs(last - first) <= 0.1 * first, (first, last)
+        # Every record is stored once, in the segment of its checkpoint.
+        checkpoint, _skipped = CheckpointManager(tmp_path).load_latest()
+        assert [doc["step"] for doc in checkpoint.records] == list(range(60))
+        assert sorted(p.name for p in tmp_path.glob("records-*.json")) == [
+            f"records-{step:06d}.json" for step in range(9, 60, 10)
+        ]
+
+    def test_bitflipped_record_segment_falls_back(self, tmp_path):
+        dataset, motion = _make_workload("uniform")
+        baseline = SimulationRunner(dataset, motion, ThermalJoin())
+        baseline.run(N_STEPS)
+
+        dataset2, motion2 = _make_workload("uniform")
+        first = SimulationRunner(
+            dataset2, motion2, ThermalJoin(), checkpoint_dir=tmp_path,
+            checkpoint_every=2,
+        )
+        first.run(6)  # checkpoints at steps 1, 3, 5
+        corrupt_bitflip(tmp_path / "records-000005.json")
+        with pytest.raises(CheckpointError, match="record segment"):
+            CheckpointManager(tmp_path).load(tmp_path / "step-000005.json")
+
+        resumed = SimulationRunner.resume(tmp_path, ThermalJoin())
+        assert resumed._next_step == 4  # fell back to the step-3 checkpoint
+        assert resumed.recovery.corrupt_skipped == 1
+        resumed.run(N_STEPS)
+        assert_trajectories_identical(baseline.records, resumed.records)
+        # The resumed run continued the step-3 chain and replaced the
+        # corrupt segment: the newest checkpoint loads in full.
+        checkpoint, skipped = CheckpointManager(tmp_path).load_latest()
+        assert (checkpoint.step, skipped) == (7, 0)
+        assert [doc["step"] for doc in checkpoint.records] == list(range(N_STEPS))
+
+    def test_restore_rederives_pairs_and_leaves_the_state_alone(self, tmp_path):
+        runner = self._low_motion_checkpoints(tmp_path)
+        expected_keys = runner.algorithm._maintained.packed_keys()
+        checkpoint, _skipped = CheckpointManager(tmp_path).load_latest()
+        assert checkpoint.step == 7
+        meta = checkpoint.meta
+        arrays = {
+            key.split("/", 1)[1]: value
+            for key, value in checkpoint.arrays.items()
+            if key.startswith("algorithm/")
+        }
+        dataset = restore_dataset(
+            {
+                key.split("/", 1)[1]: value
+                for key, value in checkpoint.arrays.items()
+                if key.startswith("dataset/")
+            },
+            meta["dataset"],
+        )
+        algorithm = ThermalJoin(pair_maintenance=True)
+        algorithm.restore_state(
+            {key: value for key, value in arrays.items() if "keys" not in key},
+            meta["algorithm"],
+            dataset,
+        )
+        held = meta["algorithm"]
+        assert len(algorithm._maintained) == held["maintained"]["pairs"]
+        assert np.array_equal(algorithm._maintained.packed_keys(), expected_keys)
+        assert algorithm.tuner.state_dict() == held["tuner"]
+        assert algorithm.churn.state_dict() == held["churn"]
+        assert algorithm._incr == held["incr"]
+        pgrid_arrays, pgrid_meta = algorithm.pgrid.snapshot_state()
+        assert pgrid_meta == held["pgrid"]
+        assert set(pgrid_arrays) == {
+            key.split("/", 1)[1] for key in arrays if key.startswith("pgrid/")
+        }
+        for key, value in pgrid_arrays.items():
+            assert np.array_equal(value, arrays[f"pgrid/{key}"]), key
+
+    def test_tampered_pair_count_raises(self, tmp_path):
+        self._low_motion_checkpoints(tmp_path)
+        checkpoint, _skipped = CheckpointManager(tmp_path).load_latest()
+        checkpoint.meta["algorithm"]["maintained"]["pairs"] += 1
+        manager = CheckpointManager(tmp_path)
+        manager.load_latest()
+        manager.write(checkpoint.step, checkpoint.arrays, checkpoint.meta)
+        with pytest.raises(ValueError, match="re-derived"):
+            SimulationRunner.resume(tmp_path, ThermalJoin(pair_maintenance=True))
 
 
 # ----------------------------------------------------------------------

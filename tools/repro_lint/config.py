@@ -136,7 +136,7 @@ STATISTICS_ROOTS: frozenset[str] = frozenset({"stats", "statistics"})
 #: keys added since the last fold), the exact ``_count``, the fold
 #: counter and the object count that fixes the key's index width.
 #: Writable only from the class's own delta-maintenance API (``patch``,
-#: the fold in ``packed_keys`` and the constructors) in
+#: the fold in ``packed_keys`` and the constructor) in
 #: :data:`PAIRS_MODULE`.
 PAIRSET_FIELDS: frozenset[str] = frozenset(
     {"_base", "_alive", "_extra", "_count", "_compactions", "n"}
