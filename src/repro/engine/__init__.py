@@ -29,8 +29,8 @@ so serial, thread-pool and process-pool execution produce identical pair
 sets (the test suite enforces this against the brute-force oracle).
 
 That same purity makes tasks *retryable*: the executors recover from
-task failures, hangs and worker death (retry on the pool, re-execute
-inline, rebuild the pool, degrade process → thread → serial) without
+task failures, hangs and worker death (re-run inline, rebuild the
+pool, degrade process → thread → serial) without
 changing the merged result, and record what happened in
 ``JoinStatistics.events``.  The fault-injection harness
 (:mod:`repro.engine.faults`, ``REPRO_FAULTS``) exists to prove it.

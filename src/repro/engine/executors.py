@@ -3,52 +3,60 @@
 An executor schedules a plan's tasks and returns one
 :class:`~repro.engine.plan.TaskResult` per task, in task order.  Every
 task emits into a private :class:`~repro.geometry.PairAccumulator`
-shard, so scheduling never changes the merged result — executors differ
-only in wall-clock behaviour:
+shard, so scheduling never changes the merged result.  All executors
+share one :meth:`Executor.run` loop and differ only in which tasks they
+hand to a pool; the rest run inline on the calling thread:
 
 ``SerialExecutor``
-    Runs tasks in order on the calling thread.  The default, and the
-    reference for the statistics every other executor must reproduce.
+    Pools nothing: every task runs in order on the calling thread.  The
+    default, and the reference for the statistics every other executor
+    must reproduce.
 ``ThreadExecutor``
-    A persistent ``ThreadPoolExecutor`` (created lazily, released in
-    ``close()``); the numpy kernels behind the verify stage release the
-    GIL on their bulk operations, so independent tasks overlap on
-    multi-core machines.
+    Pools every task on a persistent ``ThreadPoolExecutor`` (created
+    lazily, released in ``close()``); the numpy kernels behind the
+    verify stage release the GIL on their bulk operations, so
+    independent tasks overlap on multi-core machines.
 ``ProcessExecutor``
-    A ``ProcessPoolExecutor`` over a persistent worker pool.  The plan's
-    context arrays (the MBR coordinate and grouping arrays) are published
-    once per step through :mod:`multiprocessing.shared_memory`; workers
-    attach and cache them for the step, so each task ships only its own
-    small index arrays.  Tasks that are not ``process_safe`` (closures
-    over live index objects) run inline in the parent.
+    Pools the ``process_safe`` tasks on a persistent
+    ``ProcessPoolExecutor``.  The plan's context arrays (the MBR
+    coordinate and grouping arrays) are published once per step
+    through :mod:`multiprocessing.shared_memory`; workers attach and
+    cache them for the step, so each task ships only its own small
+    index arrays.  The other tasks (closures over live index objects)
+    run inline in the parent while the pool works.
 
 Fault tolerance
 ---------------
 Tasks are pure functions of the plan's context, so they are retryable
-units.  Every executor records robustness *events* (drained into
+units.  The run loop has one recovery path per failure and records each
+as a robustness *event* (drained into
 :class:`~repro.joins.base.JoinStatistics.events` by the step driver):
 
-* a failed task is retried up to ``max_retries`` times — on the pool
-  for ``ProcessExecutor``, inline in the parent otherwise — so a
-  transient worker fault never changes the merged pair set; once the
-  budget is spent the last error propagates;
+* a task that raises, inline or on a pool, is re-run inline up to
+  ``max_retries`` times (``task_retry``), so a transient worker fault
+  never changes the merged pair set; once the budget is spent the last
+  error propagates;
 * ``task_timeout`` is a shared per-step budget: one deadline is taken
   when the step's waits begin and every pooled wait draws on the
   remaining budget, so a slow task queued behind another slow task
   cannot stretch a step to N×timeout.  A task still pending at the
-  deadline is abandoned and re-run inline (its late result, if any,
-  is discarded);
-* ``ProcessExecutor`` climbs a degradation ladder on
-  ``BrokenProcessPool``: rebuild the pool once, then permanently
-  degrade to thread execution, and to serial if threads fail too —
-  recording each downgrade;
+  deadline is abandoned and re-run inline once (``task_timeout``; its
+  late result, if any, is discarded);
+* a ``BrokenProcessPool`` climbs ``ProcessExecutor``'s degradation
+  ladder one rung per step, and the step's unfinished pooled tasks
+  re-run inline.  The first break discards the pool for a fresh one
+  next step (``pool_broken``, ``pool_rebuild``); the second moves the
+  executor onto a thread pool for the rest of the run (``degraded``
+  to ``"thread"``); a step that then fails on the thread rung is
+  re-run serially and the executor stays serial (``degraded`` to
+  ``"serial"``);
 * shared-memory publication is a context manager that unlinks every
   segment on *any* exit path (including mid-publication exceptions and
   worker crashes), backed by an ``atexit`` sweep of still-live
   segments.
 
 Injected faults (:mod:`repro.engine.faults`, ``REPRO_FAULTS``) are
-applied at first launch only; retries always re-run the original task.
+applied at first launch only; every re-run uses the original task.
 
 Selection
 ---------
@@ -66,8 +74,8 @@ from __future__ import annotations
 import atexit
 import os
 import time
-from collections.abc import Iterator, Mapping, Sequence
-from contextlib import contextmanager, suppress
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from contextlib import ExitStack, contextmanager, suppress
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -76,7 +84,7 @@ from repro.engine import faults
 from repro.engine.plan import JoinTask, TaskResult
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from repro.geometry import PairAccumulator
 
 __all__ = [
@@ -206,6 +214,9 @@ class Executor:
         tasks are bounded by one budget, not N of them.  A task still
         pending at the deadline is re-run inline in the parent and its
         late result discarded.
+
+    Subclasses name the pool they start on: ``"serial"`` (none),
+    ``"thread"`` or ``"process"``.
     """
 
     name = "abstract"
@@ -217,7 +228,19 @@ class Executor:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         self.max_retries = int(max_retries)
         self.task_timeout = task_timeout
-        self._events = []
+        self.n_workers = 1
+        #: Pool the tasks run on now: ``name`` while healthy, lower once
+        #: a process executor degrades.
+        self._rung = self.name
+        self._pool: Any = None
+        self._pool_failures = 0
+        self._step_token = 0
+        self._events: list[dict[str, Any]] = []
+
+    @property
+    def degraded(self) -> str | None:
+        """Current degradation rung: ``None``, ``"thread"`` or ``"serial"``."""
+        return None if self._rung == self.name else self._rung
 
     def run(
         self,
@@ -229,12 +252,159 @@ class Executor:
         """Execute ``tasks`` against ``ctx``; return ordered TaskResults.
 
         Every task emits into its own accumulator of pair keys over
-        ``n_objects`` objects (the step's dataset size).
+        ``n_objects`` objects (the step's dataset size).  The pooled
+        tasks are submitted first, the rest run inline while the pool
+        works, and each pooled result is collected against the step's
+        one deadline (recovery: see the module docstring).
         """
-        raise NotImplementedError
+        import concurrent.futures as cf
+        from concurrent.futures.process import BrokenProcessPool
+
+        launched = faults.wrap_tasks(tasks)
+        pooled = self._pooled(launched, ctx)
+        inline = sorted(set(range(len(tasks))).difference(pooled))
+        results: dict[int, TaskResult] = {}
+        try:
+            with ExitStack() as stack:
+                futures: dict[int, Future[Any]] = {}
+                broken: BrokenProcessPool | None = None
+                if pooled:
+                    submit = stack.enter_context(self._submitter(ctx, n_objects, count_only))
+                    try:
+                        for k in pooled:
+                            futures[k] = submit(launched[k])
+                    except BrokenProcessPool as exc:
+                        broken = exc
+                for k in inline:
+                    results[k] = self._attempt_inline(
+                        launched[k], tasks[k], ctx, n_objects, count_only, k
+                    )
+                deadline = self._step_deadline()
+                for k, future in futures.items():
+                    if broken is not None:
+                        break
+                    try:
+                        value = future.result(timeout=_remaining_budget(deadline))
+                    except (cf.TimeoutError, TimeoutError):
+                        self._record_event("task_timeout", task=k, timeout=self.task_timeout)
+                        results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
+                    except BrokenProcessPool as exc:
+                        broken = exc
+                    except Exception as exc:
+                        results[k] = self._retry_inline(
+                            tasks[k], ctx, n_objects, count_only, k, exc
+                        )
+                    else:
+                        results[k] = (
+                            value
+                            if isinstance(value, TaskResult)
+                            else _result_from_payload(value, n_objects, count_only)
+                        )
+                if broken is not None:
+                    self._pool_broke(broken)
+                    for k in pooled:
+                        if k not in results:
+                            results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
+        except Exception as exc:
+            if self.degraded != "thread":
+                raise
+            # A step failing on the thread rung re-runs serially, and
+            # the executor stays serial for the rest of the run.
+            self._degrade_to("serial", error=repr(exc))
+            results = {
+                k: self._attempt_inline(task, task, ctx, n_objects, count_only, k)
+                for k, task in enumerate(tasks)
+            }
+        return [results[k] for k in range(len(tasks))]
+
+    def _pooled(self, launched: Sequence[JoinTask], ctx: Mapping[str, np.ndarray]) -> list[int]:
+        """Indices of the tasks this step hands to the pool.
+
+        Pooling pays only with two workers and two tasks to overlap.  A
+        process pool takes the ``process_safe`` tasks and needs context
+        arrays to publish; a thread pool takes every task.
+        """
+        if self._rung == "serial":
+            return []
+        if self._rung == "thread":
+            pooled = list(range(len(launched)))
+        elif self._rung == "process":
+            pooled = [k for k, task in enumerate(launched) if task.process_safe] if ctx else []
+        else:
+            raise NotImplementedError(f"{type(self).__name__} names no pool")
+        return pooled if len(pooled) >= 2 and self.n_workers >= 2 else []
+
+    @contextmanager
+    def _submitter(
+        self, ctx: Mapping[str, np.ndarray], n_objects: int, count_only: bool
+    ) -> Iterator[Callable[[JoinTask], Future[Any]]]:
+        """Yield ``submit(task) -> Future`` on the current rung's pool.
+
+        A thread pool runs tasks over the live context and returns
+        TaskResults; a process pool gets the context published to shared
+        memory for the step and returns :data:`WorkerPayload` tuples.
+        """
+        pool = self._ensure_pool()
+        if self._rung == "thread":
+            yield lambda task: pool.submit(_run_inline, task, ctx, n_objects, count_only)
+            return
+        self._step_token += 1
+        token = (os.getpid(), self._step_token)
+        with publish_context(ctx) as specs:
+            yield lambda task: pool.submit(
+                _process_worker, specs, token, task, n_objects, count_only
+            )
+
+    def _ensure_pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
+        if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+            if self._rung == "thread":
+                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
+            else:
+                context = None
+                if "fork" in multiprocessing.get_all_start_methods():
+                    context = multiprocessing.get_context("fork")
+                self._pool = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=context)
+        return self._pool
+
+    def _discard_pool(self) -> None:
+        """Drop the pool without waiting, so the next step starts a fresh one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            with suppress(Exception):
+                pool.shutdown(wait=False, cancel_futures=True)
+
+    def _pool_broke(self, error: BaseException) -> None:
+        """One ladder rung per broken process pool: rebuild once, then threads."""
+        self._record_event("pool_broken", error=repr(error))
+        self._discard_pool()
+        self._pool_failures += 1
+        if self._pool_failures > 1:
+            self._degrade_to("thread", error=repr(error))
+        else:
+            self._record_event("pool_rebuild")
+
+    def _degrade_to(self, rung: str, error: str) -> None:
+        self._discard_pool()
+        self._rung = rung
+        self._record_event("degraded", to=rung, error=error)
 
     def close(self) -> None:
-        """Release pooled resources (no-op for poolless executors)."""
+        """Release the pool (no-op when none was started)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown best effort
+        # The garbage collector may run this inside any thread — even
+        # while that thread holds threading's shutdown-lock registry —
+        # so it must not join the pool's threads: joining takes that
+        # registry lock again and deadlocks.
+        with suppress(Exception):
+            if self._pool is not None:
+                self._pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Robustness event log
@@ -259,10 +429,7 @@ class Executor:
         """Run ``task`` inline, honouring the configured retry budget.
 
         ``task`` may be a fault-wrapped first launch; retries always use
-        ``original`` so a spent injected fault cannot re-fire.  One
-        ``task_retry`` event is recorded per re-attempt; a task still
-        failing once ``max_retries`` re-attempts are spent propagates —
-        genuine, deterministic task bugs must still surface.
+        ``original`` so a spent injected fault cannot re-fire.
         """
         try:
             return _run_inline(task, ctx, n_objects, count_only)
@@ -280,8 +447,9 @@ class Executor:
     ) -> TaskResult:
         """Re-run a failed ``task`` inline up to ``max_retries`` times.
 
-        One ``task_retry`` event is recorded per re-attempt; once the
-        budget is spent the last error propagates.
+        One ``task_retry`` event is recorded per re-attempt; a task still
+        failing once the budget is spent propagates its last error —
+        genuine, deterministic task bugs must still surface.
         """
         for _ in range(self.max_retries):
             self._record_event("task_retry", task=index, error=repr(error))
@@ -316,19 +484,6 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(
-        self,
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        launched = faults.wrap_tasks(tasks)
-        return [
-            self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
-            for k in range(len(tasks))
-        ]
-
 
 def _default_workers() -> int:
     return max(os.cpu_count() or 1, 1)
@@ -343,20 +498,8 @@ def _remaining_budget(deadline: float | None) -> float | None:
     return max(deadline - time.monotonic(), 0.0)
 
 
-class ThreadExecutor(Executor):
-    """Run tasks on a persistent thread pool (GIL-releasing numpy kernels
-    overlap).
-
-    The pool is created lazily on first use and kept across steps —
-    matching ``ProcessExecutor``'s pool reuse instead of paying pool
-    startup every simulation step — and released in :meth:`close`.  A
-    task that fails on the pool gets the serial retry budget: up to
-    ``max_retries`` inline re-runs in the parent; a task exceeding
-    ``task_timeout`` is abandoned on its pool thread and re-run inline
-    (the stray thread's late result is discarded).
-    """
-
-    name = "thread"
+class _PoolExecutor(Executor):
+    """An executor with a worker pool of ``n_workers`` (default: CPU count)."""
 
     def __init__(
         self,
@@ -368,68 +511,24 @@ class ThreadExecutor(Executor):
             raise ValueError(f"n_workers must be at least 1, got {n_workers}")
         super().__init__(max_retries=max_retries, task_timeout=task_timeout)
         self.n_workers = int(n_workers) if n_workers else _default_workers()
-        self._pool = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._pool
-
-    def run(
-        self,
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, n_objects, count_only)
-
-    def _run_tasks(
-        self,
-        launched: Sequence[JoinTask],
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        if len(tasks) < 2 or self.n_workers < 2:
-            return [
-                self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
-                for k in range(len(tasks))
-            ]
-        import concurrent.futures as cf
-
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_run_inline, launched[k], ctx, n_objects, count_only)
-            for k in range(len(tasks))
-        ]
-        deadline = self._step_deadline()
-        results = []
-        for k, future in enumerate(futures):
-            try:
-                results.append(future.result(timeout=_remaining_budget(deadline)))
-            except (cf.TimeoutError, TimeoutError):
-                self._record_event(
-                    "task_timeout", task=k, timeout=self.task_timeout
-                )
-                results.append(_run_inline(tasks[k], ctx, n_objects, count_only))
-            except Exception as exc:
-                results.append(self._retry_inline(tasks[k], ctx, n_objects, count_only, k, exc))
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def __repr__(self) -> str:
         return (
-            f"ThreadExecutor(n_workers={self.n_workers}, "
+            f"{type(self).__name__}(n_workers={self.n_workers}, "
             f"max_retries={self.max_retries}, task_timeout={self.task_timeout})"
         )
+
+
+class ThreadExecutor(_PoolExecutor):
+    """Run tasks on a persistent thread pool (GIL-releasing numpy kernels
+    overlap).
+
+    The pool is created lazily on first use and kept across steps —
+    matching ``ProcessExecutor``'s pool reuse instead of paying pool
+    startup every simulation step — and released in :meth:`close`.
+    """
+
+    name = "thread"
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +608,7 @@ def _result_from_payload(payload: WorkerPayload, n_objects: int, count_only: boo
     )
 
 
-class ProcessExecutor(Executor):
+class ProcessExecutor(_PoolExecutor):
     """Run process-safe tasks on a persistent ``ProcessPoolExecutor``.
 
     The context arrays are copied into shared memory once per step and
@@ -517,226 +616,13 @@ class ProcessExecutor(Executor):
     for the duration of the step (keyed by a per-step token).  Tasks
     flagged ``process_safe=False`` run inline in the parent process.
 
-    Recovery (see the module docstring): failed tasks are retried on
-    the pool; timed-out tasks re-run inline; a broken pool
-    is rebuilt once, after which the executor permanently degrades to
-    thread and ultimately serial execution for the rest of the run.
-    ``degraded`` exposes the current rung (``None`` when healthy).
+    A broken pool is rebuilt once, after which the executor permanently
+    degrades to thread and ultimately serial execution for the rest of
+    the run (see the module docstring); ``degraded`` exposes the
+    current rung.
     """
 
     name = "process"
-
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        max_retries: int = 1,
-        task_timeout: float | None = None,
-    ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-        super().__init__(max_retries=max_retries, task_timeout=task_timeout)
-        self.n_workers = int(n_workers) if n_workers else _default_workers()
-        self._pool = None
-        self._step_token = 0
-        self._pool_failures = 0
-        self._degraded = None  # None | "thread" | "serial"
-        self._thread_fallback = None
-
-    @property
-    def degraded(self) -> str | None:
-        """Current degradation rung: ``None``, ``"thread"`` or ``"serial"``."""
-        return self._degraded
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context
-            )
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        """Drop a (broken) pool so the next step starts from a clean one."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken-pool teardown
-                pass
-
-    def _degrade_to(self, level: str, error: str | None = None) -> None:
-        self._degraded = level
-        info = {"to": level}
-        if error is not None:
-            info["error"] = error
-        self._record_event("degraded", **info)
-
-    def run(
-        self,
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        return self._run_tasks(faults.wrap_tasks(tasks), tasks, ctx, n_objects, count_only)
-
-    def _run_tasks(
-        self,
-        launched: Sequence[JoinTask],
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        if self._degraded is not None:
-            return self._run_degraded(launched, tasks, ctx, n_objects, count_only)
-        remote_idx = [k for k, task in enumerate(launched) if task.process_safe]
-        if len(remote_idx) < 2 or self.n_workers < 2 or not ctx:
-            return [
-                self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
-                for k in range(len(tasks))
-            ]
-
-        import concurrent.futures as cf
-        from concurrent.futures.process import BrokenProcessPool
-
-        self._step_token += 1
-        token = (os.getpid(), self._step_token)
-        deadline = self._step_deadline()
-        results = [None] * len(tasks)
-        #: Task to submit on the next round: the fault-wrapped first
-        #: launch, replaced by the original on retry.
-        submission = {k: launched[k] for k in remote_idx}
-        attempts = dict.fromkeys(remote_idx, 0)
-        remaining = list(remote_idx)
-        inline_done = False
-        with publish_context(ctx) as specs:
-            while remaining:
-                broken = None
-                futures = {}
-                try:
-                    pool = self._ensure_pool()
-                    for k in remaining:
-                        futures[k] = pool.submit(
-                            _process_worker,
-                            specs,
-                            token,
-                            submission[k],
-                            n_objects,
-                            count_only,
-                        )
-                except BrokenProcessPool as exc:
-                    broken = exc
-                if not inline_done:
-                    # Inline tasks run in the parent while the pool works.
-                    for k in range(len(tasks)):
-                        if k not in attempts:
-                            results[k] = self._attempt_inline(
-                                launched[k], tasks[k], ctx, n_objects, count_only, k
-                            )
-                    inline_done = True
-                retry_round = []
-                if broken is None:
-                    for k in remaining:
-                        try:
-                            payload = futures[k].result(
-                                timeout=_remaining_budget(deadline)
-                            )
-                        except (cf.TimeoutError, TimeoutError):
-                            self._record_event(
-                                "task_timeout", task=k, timeout=self.task_timeout
-                            )
-                            results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
-                        except BrokenProcessPool as exc:
-                            broken = exc
-                            break
-                        except Exception as exc:
-                            attempts[k] += 1
-                            if attempts[k] > self.max_retries:
-                                # Budget spent: the last error propagates.
-                                raise
-                            self._record_event("task_retry", task=k, error=repr(exc))
-                            submission[k] = tasks[k]
-                            retry_round.append(k)
-                        else:
-                            results[k] = _result_from_payload(payload, n_objects, count_only)
-                if broken is not None:
-                    self._record_event("pool_broken", error=repr(broken))
-                    self._discard_pool()
-                    self._pool_failures += 1
-                    unresolved = [k for k in remaining if results[k] is None]
-                    for k in unresolved:
-                        submission[k] = tasks[k]
-                    if self._pool_failures > 1:
-                        # Second broken pool: give up on processes for the
-                        # rest of the run and finish this step inline.
-                        self._degrade_to("thread", error=repr(broken))
-                        for k in unresolved:
-                            results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
-                        remaining = []
-                    else:
-                        self._record_event("pool_rebuild")
-                        remaining = unresolved
-                else:
-                    remaining = retry_round
-        return results
-
-    def _run_degraded(
-        self,
-        launched: Sequence[JoinTask],
-        tasks: Sequence[JoinTask],
-        ctx: Mapping[str, np.ndarray],
-        n_objects: int,
-        count_only: bool,
-    ) -> list[TaskResult]:
-        """Run a step below the process rung: threads, then serial."""
-        if self._degraded == "thread":
-            if self._thread_fallback is None:
-                self._thread_fallback = ThreadExecutor(
-                    self.n_workers,
-                    max_retries=self.max_retries,
-                    task_timeout=self.task_timeout,
-                )
-            fallback = self._thread_fallback
-            try:
-                results = fallback._run_tasks(launched, tasks, ctx, n_objects, count_only)
-                self._events.extend(fallback.drain_events())
-                return results
-            except Exception as exc:
-                self._events.extend(fallback.drain_events())
-                self._degrade_to("serial", error=repr(exc))
-        return [
-            self._attempt_inline(launched[k], tasks[k], ctx, n_objects, count_only, k)
-            for k in range(len(tasks))
-        ]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._thread_fallback is not None:
-            self._thread_fallback.close()
-            self._thread_fallback = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown best effort
-        # The garbage collector may run this inside any thread — even
-        # while that thread holds threading's shutdown-lock registry —
-        # so it must not join the pool's threads: joining takes that
-        # registry lock again and deadlocks.
-        with suppress(Exception):
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessExecutor(n_workers={self.n_workers}, "
-            f"max_retries={self.max_retries}, task_timeout={self.task_timeout})"
-        )
 
 
 def _env_task_options() -> dict[str, Any]:
@@ -796,9 +682,9 @@ def resolve_executor(spec: Executor | str | None) -> Executor:
     options = _env_task_options()
     if name == "serial":
         return SerialExecutor(**options)
-    if name in ("thread", "threads"):
+    if name == "thread":
         return ThreadExecutor(n_workers, **options)
-    if name in ("process", "processes"):
+    if name == "process":
         return ProcessExecutor(n_workers, **options)
     raise ValueError(
         f"unknown executor {spec!r}; expected serial, thread[:N] or process[:N]"

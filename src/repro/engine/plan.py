@@ -29,8 +29,8 @@ index objects (run inline in the parent by the process executor).
 
 Tasks are also the engine's unit of *recovery*: because a task only
 reads the context and writes its private accumulator, executors may run
-it again after a failure, hang or worker crash — on the pool or inline
-in the parent — and the merged result is unchanged.  Task authors must
+it again inline in the parent after a failure, hang or worker crash,
+and the merged result is unchanged.  Task authors must
 preserve this purity: no mutation of context arrays, no side effects
 outside the accumulator and the returned counters.
 """

@@ -314,7 +314,7 @@ class SpatialJoinAlgorithm:
         """Default provider: executor identity and degradation rung."""
         executor = self.executor
         values: dict[str, Any] = {"name": executor.name}
-        degraded = getattr(executor, "degraded", None)
+        degraded = executor.degraded
         if degraded is not None:
             values["degraded"] = degraded
         return values

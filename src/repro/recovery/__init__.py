@@ -30,10 +30,8 @@ from repro.recovery.metrics import RecoveryMetrics
 from repro.recovery.state import (
     restore_dataset,
     restore_motion,
-    restore_shard,
     snapshot_dataset,
     snapshot_motion,
-    snapshot_shard,
     step_record_from_jsonable,
     step_record_to_jsonable,
 )
@@ -48,10 +46,8 @@ __all__ = [
     "atomic_write_bytes",
     "restore_dataset",
     "restore_motion",
-    "restore_shard",
     "snapshot_dataset",
     "snapshot_motion",
-    "snapshot_shard",
     "step_record_from_jsonable",
     "step_record_to_jsonable",
     "write_json",

@@ -37,10 +37,8 @@ if TYPE_CHECKING:
 __all__ = [
     "restore_dataset",
     "restore_motion",
-    "restore_shard",
     "snapshot_dataset",
     "snapshot_motion",
-    "snapshot_shard",
     "step_record_from_jsonable",
     "step_record_to_jsonable",
 ]
@@ -82,58 +80,6 @@ def restore_dataset(
         attributes=attributes,
     )
     dataset.version = int(meta["version"])
-    return dataset
-
-
-# ----------------------------------------------------------------------
-# Shards (dataset + algorithm state as one unit)
-# ----------------------------------------------------------------------
-def snapshot_shard(
-    dataset: SpatialDataset, algorithm: Any
-) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Capture one service shard — its dataset plus its algorithm state.
-
-    The sharded join service snapshots each shard after every applied
-    update so a killed worker can be re-homed from its last committed
-    state instead of rebuilt from scratch.  The codec simply composes
-    :func:`snapshot_dataset` with the algorithm's
-    :meth:`~repro.joins.base.SpatialJoinAlgorithm.snapshot_state` under
-    prefixed array keys, so either half round-trips through the same
-    ``.npz`` channel the checkpoint manager already uses.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    dataset_arrays, dataset_meta = snapshot_dataset(dataset)
-    for key, value in dataset_arrays.items():
-        arrays[f"dataset/{key}"] = value
-    algorithm_arrays, algorithm_meta = algorithm.snapshot_state()
-    for key, value in algorithm_arrays.items():
-        arrays[f"algorithm/{key}"] = value
-    return arrays, {"dataset": dataset_meta, "algorithm": algorithm_meta}
-
-
-def restore_shard(
-    arrays: dict[str, np.ndarray], meta: dict[str, Any], algorithm: Any
-) -> SpatialDataset:
-    """Rebuild a shard captured by :func:`snapshot_shard`.
-
-    Returns the restored dataset (fresh uid, checkpointed version) and
-    restores ``algorithm``'s cross-step state against it in place.
-    Raises :class:`ValueError` on a checkpoint the algorithm refuses.
-    """
-    prefix = "dataset/"
-    dataset_arrays = {
-        key[len(prefix):]: value
-        for key, value in arrays.items()
-        if key.startswith(prefix)
-    }
-    dataset = restore_dataset(dataset_arrays, meta["dataset"])
-    prefix = "algorithm/"
-    algorithm_arrays = {
-        key[len(prefix):]: value
-        for key, value in arrays.items()
-        if key.startswith(prefix)
-    }
-    algorithm.restore_state(algorithm_arrays, meta["algorithm"], dataset)
     return dataset
 
 

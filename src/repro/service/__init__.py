@@ -5,8 +5,8 @@ long-lived sharded join state alive behind an asyncio front-end:
 
 * :mod:`repro.service.sharding` — the :class:`ShardRing`: spatial slab
   sharding with upward halos, so per-shard joins on a shared executor
-  also find every cross-shard pair exactly once, snapshot-based
-  re-homing and stale-but-marked degradation.
+  also find every cross-shard pair exactly once, re-homing from the
+  ring's arrays and stale-but-marked degradation.
 * :mod:`repro.service.cache` — the bounded cache of assembled ring
   answers, cleared by the ring's update path.
 * :mod:`repro.service.service` — :class:`JoinService`: update streams,

@@ -54,16 +54,15 @@ the distance, which the version does not track); it is kept only as the
 dead-shard fallback below.
 
 Degradation instead of death: a shard whose compute raises is re-homed
-(restored from its last :func:`~repro.recovery.snapshot_shard` when
-fresh, rebuilt from the ring's authoritative arrays otherwise) and the
-query retried once; a shard that fails again is marked dead and its
-stored answer to the same query — including the cross-shard pairs it
-owns — is returned *marked stale* rather than failing the query.  For
-distance queries that is only the latest distance asked.  A stale
-answer predates the current positions, so it may share pairs with a
-fresh shard's; a stale assembly drops the duplicates.  Every
-transition is recorded as a robustness event and surfaced through the
-obs metrics registry.
+(rebuilt from the ring's authoritative arrays under a fresh algorithm
+instance) and the query retried once; a shard that fails again is
+marked dead and its stored answer to the same query — including the
+cross-shard pairs it owns — is returned *marked stale* rather than
+failing the query.  For distance queries that is only the latest
+distance asked.  A stale answer predates the current positions, so it
+may share pairs with a fresh shard's; a stale assembly drops the
+duplicates.  Every transition is recorded as a robustness event and
+surfaced through the obs metrics registry.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ from repro.geometry import (
 )
 from repro.joins.base import RETRY_EVENT_KINDS, SpatialJoinAlgorithm
 from repro.obs.metrics import MetricsRegistry
-from repro.recovery.state import restore_shard, snapshot_shard
 from repro.service.cache import ResultCache
 from repro.simulation.runner import StepRecord
 
@@ -230,8 +228,6 @@ class ShardRing:
             )
             for k in range(self.n_shards)
         ]
-        #: Last committed (arrays, meta, ring-epoch) snapshot per shard.
-        self._snapshots: dict[int, tuple[dict[str, np.ndarray], dict[str, Any], int]] = {}
         #: Injected shard failures: shard id -> "once" | "permanent".
         self._poison: dict[int, str] = {}
         #: Bumped whenever shard health changes; part of assembled keys.
@@ -287,6 +283,14 @@ class ShardRing:
         halo = (self._assignment > k) & (box_lo <= self._edges[k + 1] + half.max())
         return np.flatnonzero(home | halo)
 
+    def _local_dataset(self, members: np.ndarray) -> SpatialDataset:
+        """Bit-equal copies of ``members``' boxes from the ring's arrays."""
+        return SpatialDataset(
+            self.dataset.centers[members],
+            self.dataset.widths[members],
+            bounds=self.dataset.bounds,
+        )
+
     def _build_shard(self, k: int, members: np.ndarray) -> None:
         """(Re)construct shard ``k`` over ``members`` from the ring's arrays."""
         shard = self._shards[k]
@@ -294,28 +298,13 @@ class ShardRing:
         if members.size == 0:
             shard.dataset = None
             shard.join = None
-            self._snapshots.pop(k, None)
         else:
-            shard.dataset = SpatialDataset(
-                self.dataset.centers[members],
-                self.dataset.widths[members],
-                bounds=self.dataset.bounds,
-            )
+            shard.dataset = self._local_dataset(members)
             shard.join = self._factory()
         shard.join_memory_bytes = shard.distance_memory_bytes = 0
         shard.version = self.dataset.version
         shard.pending_delta = None
         shard.alive = True
-        self._snapshot(k)
-
-    def _snapshot(self, k: int) -> None:
-        """Store shard ``k``'s committed state for post-death re-homing."""
-        shard = self._shards[k]
-        if shard.dataset is None or shard.join is None:
-            return
-        arrays, meta = snapshot_shard(shard.dataset, shard.join)
-        arrays = {key: value.copy() for key, value in arrays.items()}
-        self._snapshots[k] = (arrays, meta, shard.version)
 
     # ------------------------------------------------------------------
     # Updates
@@ -371,7 +360,6 @@ class ShardRing:
         # query into a (correct, merely slower) full re-join.
         shard.pending_delta = local_delta if shard.pending_delta is None else None
         shard.version = self.dataset.version
-        self._snapshot(k)
 
     # ------------------------------------------------------------------
     # Queries
@@ -415,7 +403,7 @@ class ShardRing:
             any_stale
             or any(not shard.alive for shard in self._shards)
             or len(self._epoch_events) > events_before
-            or getattr(self.executor, "degraded", None) is not None
+            or self.executor.degraded is not None
         )
         answer = RingAnswer(
             kind=kind,
@@ -495,12 +483,7 @@ class ShardRing:
             shard.join_memory_bytes = result.stats.memory_bytes
         else:
             members = self._members(shard.shard_id, distance)
-            local = SpatialDataset(
-                self.dataset.centers[members],
-                self.dataset.widths[members],
-                bounds=self.dataset.bounds,
-            )
-            result = shard.join.distance_join(local, distance)
+            result = shard.join.distance_join(self._local_dataset(members), distance)
             shard.distance_memory_bytes = result.stats.memory_bytes
         seconds = time.perf_counter() - started
         assert result.keys is not None
@@ -522,32 +505,18 @@ class ShardRing:
         return keys
 
     def _rehome(self, shard: Shard) -> None:
-        """Revive a failed shard from its snapshot or the ring's arrays."""
+        """Revive a failed shard from the ring's arrays.
+
+        The ring's arrays are authoritative, and every update that moves
+        a shard's members refreshes the shard, so the rebuild from the
+        current global positions is bit-equal to the failed shard's
+        data; a fresh algorithm instance joins it.
+        """
         if self._poison.get(shard.shard_id) == "once":
             self._poison.pop(shard.shard_id)
         self.rehomes += 1
-        algorithm = self._factory()
-        restored = False
-        snapshot = self._snapshots.get(shard.shard_id)
-        if snapshot is not None:
-            arrays, meta, version = snapshot
-            if version == shard.version:
-                try:
-                    shard.dataset = restore_shard(arrays, meta, algorithm)
-                except ValueError:
-                    restored = False
-                else:
-                    restored = True
-        if not restored:
-            # The ring's arrays are authoritative: a shard whose
-            # members have not moved since ``shard.version`` rebuilds
-            # to bit-equal state from the current global positions.
-            shard.dataset = SpatialDataset(
-                self.dataset.centers[shard.global_ids],
-                self.dataset.widths[shard.global_ids],
-                bounds=self.dataset.bounds,
-            )
-        shard.join = algorithm
+        shard.dataset = self._local_dataset(shard.global_ids)
+        shard.join = self._factory()
         shard.pending_delta = None
 
     # ------------------------------------------------------------------

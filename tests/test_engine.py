@@ -128,6 +128,9 @@ class TestResolveExecutor:
             resolve_executor("quantum")
         with pytest.raises(ValueError):
             resolve_executor("thread:zero")
+        for spelling in ("threads", "processes"):
+            with pytest.raises(ValueError):
+                resolve_executor(spelling)
         with pytest.raises(TypeError):
             resolve_executor(3)
         with pytest.raises(ValueError):

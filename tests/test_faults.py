@@ -1,10 +1,10 @@
 """Fault-injection suite: recovery must be invisible in the results.
 
 The engine's robustness contract: an injected task exception, hang or
-worker kill is survived by the executor — retry on the pool, inline
-re-execution, pool rebuild, or permanent degradation to thread/serial —
-and the recovered step's pair set and overlap-test count are
-bit-identical to a clean :class:`SerialExecutor` run.  No shared-memory
+worker kill is survived by the executor — inline re-execution, pool
+rebuild, or permanent degradation to thread/serial — and the recovered
+step's pair set and overlap-test count are bit-identical to a clean
+:class:`SerialExecutor` run.  No shared-memory
 segment outlives a step, whatever the failure path.  The only trace of
 a fault is the robustness event log in ``JoinStatistics.events``.
 """
@@ -300,6 +300,34 @@ class TestProcessRecovery:
         self._assert_recovered(third, dense_dataset, serial_reference)
         assert executor.degraded == "thread"
         assert third.stats.events == []
+        executor.close()
+        assert not _LIVE_SEGMENTS
+
+    def test_failing_thread_step_drops_to_serial(self, dense_dataset, serial_reference):
+        # Two kills put the executor on the thread rung; with no retry
+        # budget a raise there fails the thread step, which re-runs
+        # serially and leaves the executor on the serial rung.
+        n_tasks = _thermal_tasks_per_step(dense_dataset)
+        install_fault_plan(
+            parse_faults(f"kill@1,kill@{n_tasks + 1},raise@{2 * n_tasks + 1}")
+        )
+        executor = ProcessExecutor(n_workers=2, max_retries=0)
+        join = ThermalJoin(resolution=1.0, executor=executor)
+        join.step(dense_dataset)
+        join.step(dense_dataset)
+        assert executor.degraded == "thread"
+
+        third = join.step(dense_dataset)
+        self._assert_recovered(third, dense_dataset, serial_reference)
+        assert executor.degraded == "serial"
+        downgrades = [e for e in third.stats.events if e["kind"] == "degraded"]
+        assert [e["to"] for e in downgrades] == ["serial"]
+        assert "InjectedFault" in downgrades[0]["error"]
+
+        install_fault_plan(None)
+        fourth = join.step(dense_dataset)  # the rest of the run stays serial
+        self._assert_recovered(fourth, dense_dataset, serial_reference)
+        assert fourth.stats.events == []
         executor.close()
         assert not _LIVE_SEGMENTS
 

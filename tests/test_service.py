@@ -287,6 +287,33 @@ class TestRingDegradation:
             assert not healthy.stale
             assert np.array_equal(_keys(healthy.pairs, n), expected)
 
+    def test_one_shot_kill_after_motion_rebuilds_from_the_ring(self):
+        # The shard's members moved in place since its last join, so the
+        # re-home rebuilds it from the ring's current positions.
+        def factory():
+            return ThermalJoin(resolution=1.0, pair_maintenance=True)
+
+        with ShardRing(
+            _two_cluster_dataset(), n_shards=2, algorithm_factory=factory
+        ) as ring:
+            ring.join_pairs()
+            members = [shard.global_ids.copy() for shard in ring._shards]
+            _nudge(ring)
+            assert all(
+                np.array_equal(shard.global_ids, ids)
+                for shard, ids in zip(ring._shards, members, strict=True)
+            )
+            n = len(ring.dataset)
+            expected = _library_join_keys(ring.dataset.copy())
+            ring.kill_shard(0)
+            answer = ring.join_pairs()
+            assert np.array_equal(answer.keys, expected)
+            assert answer.degraded and not answer.stale
+            assert ring.rehomes == 1
+            healthy = ring.join_pairs()
+            assert not healthy.degraded and not healthy.stale
+            assert np.array_equal(_keys(healthy.pairs, n), expected)
+
     def test_permanent_kill_serves_stale_marked(self, service_dataset):
         n = len(service_dataset)
         expected = _library_join_keys(service_dataset)
