@@ -68,13 +68,11 @@ from repro.obs import (  # noqa: E402
     BENCH_SCHEMA_VERSION,
     JsonlWriter,
     Tracer,
+    bench_run,
     environment_info,
-    run_aggregates,
     set_tracer,
-    to_jsonable,
     validate_bench,
 )
-from repro.recovery import step_record_to_jsonable  # noqa: E402
 from repro.service import JoinService  # noqa: E402
 from repro.simulation import SimulationRunner  # noqa: E402
 
@@ -125,9 +123,31 @@ INCREMENTAL_SCENARIOS = (
 )
 
 
-def _steps_json(records):
-    """The bench schema's ``steps`` list for ``records``."""
-    return to_jsonable([step_record_to_jsonable(record) for record in records])
+def _simulate(workload, label, dataset, motion, algorithm, n_steps, executor="serial", **kwargs):
+    """Run one simulation to ``n_steps`` and return its run entry.
+
+    ``kwargs`` go to :class:`~repro.simulation.SimulationRunner`.  A step
+    that failed past all recovery fails the bench.
+    """
+    runner = SimulationRunner(dataset, motion, algorithm, **kwargs)
+    records = runner.run(n_steps)
+    algorithm.executor.close()
+    if runner.failure is not None:
+        raise runner.failure
+    return bench_run(
+        workload,
+        label,
+        records,
+        n_objects=len(dataset),
+        executor=executor,
+        checkpoint_every=kwargs.get("checkpoint_every", 0),
+        checkpoint_seconds=runner.recovery.checkpoint_seconds if runner.recovery else None,
+    )
+
+
+def _series(run):
+    """The ``(n_results, overlap_tests)`` series of a run entry."""
+    return [(step["n_results"], step["overlap_tests"]) for step in run["steps"]]
 
 
 def _algorithms(executor):
@@ -193,37 +213,19 @@ def run_matrix(config, trace_path=None):
 def _run_matrix_inner(config):
     runs = []
     reference = {}
-    n_steps = config["n_steps"]
     for executor in EXECUTORS:
         for workload, factory in _workloads(config):
             for algorithm in _algorithms(executor):
-                dataset, motion = factory()
-                runner = SimulationRunner(dataset, motion, algorithm)
-                records = runner.run(n_steps)
-                if runner.failure is not None:
-                    raise runner.failure
-                counts = tuple(
-                    (record.n_results, record.overlap_tests) for record in records
+                run = _simulate(
+                    workload, algorithm.name, *factory(), algorithm, config["n_steps"], executor
                 )
                 key = (workload, algorithm.name)
-                reference.setdefault(key, counts)
-                if reference[key] != counts:
+                reference.setdefault(key, _series(run))
+                if reference[key] != _series(run):
                     raise AssertionError(
                         f"executor {executor!r} changed the {key} series"
                     )
-                runs.append(
-                    {
-                        "workload": workload,
-                        "algorithm": algorithm.name,
-                        "executor": executor,
-                        "checkpoint_every": 0,
-                        "n_objects": len(dataset),
-                        "n_steps": len(records),
-                        "steps": _steps_json(records),
-                        "aggregates": run_aggregates(runner),
-                    }
-                )
-                algorithm.executor.close()
+                runs.append(run)
     return runs
 
 
@@ -241,44 +243,18 @@ def _incremental_runs(config):
     runs = []
     n_steps = config.get("incremental_steps", config["n_steps"])
     for workload, motion_kwargs, churn_threshold in INCREMENTAL_SCENARIOS:
-
-        def factory(kwargs=motion_kwargs):
-            dataset, _ = scaled_uniform(config["uniform_n"], seed=7)
-            motion = IntermittentTranslation(dataset, seed=8, **kwargs)
-            return dataset, motion
-
         series = {}
         for label, maintain in (("thermal-join", False), ("thermal-join-incremental", True)):
             algorithm_kwargs = {"pair_maintenance": maintain}
             if maintain and churn_threshold is not None:
                 algorithm_kwargs["churn_threshold"] = churn_threshold
-            dataset, motion = factory()
-            algorithm = ThermalJoin(
-                count_only=True, executor="serial", **algorithm_kwargs
-            )
-            runner = SimulationRunner(dataset, motion, algorithm)
-            records = runner.run(n_steps)
-            if runner.failure is not None:
-                raise runner.failure
-            series[label] = [
-                (record.n_results, record.overlap_tests) for record in records
-            ]
-            runs.append(
-                {
-                    "workload": workload,
-                    "algorithm": label,
-                    "executor": "serial",
-                    "checkpoint_every": 0,
-                    "n_objects": len(dataset),
-                    "n_steps": len(records),
-                    "steps": _steps_json(records),
-                    "aggregates": run_aggregates(runner),
-                }
-            )
-            algorithm.executor.close()
-        full = [n for n, _ in series["thermal-join"]]
-        maintained = [n for n, _ in series["thermal-join-incremental"]]
-        if full != maintained:
+            dataset, _ = scaled_uniform(config["uniform_n"], seed=7)
+            motion = IntermittentTranslation(dataset, seed=8, **motion_kwargs)
+            algorithm = ThermalJoin(count_only=True, executor="serial", **algorithm_kwargs)
+            run = _simulate(workload, label, dataset, motion, algorithm, n_steps)
+            series[label] = [n for n, _ in _series(run)]
+            runs.append(run)
+        if series["thermal-join"] != series["thermal-join-incremental"]:
             raise AssertionError(
                 f"pair maintenance changed the {workload} result series"
             )
@@ -292,29 +268,17 @@ def _scaling_runs(config):
     every size in ``config["scale_sizes"]``, recording the
     step-time-versus-object-count curve.
     """
-    runs = []
     n_steps = config.get("scale_steps", config["n_steps"])
-    for size in config.get("scale_sizes", ()):
-        dataset, motion = scaled_uniform(size, seed=7)
-        algorithm = ThermalJoin(count_only=True, executor="serial")
-        runner = SimulationRunner(dataset, motion, algorithm)
-        records = runner.run(n_steps)
-        if runner.failure is not None:
-            raise runner.failure
-        runs.append(
-            {
-                "workload": "uniform-scale",
-                "algorithm": algorithm.name,
-                "executor": "serial",
-                "checkpoint_every": 0,
-                "n_objects": len(dataset),
-                "n_steps": len(records),
-                "steps": _steps_json(records),
-                "aggregates": run_aggregates(runner),
-            }
+    return [
+        _simulate(
+            "uniform-scale",
+            "thermal-join",
+            *scaled_uniform(size, seed=7),
+            ThermalJoin(count_only=True, executor="serial"),
+            n_steps,
         )
-        algorithm.executor.close()
-    return runs
+        for size in config.get("scale_sizes", ())
+    ]
 
 
 def _checkpoint_runs(config):
@@ -329,48 +293,34 @@ def _checkpoint_runs(config):
     run's ``recovery`` counters (see :func:`checkpoint_overhead`), not
     by differencing the two aggregates blocks.
     """
-    runs = []
     n_steps = config.get("checkpoint_steps", config["n_steps"])
     cadence = config.get("checkpoint_every", 10)
-    series = {}
-    for label, every in (("thermal-join", 0), ("thermal-join-checkpointed", cadence)):
-        dataset, motion = scaled_uniform(config["uniform_n"], seed=7)
-        algorithm = ThermalJoin(count_only=True, executor="serial")
-        with tempfile.TemporaryDirectory() as scratch:
-            runner = SimulationRunner(
-                dataset,
-                motion,
-                algorithm,
-                checkpoint_dir=scratch if every else None,
-                checkpoint_every=every or 10,
-            )
-            records = runner.run(n_steps)
-        if runner.failure is not None:
-            raise runner.failure
-        series[label] = [
-            (record.n_results, record.overlap_tests) for record in records
-        ]
-        if every:
-            assert runner.recovery is not None
-            assert runner.recovery.checkpoints_written == n_steps // every, (
-                "checkpoint cadence not honoured"
-            )
-        runs.append(
-            {
-                "workload": "uniform-checkpoint",
-                "algorithm": label,
-                "executor": "serial",
-                "checkpoint_every": every,
-                "n_objects": len(dataset),
-                "n_steps": len(records),
-                "steps": _steps_json(records),
-                "aggregates": run_aggregates(runner),
-            }
+    plain = _simulate(
+        "uniform-checkpoint",
+        "thermal-join",
+        *scaled_uniform(config["uniform_n"], seed=7),
+        ThermalJoin(count_only=True, executor="serial"),
+        n_steps,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        checkpointed = _simulate(
+            "uniform-checkpoint",
+            "thermal-join-checkpointed",
+            *scaled_uniform(config["uniform_n"], seed=7),
+            ThermalJoin(count_only=True, executor="serial"),
+            n_steps,
+            checkpoint_dir=scratch,
+            checkpoint_every=cadence,
         )
-        algorithm.executor.close()
-    if series["thermal-join"] != series["thermal-join-checkpointed"]:
+    written = sum(
+        event["kind"] == "checkpoint"
+        for step in checkpointed["steps"]
+        for event in step["events"]
+    )
+    assert written == n_steps // cadence, "checkpoint cadence not honoured"
+    if _series(plain) != _series(checkpointed):
         raise AssertionError("checkpointing changed the uniform result series")
-    return runs
+    return [plain, checkpointed]
 
 
 def _service_runs(config):
@@ -384,7 +334,8 @@ def _service_runs(config):
     kill is injected at the middle epoch — the ring must re-home and
     keep answering exactly (``degraded``, never wrong).  The per-epoch
     series comes from :meth:`~repro.service.ShardRing.epoch_record`;
-    the run-level ``service`` block carries the front-end
+    the run's ``degraded_steps`` are the epochs with a degraded answer,
+    and the run-level ``service`` block carries the front-end
     throughput/latency counters.
     """
     n_steps = config.get("service_steps", config["n_steps"])
@@ -397,7 +348,7 @@ def _service_runs(config):
 
     async def drive():
         records = []
-        degraded_steps = 0
+        degraded_steps = []
         async with service:
             started = time.perf_counter()
             for step in range(n_steps):
@@ -421,7 +372,7 @@ def _service_runs(config):
                             f"at epoch {step}"
                         )
                 if any(answer.degraded for answer in answers):
-                    degraded_steps += 1
+                    degraded_steps.append(step)
                 records.append(
                     service.ring.epoch_record(step, answers[0].n_results)
                 )
@@ -430,40 +381,28 @@ def _service_runs(config):
         return records, degraded_steps, wall, frontend
 
     records, degraded_steps, wall, frontend = asyncio.run(drive())
-    if degraded_steps < 1:
+    if not degraded_steps:
         raise AssertionError("the injected shard kill left no degraded epoch")
-    steps = _steps_json(records)
-    return [
-        {
-            "workload": "uniform-service",
-            "algorithm": "thermal-join-service",
-            "executor": "serial",
-            "checkpoint_every": 0,
-            "n_objects": n_objects,
-            "n_steps": len(steps),
-            "steps": steps,
-            "aggregates": {
-                "total_seconds": sum(s["join_seconds"] for s in steps),
-                "total_overlap_tests": sum(s["overlap_tests"] for s in steps),
-                "peak_memory_bytes": max(s["memory_bytes"] for s in steps),
-                "total_results": sum(s["n_results"] for s in steps),
-                "task_retries": sum(s["task_retries"] for s in steps),
-                "degraded_steps": degraded_steps,
-            },
-            "service": {
-                "n_shards": n_shards,
-                "clients": clients,
-                "accepted": frontend["accepted"],
-                "rejected": frontend["rejected"],
-                "batched": frontend["batched"],
-                "answered": frontend["answered"],
-                "wall_seconds": wall,
-                "throughput_qps": frontend["answered"] / wall if wall else 0.0,
-                "latency_mean_seconds": frontend["latency_mean_seconds"],
-                "latency_max_seconds": frontend["latency_max_seconds"],
-            },
-        }
-    ]
+    run = bench_run(
+        "uniform-service",
+        "thermal-join-service",
+        records,
+        n_objects=n_objects,
+        degraded_steps=degraded_steps,
+    )
+    run["service"] = {
+        "n_shards": n_shards,
+        "clients": clients,
+        "accepted": frontend["accepted"],
+        "rejected": frontend["rejected"],
+        "batched": frontend["batched"],
+        "answered": frontend["answered"],
+        "wall_seconds": wall,
+        "throughput_qps": frontend["answered"] / wall if wall else 0.0,
+        "latency_mean_seconds": frontend["latency_mean_seconds"],
+        "latency_max_seconds": frontend["latency_max_seconds"],
+    }
+    return [run]
 
 
 def checkpoint_overhead(document):
@@ -655,7 +594,8 @@ def test_smoke_matrix_is_schema_valid(tmp_path):
     assert block["answered"] == block["accepted"] and block["rejected"] == 0
     assert block["batched"] > 0, "client burst never hit batch dedup"
     assert block["throughput_qps"] > 0 and block["latency_mean_seconds"] > 0
-    assert service_run["aggregates"]["degraded_steps"] >= 1
+    degraded = service_run["aggregates"]["degraded_steps"]
+    assert isinstance(degraded, list) and degraded, degraded
     shard_events = [
         event["kind"]
         for step in service_run["steps"]

@@ -2,10 +2,10 @@
 
 The paper's simulation loop mutates the object list in place and the
 join recomputes from scratch (Section 3.2).  Incremental pair-set
-maintenance (ROADMAP item 2) needs more: *which* objects moved and by
-how much.  :class:`MotionDelta` is that record — every motion model
-returns one from ``step`` and :class:`~repro.datasets.dataset.
-SpatialDataset` produces it through :meth:`~repro.datasets.dataset.
+maintenance (ROADMAP item 2) needs more: *which* objects moved.
+:class:`MotionDelta` is that record — every motion model returns one
+from ``step`` and :class:`~repro.datasets.dataset.SpatialDataset`
+produces it through :meth:`~repro.datasets.dataset.
 SpatialDataset.commit_motion`, the sanctioned delta-aware update path.
 
 A delta is pinned to a specific dataset instance (``dataset_uid``) and
@@ -27,7 +27,7 @@ __all__ = ["MotionDelta"]
 
 @dataclass(frozen=True)
 class MotionDelta:
-    """One committed position update: moved indices plus displacements.
+    """One committed position update: the indices of the moved objects.
 
     Attributes
     ----------
@@ -42,9 +42,6 @@ class MotionDelta:
         check keeps the contract explicit).
     moved:
         Sorted ``int64`` indices of the objects whose center changed.
-    displacement:
-        ``(len(moved), 3)`` per-moved-object displacement vectors
-        (``after - before``).
     """
 
     dataset_uid: int
@@ -52,24 +49,16 @@ class MotionDelta:
     version: int
     n_objects: int
     moved: np.ndarray = field(repr=False)
-    displacement: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         moved = np.ascontiguousarray(self.moved, dtype=np.int64)
-        displacement = np.ascontiguousarray(self.displacement, dtype=np.float64)
         if moved.ndim != 1:
             raise ValueError(f"moved must be 1-D, got shape {moved.shape}")
-        if displacement.shape != (moved.shape[0], 3):
-            raise ValueError(
-                f"displacement shape {displacement.shape} does not match "
-                f"{moved.shape[0]} moved objects"
-            )
         if moved.size and (moved[0] < 0 or moved[-1] >= self.n_objects):
             raise ValueError("moved indices out of range")
         if moved.size > 1 and (np.diff(moved) <= 0).any():
             raise ValueError("moved indices must be strictly increasing")
         object.__setattr__(self, "moved", moved)
-        object.__setattr__(self, "displacement", displacement)
 
     @property
     def n_moved(self) -> int:
@@ -88,13 +77,6 @@ class MotionDelta:
         mask = np.zeros(self.n_objects, dtype=bool)
         mask[self.moved] = True
         return mask
-
-    @property
-    def max_displacement(self) -> float:
-        """Largest per-object displacement magnitude (0.0 if none moved)."""
-        if self.n_moved == 0:
-            return 0.0
-        return float(np.linalg.norm(self.displacement, axis=1).max())
 
     @classmethod
     def from_positions(
@@ -120,5 +102,4 @@ class MotionDelta:
             version=version,
             n_objects=before.shape[0],
             moved=moved,
-            displacement=after[moved] - before[moved],
         )

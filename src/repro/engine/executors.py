@@ -41,7 +41,9 @@ as a robustness *event* (drained into
   remaining budget, so a slow task queued behind another slow task
   cannot stretch a step to N×timeout.  A task still pending at the
   deadline is abandoned and re-run inline once (``task_timeout``; its
-  late result, if any, is discarded);
+  late result, if any, is discarded), and the step then discards its
+  pool — terminating a process pool's workers — so the next step
+  starts a fresh one and ``close()`` never waits on the abandoned task;
 * a ``BrokenProcessPool`` climbs ``ProcessExecutor``'s degradation
   ladder one rung per step, and the step's unfinished pooled tasks
   re-run inline.  The first break discards the pool for a fresh one
@@ -268,6 +270,7 @@ class Executor:
             with ExitStack() as stack:
                 futures: dict[int, Future[Any]] = {}
                 broken: BrokenProcessPool | None = None
+                abandoned = False
                 if pooled:
                     submit = stack.enter_context(self._submitter(ctx, n_objects, count_only))
                     try:
@@ -287,6 +290,7 @@ class Executor:
                         value = future.result(timeout=_remaining_budget(deadline))
                     except (cf.TimeoutError, TimeoutError):
                         self._record_event("task_timeout", task=k, timeout=self.task_timeout)
+                        abandoned = True
                         results[k] = _run_inline(tasks[k], ctx, n_objects, count_only)
                     except BrokenProcessPool as exc:
                         broken = exc
@@ -300,6 +304,11 @@ class Executor:
                             if isinstance(value, TaskResult)
                             else _result_from_payload(value, n_objects, count_only)
                         )
+                if abandoned:
+                    # The abandoned task may still be running: drop its
+                    # pool so neither the next step nor close() waits
+                    # on it.
+                    self._discard_pool()
                 if broken is not None:
                     self._pool_broke(broken)
                     for k in pooled:
@@ -370,11 +379,24 @@ class Executor:
         return self._pool
 
     def _discard_pool(self) -> None:
-        """Drop the pool without waiting, so the next step starts a fresh one."""
+        """Drop the pool without waiting, so the next step starts a fresh one.
+
+        A process pool's workers are terminated, so a task still running
+        in one cannot outlive the pool; a thread pool's threads finish
+        their task in the background.
+        """
         pool, self._pool = self._pool, None
-        if pool is not None:
+        if pool is None:
+            return
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        for worker in workers:
             with suppress(Exception):
-                pool.shutdown(wait=False, cancel_futures=True)
+                worker.terminate()
+        with suppress(Exception):
+            pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            with suppress(Exception):
+                worker.join()
 
     def _pool_broke(self, error: BaseException) -> None:
         """One ladder rung per broken process pool: rebuild once, then threads."""

@@ -28,8 +28,8 @@ step.
 
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
+    bench_run,
     environment_info,
-    run_aggregates,
     validate_bench,
 )
 from repro.obs.jsonl import JsonlWriter, json_default, to_jsonable
@@ -57,7 +57,7 @@ __all__ = [
     "json_default",
     "to_jsonable",
     "BENCH_SCHEMA_VERSION",
+    "bench_run",
     "environment_info",
-    "run_aggregates",
     "validate_bench",
 ]

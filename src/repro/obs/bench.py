@@ -29,11 +29,14 @@ Document shape (``BENCH_SCHEMA_VERSION`` 5)::
       ]
     }
 
-Each step record carries the Figure-7 series (``n_results``,
-``join_seconds``, ``build_seconds``, ``overlap_tests``,
-``memory_bytes``) plus the engine stage breakdown, the robustness
-record (``events``, ``task_retries``) and the metrics-registry snapshot
-(``index_counters`` — tuner resolution, P-Grid cell accounting, ...).
+Each step record is :meth:`~repro.simulation.StepRecord.to_json`: one
+key per :class:`~repro.simulation.StepRecord` field — the Figure-7
+series (``n_results``, ``join_seconds``, ``build_seconds``,
+``overlap_tests``, ``memory_bytes``) plus the phase and engine stage
+breakdowns, the robustness record (``events``, ``task_retries``) and
+the metrics-registry snapshot (``index_counters`` — tuner resolution,
+P-Grid cell accounting, ...).  ``degraded_steps`` lists the indices of
+the steps that ran degraded.
 
 Schema version 2 adds the ``incremental`` step key: the pair-maintenance
 counters (mode, moved fraction, pairs reused/re-verified, fallback
@@ -68,34 +71,21 @@ from __future__ import annotations
 import os
 import platform
 import sys
-from typing import TYPE_CHECKING, Any
+from collections.abc import Sequence
+from dataclasses import fields
+from typing import Any
 
-if TYPE_CHECKING:
-    from repro.simulation.runner import SimulationRunner
+from repro.obs.jsonl import to_jsonable
+from repro.simulation.runner import StepRecord
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
+    "bench_run",
     "environment_info",
-    "run_aggregates",
     "validate_bench",
 ]
 
 BENCH_SCHEMA_VERSION = 5
-
-#: Required keys of one per-step record.
-STEP_FIELDS = (
-    "step",
-    "n_results",
-    "join_seconds",
-    "build_seconds",
-    "overlap_tests",
-    "memory_bytes",
-    "stage_seconds",
-    "index_counters",
-    "events",
-    "task_retries",
-    "incremental",
-)
 
 #: Required keys of one run entry.
 RUN_FIELDS = (
@@ -147,25 +137,48 @@ def environment_info() -> dict[str, Any]:
     }
 
 
-def run_aggregates(runner: SimulationRunner) -> dict[str, Any]:
-    """Aggregates block for one completed simulation runner.
+def bench_run(
+    workload: str,
+    algorithm: str,
+    records: Sequence[StepRecord],
+    *,
+    n_objects: int,
+    executor: str = "serial",
+    checkpoint_every: int = 0,
+    degraded_steps: Sequence[int] | None = None,
+    checkpoint_seconds: float | None = None,
+) -> dict[str, Any]:
+    """One run entry: the step series of ``records`` and its aggregates.
 
-    Checkpointing runs additionally carry ``checkpoint_seconds`` (the
-    run-final recovery counter, not the last step's snapshot — a
-    checkpoint written after the final step's metrics snapshot would
-    otherwise be missed).
+    ``degraded_steps`` defaults to the steps whose records carry a
+    degradation event (:attr:`~repro.simulation.StepRecord.degraded`).
+    Checkpointing runs pass ``checkpoint_seconds``, the run-final
+    recovery counter (not the last step's snapshot — a checkpoint
+    written after the final step's metrics snapshot would otherwise be
+    missed).
     """
-    aggregates = {
-        "total_seconds": runner.total_join_seconds(),
-        "total_overlap_tests": runner.total_overlap_tests(),
-        "peak_memory_bytes": runner.peak_memory_bytes(),
-        "total_results": sum(record.n_results for record in runner.records),
-        "task_retries": runner.total_task_retries(),
-        "degraded_steps": runner.degraded_steps(),
+    if degraded_steps is None:
+        degraded_steps = [record.step for record in records if record.degraded]
+    aggregates: dict[str, Any] = {
+        "total_seconds": sum(record.total_seconds for record in records),
+        "total_overlap_tests": sum(record.overlap_tests for record in records),
+        "peak_memory_bytes": max((record.memory_bytes for record in records), default=0),
+        "total_results": sum(record.n_results for record in records),
+        "task_retries": sum(record.task_retries for record in records),
+        "degraded_steps": list(degraded_steps),
     }
-    if runner.recovery is not None:
-        aggregates["checkpoint_seconds"] = runner.recovery.checkpoint_seconds
-    return aggregates
+    if checkpoint_seconds is not None:
+        aggregates["checkpoint_seconds"] = checkpoint_seconds
+    return {
+        "workload": workload,
+        "algorithm": algorithm,
+        "executor": executor,
+        "checkpoint_every": checkpoint_every,
+        "n_objects": n_objects,
+        "n_steps": len(records),
+        "steps": to_jsonable([record.to_json() for record in records]),
+        "aggregates": aggregates,
+    }
 
 
 def _require(condition: bool, message: str) -> None:
@@ -193,6 +206,7 @@ def validate_bench(doc: dict[str, Any]) -> dict[str, Any]:
         _require(key in environment, f"environment.{key} missing")
     runs = doc.get("runs")
     _require(isinstance(runs, list) and runs, "runs must be a non-empty list")
+    step_keys = [spec.name for spec in fields(StepRecord)]
     for index, run in enumerate(runs):
         where = f"runs[{index}]"
         _require(isinstance(run, dict), f"{where} must be an object")
@@ -205,7 +219,7 @@ def validate_bench(doc: dict[str, Any]) -> dict[str, Any]:
             f"{where}: n_steps={run['n_steps']} but {len(steps)} step records",
         )
         for k, step in enumerate(steps):
-            for key in STEP_FIELDS:
+            for key in step_keys:
                 _require(key in step, f"{where}.steps[{k}].{key} missing")
             _require(
                 step["step"] == k, f"{where}.steps[{k}] has step index {step['step']}"

@@ -3,13 +3,14 @@
 The subsystem has three layers:
 
 * :mod:`repro.recovery.atomic` — the sanctioned durable-write
-  primitives (tmp + fsync + rename); repro-lint RPL501 forbids any
-  other file write inside this package.
+  primitives (tmp + fsync + rename, and the record log's truncating
+  append); repro-lint RPL501 forbids any other file write inside this
+  package.
 * :mod:`repro.recovery.checkpoint` — the versioned, checksummed
-  manifest + ``.npz`` format with chained record segments, keep-last-K
-  retention and newest-valid-fallback loading.
+  manifest + ``.npz`` format over one append-only record log,
+  keep-last-K retention and newest-valid-fallback loading.
 * :mod:`repro.recovery.state` — codecs between live objects (dataset,
-  motion model, step records) and checkpoint (arrays, meta); the
+  motion model) and checkpoint (arrays, meta); the
   algorithm side of the protocol lives on
   :meth:`repro.joins.base.SpatialJoinAlgorithm.snapshot_state`.
 
@@ -32,8 +33,6 @@ from repro.recovery.state import (
     restore_motion,
     snapshot_dataset,
     snapshot_motion,
-    step_record_from_jsonable,
-    step_record_to_jsonable,
 )
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "restore_motion",
     "snapshot_dataset",
     "snapshot_motion",
-    "step_record_from_jsonable",
-    "step_record_to_jsonable",
     "write_json",
     "write_npz",
 ]

@@ -1,32 +1,38 @@
 """Versioned, checksummed checkpoints: manifest JSON + ``.npz`` payload.
 
-A checkpoint for step ``k`` is two files in the checkpoint directory,
-plus one record segment when it brings new records:
+A checkpoint for step ``k`` is two files in the checkpoint directory;
+all checkpoints share one record log:
 
 * ``step-%06d.npz`` — the payload: every resumable array (dataset SoA
   arrays, motion state, P-Grid structure).
-* ``records-%06d.json`` — a record segment: the records completed since
-  the previous checkpoint, plus the previous segment's file name and
-  sha256.  Each record is written once; a checkpoint's full record list
-  is the chain of segments ending at its own.
+* ``records.jsonl`` — the record log: one JSON line per completed step
+  record, oldest first.  Each checkpoint appends the records completed
+  since the previous one, so each record is written once, and a
+  checkpoint's record list is a prefix of the log.
 * ``step-%06d.json`` — the manifest: format marker + version, the step,
   the payload file name, a per-array ``{sha256, shape, dtype}`` table
-  (checksummed over the raw array bytes), the newest segment as
-  ``{file, sha256, count}`` and the JSON-able meta tree (tuner/churn
+  (checksummed over the raw array bytes), the log prefix it covers as
+  ``{count, bytes, sha256}`` and the JSON-able meta tree (tuner/churn
   state, RNG state, ...).  Its size does not grow with the step count.
 
-The payload and the segment are written first, the manifest last — all
-atomically via :mod:`repro.recovery.atomic` — so the manifest's
-existence *is* the commit point: a manifest never references a file
-that was not fully durable when the manifest appeared.
+The payload and the log are written first, the manifest last — the
+payload and manifest atomically via tmp + fsync + rename, the log by
+:func:`~repro.recovery.atomic.append_at` — so the manifest's existence
+*is* the commit point: a manifest never references bytes that were not
+fully durable when the manifest appeared.  Each write first cuts the
+log back to the prefix this manager last committed (written or
+loaded), dropping whatever tail a crash or an abandoned newer
+checkpoint left behind.  The manager keeps a running sha256 of its
+prefix, so a write hashes only the bytes it appends.
 
 Loading walks manifests newest-first and verifies every declared array
-checksum and every segment of the record chain; anything unreadable,
-mis-shaped or mismatched counts as one corrupt skip and falls back to
-the next older checkpoint.  Retention keeps the newest ``keep_last``
-checkpoints and deletes the rest — deletion needs no atomicity, a
-half-deleted checkpoint is just a corrupt one and skipped like any
-other.  Segments are never deleted: every later chain shares them.
+checksum and the hash of the declared log prefix (bytes past it are
+not read); anything unreadable, mis-shaped or mismatched counts as one
+corrupt skip and falls back to the next older checkpoint.  Retention
+keeps the newest ``keep_last`` checkpoints and deletes the rest —
+deletion needs no atomicity, a half-deleted checkpoint is just a
+corrupt one and skipped like any other.  The log is never deleted, so
+a directory holds ``2 * keep_last + 1`` files.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.recovery.atomic import write_json, write_npz
+from repro.recovery.atomic import append_at, write_json, write_npz
 
 __all__ = ["Checkpoint", "CheckpointError", "CheckpointManager"]
 
@@ -54,8 +60,12 @@ MANIFEST_FORMAT = "repro-checkpoint"
 #: Version 3 drops the tuner's constants from its state and records the
 #: memory quota and churn mode in THERMAL-JOIN's configuration.
 #: Version 4 stores no maintained pair keys (a restore re-derives them)
-#: and moves the step records into the chained record segments.
-FORMAT_VERSION = 4
+#: and moves the step records into chained per-checkpoint segments.
+#: Version 5 replaces the segments with one append-only record log.
+FORMAT_VERSION = 5
+
+#: The record log every checkpoint of a directory takes a prefix of.
+RECORD_LOG = "records.jsonl"
 
 _MANIFEST_RE = re.compile(r"^step-(\d{6,})\.json$")
 
@@ -80,7 +90,7 @@ class Checkpoint:
         self.meta = meta
         #: The manifest path this checkpoint was loaded from.
         self.path = path
-        #: Every record of the checkpoint's verified segment chain, oldest
+        #: Every record of the checkpoint's verified log prefix, oldest
         #: first.
         self.records = records
 
@@ -106,9 +116,11 @@ class CheckpointManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = int(keep_last)
-        #: ``{file, sha256, count}`` of the newest record segment this
-        #: manager wrote or loaded; the next segment links to it.
-        self._segment: dict[str, Any] | None = None
+        #: ``{count, bytes, sha256}`` of the record-log prefix this
+        #: manager last committed or loaded, and the running hash of
+        #: that prefix; the next write appends after it.
+        self._hash = hashlib.sha256()
+        self._prefix: dict[str, Any] = {"count": 0, "bytes": 0, "sha256": self._hash.hexdigest()}
 
     # ------------------------------------------------------------------
     # Writing
@@ -123,9 +135,9 @@ class CheckpointManager:
         """Durably commit a checkpoint for ``step``; returns bytes written.
 
         ``records`` are the JSON-able records completed since the last
-        checkpoint this manager wrote or loaded.  They go into a new
-        segment linked to that checkpoint's; with none, the manifest
-        points at the existing chain.
+        checkpoint this manager wrote or loaded.  They are appended to
+        the record log after that checkpoint's prefix, and the manifest
+        names the longer prefix.
         """
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
@@ -139,27 +151,29 @@ class CheckpointManager:
             for name, array in arrays.items()
         }
         nbytes = write_npz(self.directory / payload_name, arrays)
-        segment = self._segment
-        if records:
-            name = f"records-{step:06d}.json"
-            path = self.directory / name
-            nbytes += write_json(path, {"previous": segment, "records": records})
-            segment = {
-                "file": name,
-                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                "count": len(records) + (0 if segment is None else segment["count"]),
-            }
+        lines = b"".join(
+            json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+            for record in records
+        )
+        nbytes += append_at(self.directory / RECORD_LOG, self._prefix["bytes"], lines)
+        running = self._hash.copy()
+        running.update(lines)
+        prefix = {
+            "count": self._prefix["count"] + len(records),
+            "bytes": self._prefix["bytes"] + len(lines),
+            "sha256": running.hexdigest(),
+        }
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": FORMAT_VERSION,
             "step": int(step),
             "payload": payload_name,
             "arrays": checksums,
-            "records": segment,
+            "records": prefix,
             "meta": meta,
         }
         nbytes += write_json(self.directory / f"step-{step:06d}.json", manifest)
-        self._segment = segment
+        self._prefix, self._hash = prefix, running
         self._retain()
         return nbytes
 
@@ -185,26 +199,31 @@ class CheckpointManager:
                 found.append((int(match.group(1)), path))
         return [path for _step, path in sorted(found)]
 
-    def _read_records(self, segment: dict[str, Any] | None) -> list[dict[str, Any]]:
-        """The verified records of the chain ending at ``segment``, oldest first."""
-        chain = []
-        while segment is not None:
-            path = self.directory / str(segment["file"])
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raise CheckpointError(f"unreadable record segment {path}: {exc}") from exc
-            if hashlib.sha256(data).hexdigest() != segment["sha256"]:
-                raise CheckpointError(f"record segment {path} fails checksum verification")
-            document = json.loads(data)
-            chain.append(document["records"])
-            segment = document["previous"]
-        return [record for records in reversed(chain) for record in records]
+    def _read_records(self, prefix: dict[str, Any]) -> tuple[list[dict[str, Any]], Any]:
+        """The verified records of the log ``prefix`` plus its running hash."""
+        path = self.directory / RECORD_LOG
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read(prefix["bytes"])
+        except OSError as exc:
+            raise CheckpointError(f"unreadable record log {path}: {exc}") from exc
+        running = hashlib.sha256(data)
+        if len(data) != prefix["bytes"] or running.hexdigest() != prefix["sha256"]:
+            raise CheckpointError(
+                f"the first {prefix['bytes']} bytes of {path} fail checksum verification"
+            )
+        records = [json.loads(line) for line in data.splitlines()]
+        if len(records) != prefix["count"]:
+            raise CheckpointError(
+                f"{path} holds {len(records)} records in the prefix declared "
+                f"to hold {prefix['count']}"
+            )
+        return records, running
 
     def load(self, manifest_path: Path) -> Checkpoint:
         """Load and verify one checkpoint; :class:`CheckpointError` if bad.
 
-        Later writes continue the loaded checkpoint's record chain.
+        Later writes append after the loaded checkpoint's log prefix.
         """
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -244,15 +263,9 @@ class CheckpointManager:
                     f"array {name!r} in {payload_path} fails checksum "
                     "verification"
                 )
-        segment = manifest["records"]
-        records = self._read_records(segment)
-        declared = 0 if segment is None else segment["count"]
-        if len(records) != declared:
-            raise CheckpointError(
-                f"{manifest_path} declares {declared} records but its "
-                f"segment chain holds {len(records)}"
-            )
-        self._segment = segment
+        prefix = manifest["records"]
+        records, self._hash = self._read_records(prefix)
+        self._prefix = prefix
         return Checkpoint(
             step=int(manifest["step"]),
             arrays=arrays,

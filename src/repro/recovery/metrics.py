@@ -25,7 +25,7 @@ class RecoveryMetrics:
 
     #: Checkpoints durably committed by this runner.
     checkpoints_written: int = 0
-    #: Total payload + record segment + manifest bytes across those
+    #: Total payload + record log + manifest bytes across those
     #: checkpoints.
     checkpoint_bytes: int = 0
     #: Wall seconds spent serializing + durably writing those checkpoints.

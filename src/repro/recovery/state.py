@@ -1,6 +1,7 @@
 """Codecs between live simulation objects and checkpoint (arrays, meta).
 
-Three codecs, one per resumable component:
+Two codecs, one per resumable component (step records carry their own,
+:meth:`~repro.simulation.StepRecord.to_json`):
 
 * **Dataset** — the SoA arrays (centers, widths, named attributes),
   the bounds and the version counter.  The process-local ``uid`` is
@@ -12,9 +13,6 @@ Three codecs, one per resumable component:
   which JSON round-trips exactly (arbitrary-precision ints, repr'd
   doubles), so a restored model draws the *same* random stream the
   uninterrupted run would have drawn.
-* **StepRecord** — plain JSON of the dataclass fields (all already
-  JSON-shaped: the metrics registry coerces counters to Python scalars
-  before they reach the record).
 
 Restores validate eagerly and raise :class:`ValueError` on anything
 that does not look like what the matching snapshot wrote — the loader
@@ -24,23 +22,18 @@ upgrades those into corrupt-checkpoint skips.
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.motion import MotionModel
 
-if TYPE_CHECKING:
-    from repro.simulation.runner import StepRecord
-
 __all__ = [
     "restore_dataset",
     "restore_motion",
     "snapshot_dataset",
     "snapshot_motion",
-    "step_record_from_jsonable",
-    "step_record_to_jsonable",
 ]
 
 
@@ -178,43 +171,3 @@ def restore_motion(
         setattr(motion, name, value)
     return motion
 
-
-# ----------------------------------------------------------------------
-# Step records
-# ----------------------------------------------------------------------
-def step_record_to_jsonable(record: StepRecord) -> dict[str, Any]:
-    """One completed step as a JSON-shaped dict (floats round-trip exactly)."""
-    return {
-        "step": record.step,
-        "n_results": record.n_results,
-        "join_seconds": record.join_seconds,
-        "build_seconds": record.build_seconds,
-        "overlap_tests": record.overlap_tests,
-        "memory_bytes": record.memory_bytes,
-        "phase_seconds": dict(record.phase_seconds),
-        "stage_seconds": dict(record.stage_seconds),
-        "events": list(record.events),
-        "task_retries": record.task_retries,
-        "index_counters": dict(record.index_counters),
-        "incremental": dict(record.incremental),
-    }
-
-
-def step_record_from_jsonable(doc: dict[str, Any]) -> StepRecord:
-    """Inverse of :func:`step_record_to_jsonable`."""
-    from repro.simulation.runner import StepRecord
-
-    return StepRecord(
-        step=int(doc["step"]),
-        n_results=int(doc["n_results"]),
-        join_seconds=float(doc["join_seconds"]),
-        build_seconds=float(doc["build_seconds"]),
-        overlap_tests=int(doc["overlap_tests"]),
-        memory_bytes=int(doc["memory_bytes"]),
-        phase_seconds=dict(doc["phase_seconds"]),
-        stage_seconds=dict(doc["stage_seconds"]),
-        events=list(doc["events"]),
-        task_retries=int(doc["task_retries"]),
-        index_counters=dict(doc["index_counters"]),
-        incremental=dict(doc["incremental"]),
-    )

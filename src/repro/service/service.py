@@ -156,8 +156,10 @@ class JoinService:
                     )
         self._worker = None
         self._queue = None
-        # ring.close() joins the executor pool (shutdown(wait=True)); run
-        # it off-loop so a slow worker cannot stall other service clients.
+        # ring.close() joins the executor pool (shutdown(wait=True)).  No
+        # abandoned task holds it (a step discards the pool of a task it
+        # abandons at the deadline), but stopping a process pool's
+        # workers still takes a while, so it runs off-loop.
         await asyncio.to_thread(self.ring.close)
 
     async def __aenter__(self) -> JoinService:

@@ -585,11 +585,9 @@ class ShardRing:
             overlap_tests=int(self._epoch_counters.get("overlap_tests", 0)),
             memory_bytes=int(memory),
             phase_seconds={},
-            stage_seconds={},
             events=events,
             task_retries=retries,
             index_counters=self.metrics.snapshot(),
-            incremental={},
         )
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
     from repro.datasets import SpatialDataset
     from repro.datasets.motion import MotionModel
-    from repro.joins.base import JoinResult, SpatialJoinAlgorithm
+    from repro.joins.base import JoinResult, JoinStatistics, SpatialJoinAlgorithm
     from repro.recovery.checkpoint import CheckpointManager
     from repro.recovery.metrics import RecoveryMetrics
 
@@ -68,6 +68,10 @@ class StepRecord:
     "step": N}`` when the step was durably checkpointed and
     ``{"kind": "step_retry", "error": ...}`` when the step only
     succeeded on its escalated from-scratch retry.
+
+    The dataclass fields are the record's one schema: :meth:`to_json`
+    and :meth:`from_json` (the checkpoint record log) and the bench
+    document's step keys are all derived from them.
     """
 
     step: int
@@ -87,6 +91,43 @@ class StepRecord:
     #: algorithms without the provider, so pre-existing records and
     #: readers keep working unchanged.
     incremental: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def from_stats(cls, step: int, n_results: int, stats: JoinStatistics) -> StepRecord:
+        """The record of one join step from its statistics."""
+        return cls(
+            step=step,
+            n_results=n_results,
+            join_seconds=stats.join_seconds,
+            build_seconds=stats.build_seconds,
+            overlap_tests=stats.overlap_tests,
+            memory_bytes=stats.memory_bytes,
+            phase_seconds=dict(stats.phase_seconds),
+            stage_seconds=dict(stats.stage_seconds),
+            events=list(stats.events),
+            task_retries=stats.task_retries,
+            index_counters=dict(stats.index_counters),
+            incremental=dict(stats.index_counters.get("incremental", {})),
+        )
+
+    def to_json(self) -> dict[str, Any]:
+        """This record as a JSON-shaped dict, one key per field.
+
+        Every field is already JSON-shaped (the metrics registry
+        coerces counters to Python scalars), and floats round-trip
+        exactly through JSON.
+        """
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, doc: dict[str, Any]) -> StepRecord:
+        """Inverse of :meth:`to_json`; refuses missing or unknown keys."""
+        names = {spec.name for spec in fields(cls)}
+        if set(doc) != names:
+            raise ValueError(
+                f"step record keys {sorted(doc)} differ from the fields {sorted(names)}"
+            )
+        return cls(**doc)
 
     @property
     def total_seconds(self) -> float:
@@ -183,8 +224,8 @@ class SimulationRunner:
         #: First step the next :meth:`run` call will execute (advanced
         #: by :meth:`resume` past the checkpointed prefix).
         self._next_step = 0
-        #: Records already in the checkpoint record chain; each
-        #: checkpoint writes only the ones after them.
+        #: Records already in the checkpoint record log; each
+        #: checkpoint appends only the ones after them.
         self._records_checkpointed = 0
         if checkpoint_dir is not None:
             from repro.recovery import CheckpointManager, RecoveryMetrics
@@ -225,23 +266,7 @@ class SimulationRunner:
             result = self._run_step(step, pending_delta)
             if result is None:
                 break
-            stats = result.stats
-            self.records.append(
-                StepRecord(
-                    step=step,
-                    n_results=result.n_results,
-                    join_seconds=stats.join_seconds,
-                    build_seconds=stats.build_seconds,
-                    overlap_tests=stats.overlap_tests,
-                    memory_bytes=stats.memory_bytes,
-                    phase_seconds=dict(stats.phase_seconds),
-                    stage_seconds=dict(stats.stage_seconds),
-                    events=list(stats.events),
-                    task_retries=stats.task_retries,
-                    index_counters=dict(stats.index_counters),
-                    incremental=dict(stats.index_counters.get("incremental", {})),
-                )
-            )
+            self.records.append(StepRecord.from_stats(step, result.n_results, result.stats))
             self._next_step = step + 1
             if (
                 self._checkpoints is not None
@@ -301,11 +326,7 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     def _write_checkpoint(self, step: int) -> None:
         """Durably commit the state needed to resume after ``step``."""
-        from repro.recovery import (
-            snapshot_dataset,
-            snapshot_motion,
-            step_record_to_jsonable,
-        )
+        from repro.recovery import snapshot_dataset, snapshot_motion
 
         assert self._checkpoints is not None and self.recovery is not None
         started = time.perf_counter()
@@ -313,7 +334,7 @@ class SimulationRunner:
         # resumed run restores this record from the checkpoint, and the
         # uninterrupted run's copy carries the event — bit-identity
         # requires both to agree.  No byte count in the event on
-        # purpose: segment sizes vary run-to-run (wall-time floats), and
+        # purpose: record sizes vary run-to-run (wall-time floats), and
         # the event stream is part of the bit-identity contract.
         self.records[-1].events.append({"kind": "checkpoint", "step": step})
         arrays: dict[str, Any] = {}
@@ -337,10 +358,7 @@ class SimulationRunner:
                 "checkpoint_every": self.checkpoint_every,
             },
         }
-        records = [
-            step_record_to_jsonable(r)
-            for r in self.records[self._records_checkpointed :]
-        ]
+        records = [r.to_json() for r in self.records[self._records_checkpointed :]]
         nbytes = self._checkpoints.write(step, arrays, meta, records)
         self._records_checkpointed = len(self.records)
         self.recovery.record_checkpoint(nbytes, time.perf_counter() - started)
@@ -365,12 +383,7 @@ class SimulationRunner:
         runner's next :meth:`run` call continues the trajectory
         bit-identically to a run that was never interrupted.
         """
-        from repro.recovery import (
-            CheckpointManager,
-            restore_dataset,
-            restore_motion,
-            step_record_from_jsonable,
-        )
+        from repro.recovery import CheckpointManager, restore_dataset, restore_motion
 
         manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
         checkpoint, skipped = manager.load_latest()
@@ -402,9 +415,9 @@ class SimulationRunner:
             ),
             keep_last=keep_last,
         )
-        # The loading manager continues the chain it loaded.
+        # The loading manager appends after the log prefix it loaded.
         runner._checkpoints = manager
-        runner.records = [step_record_from_jsonable(doc) for doc in checkpoint.records]
+        runner.records = [StepRecord.from_json(doc) for doc in checkpoint.records]
         runner._records_checkpointed = len(runner.records)
         runner._next_step = int(runner_meta["next_step"])
         assert runner.recovery is not None

@@ -16,6 +16,7 @@ Covers the three executor bugfixes:
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestSharedDeadline:
         try:
             self._assert_one_budget(executor, dense_dataset, serial_keys)
         finally:
-            executor.close()  # waits out the hung workers
+            executor.close()  # the hung threads finish in the background
 
     def test_process_hangs_share_one_deadline(self, dense_dataset, serial_keys):
         executor = ProcessExecutor(n_workers=2, task_timeout=self.TIMEOUT)
@@ -156,6 +157,25 @@ class TestSharedDeadline:
         executor = SerialExecutor()
         assert executor.task_timeout is None
         assert executor._step_deadline() is None
+
+
+class TestAbandonedTasks:
+    def test_close_does_not_wait_on_an_abandoned_process_task(
+        self, dense_dataset, serial_keys
+    ):
+        # The step abandons the hung task at its deadline; its pool goes
+        # with it, so close() has nothing left to wait for.
+        before = set(multiprocessing.active_children())
+        install_fault_plan(parse_faults("hang@1:4"))
+        executor = ProcessExecutor(n_workers=2, task_timeout=0.25)
+        result = ThermalJoin(resolution=1.0, executor=executor).step(dense_dataset)
+        n = len(dense_dataset)
+        assert np.array_equal(pack_pairs(*unique_pairs(*result.pairs, n), n), serial_keys)
+        assert [e["kind"] for e in result.stats.events] == ["task_timeout"]
+        started = time.monotonic()
+        executor.close()
+        assert time.monotonic() - started < 1.0
+        assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------

@@ -20,13 +20,12 @@ from repro.obs import (
     MetricsRegistry,
     NullTracer,
     Tracer,
+    bench_run,
     get_tracer,
-    run_aggregates,
     set_tracer,
     to_jsonable,
     validate_bench,
 )
-from repro.recovery import step_record_to_jsonable
 from repro.simulation import SimulationRunner
 
 
@@ -169,18 +168,7 @@ class TestBenchSchema:
             "kind": "bench_steps",
             "environment": environment_info(),
             "config": {},
-            "runs": [
-                {
-                    "workload": "uniform",
-                    "algorithm": "pbsm",
-                    "executor": "serial",
-                    "checkpoint_every": 0,
-                    "n_objects": len(dataset),
-                    "n_steps": len(runner.records),
-                    "steps": to_jsonable([step_record_to_jsonable(r) for r in runner.records]),
-                    "aggregates": run_aggregates(runner),
-                }
-            ],
+            "runs": [bench_run("uniform", "pbsm", runner.records, n_objects=len(dataset))],
         }
 
     def test_valid_document_passes_and_is_json(self):

@@ -43,13 +43,11 @@ from repro.recovery import (
     restore_motion,
     snapshot_dataset,
     snapshot_motion,
-    step_record_from_jsonable,
-    step_record_to_jsonable,
     write_json,
     write_npz,
 )
 from repro.recovery.checkpoint import _sha256
-from repro.simulation import SimulationRunner
+from repro.simulation import SimulationRunner, StepRecord
 
 N_STEPS = 8
 
@@ -244,6 +242,7 @@ class TestCheckpointManager:
             manager.write(step, {"data": np.arange(step + 1)}, {})
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
+            "records.jsonl",
             "step-000003.json",
             "step-000003.npz",
             "step-000004.json",
@@ -359,8 +358,18 @@ class TestStateCodecs:
         runner = SimulationRunner(uniform_small, None, ThermalJoin())
         runner.run(2)
         for record in runner.records:
-            doc = json.loads(json.dumps(step_record_to_jsonable(record)))
-            assert step_record_from_jsonable(doc) == record
+            doc = json.loads(json.dumps(record.to_json()))
+            assert StepRecord.from_json(doc) == record
+
+    def test_step_record_refuses_missing_or_unknown_keys(self, uniform_small):
+        runner = SimulationRunner(uniform_small, None, ThermalJoin())
+        runner.run(1)
+        doc = runner.records[0].to_json()
+        with pytest.raises(ValueError, match="fields"):
+            StepRecord.from_json({**doc, "extra": 1})
+        del doc["incremental"]
+        with pytest.raises(ValueError, match="fields"):
+            StepRecord.from_json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -560,6 +569,18 @@ class TestResumeBitIdentity:
         resumed.run(N_STEPS)
         assert_trajectories_identical(baseline.records, resumed.records)
 
+    def test_version_4_checkpoint_refused(self, tmp_path):
+        # Version 4 kept the records in chained per-checkpoint segments
+        # and has no record-log prefix to verify.
+        manager = CheckpointManager(tmp_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.recovery.checkpoint.FORMAT_VERSION", 4)
+            manager.write(0, {"data": np.arange(4)}, {}, [{"step": 0}])
+        with pytest.raises(CheckpointError, match="format version 4"):
+            manager.load(tmp_path / "step-000000.json")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            manager.load_latest()
+
     @pytest.mark.parametrize("executor", ["serial", "thread:2"])
     def test_resume_matches_across_executors(self, executor, tmp_path):
         def algo():
@@ -672,14 +693,19 @@ class TestCheckpointContents:
         first = (tmp_path / "step-000009.json").stat().st_size
         last = (tmp_path / "step-000059.json").stat().st_size
         assert abs(last - first) <= 0.1 * first, (first, last)
-        # Every record is stored once, in the segment of its checkpoint.
-        checkpoint, _skipped = CheckpointManager(tmp_path).load_latest()
-        assert [doc["step"] for doc in checkpoint.records] == list(range(60))
-        assert sorted(p.name for p in tmp_path.glob("records-*.json")) == [
-            f"records-{step:06d}.json" for step in range(9, 60, 10)
-        ]
 
-    def test_bitflipped_record_segment_falls_back(self, tmp_path):
+    def test_retained_checkpoints_share_one_record_log(self, tmp_path):
+        _low_motion_runner(tmp_path, checkpoint_every=10, keep_last=3).run(60)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"] + [
+            f"step-{step:06d}.{suffix}" for step in (39, 49, 59) for suffix in ("json", "npz")
+        ]
+        # Every record is stored once, as one line of the log.
+        checkpoint, skipped = CheckpointManager(tmp_path).load_latest()
+        assert skipped == 0
+        assert [doc["step"] for doc in checkpoint.records] == list(range(60))
+        assert len((tmp_path / "records.jsonl").read_bytes().splitlines()) == 60
+
+    def test_bitflipped_record_log_falls_back(self, tmp_path):
         dataset, motion = _make_workload("uniform")
         baseline = SimulationRunner(dataset, motion, ThermalJoin())
         baseline.run(N_STEPS)
@@ -690,8 +716,9 @@ class TestCheckpointContents:
             checkpoint_every=2,
         )
         first.run(6)  # checkpoints at steps 1, 3, 5
-        corrupt_bitflip(tmp_path / "records-000005.json")
-        with pytest.raises(CheckpointError, match="record segment"):
+        manifest = json.loads((tmp_path / "step-000003.json").read_text())
+        corrupt_bitflip(tmp_path / "records.jsonl", offset=manifest["records"]["bytes"] + 5)
+        with pytest.raises(CheckpointError, match="records.jsonl fail checksum"):
             CheckpointManager(tmp_path).load(tmp_path / "step-000005.json")
 
         resumed = SimulationRunner.resume(tmp_path, ThermalJoin())
@@ -699,11 +726,28 @@ class TestCheckpointContents:
         assert resumed.recovery.corrupt_skipped == 1
         resumed.run(N_STEPS)
         assert_trajectories_identical(baseline.records, resumed.records)
-        # The resumed run continued the step-3 chain and replaced the
-        # corrupt segment: the newest checkpoint loads in full.
+        # The resumed run cut the log back to the step-3 prefix before
+        # appending: the newest checkpoint loads in full.
         checkpoint, skipped = CheckpointManager(tmp_path).load_latest()
         assert (checkpoint.step, skipped) == (7, 0)
         assert [doc["step"] for doc in checkpoint.records] == list(range(N_STEPS))
+
+    def test_torn_log_tail_is_ignored_then_dropped(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        manager.write(0, {"data": np.arange(4)}, {}, [{"step": 0}])
+        log = tmp_path / "records.jsonl"
+        committed = log.read_bytes()
+        # A crash between the append and the manifest leaves a tail no
+        # manifest covers.
+        with open(log, "ab") as handle:
+            handle.write(b'{"step": 1, "torn')
+        resumed = CheckpointManager(tmp_path)
+        checkpoint, skipped = resumed.load_latest()
+        assert (checkpoint.records, skipped) == ([{"step": 0}], 0)
+        resumed.write(1, {"data": np.arange(4)}, {}, [{"step": 1}])
+        assert log.read_bytes() == committed + b'{"step":1}\n'
+        checkpoint, skipped = CheckpointManager(tmp_path).load_latest()
+        assert (checkpoint.records, skipped) == ([{"step": 0}, {"step": 1}], 0)
 
     def test_restore_rederives_pairs_and_leaves_the_state_alone(self, tmp_path):
         runner = self._low_motion_checkpoints(tmp_path)
