@@ -39,10 +39,11 @@ if TYPE_CHECKING:
 
 __all__ = ["execute_step", "DEFAULT_PARTITION_TASKS"]
 
-#: Default partition grain for ported algorithms.  Fixed (rather than
-#: derived from the executor's worker count) so pair sets and overlap
-#: test totals are bit-identical across serial, thread and process
-#: execution.
+#: Most tasks a plan splits one family of work into.  A plan may use
+#: fewer — THERMAL-JOIN's re-verify plan sizes its task count by
+#: candidate volume — but the count is a function of the plan alone,
+#: never of the executor's worker count, so pair sets and overlap test
+#: totals are bit-identical across serial, thread and process execution.
 DEFAULT_PARTITION_TASKS = 8
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ThermalJoin
+from repro.core import PGrid, ThermalJoin
 from repro.datasets import (
     IntermittentTranslation,
     MotionDelta,
@@ -24,8 +24,9 @@ from repro.datasets import (
     make_uniform_dataset,
 )
 from repro.datasets.motion import BranchJitter, ClusterDrift
-from repro.engine import ChurnPolicy, install_fault_plan
+from repro.engine import ChurnPolicy, SerialExecutor, install_fault_plan, parse_faults
 from repro.engine import faults as faults_module
+from repro.engine.faults import InjectedFault
 from repro.engine.incremental import CHURN_CEILING, CHURN_FLOOR
 from repro.geometry import MaintainedPairSet, brute_force_pairs, pack_pairs
 from repro.geometry.pairs import KeySnapshot, canonicalize_pairs
@@ -304,6 +305,198 @@ class TestFaults:
         assert faulted[2] == reference[2]
         for a, b in zip(reference[0], faulted[0], strict=True):
             assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# The P-Grid splice: only a delta that bridges the grid's last refresh
+# ----------------------------------------------------------------------
+@pytest.fixture
+def grid_paths(monkeypatch):
+    """Record, per P-Grid refresh, whether it spliced or assigned."""
+    paths = []
+    splice, assign = PGrid._splice, PGrid._assign
+
+    def spliced(self, *args):
+        paths.append("splice")
+        return splice(self, *args)
+
+    def assigned(self, *args):
+        paths.append("assign")
+        return assign(self, *args)
+
+    monkeypatch.setattr(PGrid, "_splice", spliced)
+    monkeypatch.setattr(PGrid, "_assign", assigned)
+    return paths
+
+
+def assert_grid_is_fresh(algorithm, dataset):
+    """The grid's per-cell arrays equal a from-scratch assignment."""
+    grid = algorithm.pgrid
+    twin = PGrid(grid.cell_width, grid.origin, grid.gc_threshold)
+    lo, _ = dataset.boxes()
+    twin._assign(dataset.centers, lo[:, 0], dataset.widths)
+    for name in (
+        "cat",
+        "cell_starts",
+        "cell_stops",
+        "cell_min_width",
+        "cell_max_width",
+        "cell_center_lo",
+        "cell_center_hi",
+    ):
+        assert np.array_equal(getattr(grid, name), getattr(twin, name)), name
+
+
+class TestGridSplice:
+    def test_incremental_steps_splice(self, grid_paths):
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True, resolution=1.0)
+        delta = None
+        for _ in range(5):
+            del grid_paths[:]
+            result = algorithm.step_delta(dataset, delta)
+            mode = algorithm._incr["mode"]
+            assert grid_paths == ["splice" if mode == "incremental" else "assign"]
+            assert_grid_is_fresh(algorithm, dataset)
+            assert np.array_equal(result_keys(result, len(dataset)), oracle_keys(dataset))
+            delta = motion.step(dataset)
+        assert mode == "incremental"
+        assert algorithm._refresh_delta is None
+
+    def _assert_assigns_then_splices(self, algorithm, dataset, motion, paths):
+        """The next step assigns in full; the one after splices again."""
+        for expected in ("assign", "splice"):
+            delta = motion.step(dataset)
+            del paths[:]
+            result = algorithm.step_delta(dataset, delta)
+            assert paths == [expected]
+            assert_grid_is_fresh(algorithm, dataset)
+            assert np.array_equal(result_keys(result, len(dataset)), oracle_keys(dataset))
+
+    def test_translate_between_steps_assigns(self, grid_paths):
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True, resolution=1.0)
+        _steps_to_first_incremental(algorithm, dataset, motion)
+        shift = np.zeros_like(dataset.centers)
+        shift[::5] = 2.5
+        dataset.translate(shift)  # moves objects with no delta
+        self._assert_assigns_then_splices(algorithm, dataset, motion, grid_paths)
+
+    def test_interleaved_join_of_another_dataset_assigns(self, grid_paths):
+        dataset = small_dataset()
+        other = small_dataset(seed=8)
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True, resolution=1.0)
+        _steps_to_first_incremental(algorithm, dataset, motion)
+        algorithm.step(other)
+        assert algorithm.pgrid.source == (other.uid, other.version)
+        self._assert_assigns_then_splices(algorithm, dataset, motion, grid_paths)
+
+    def test_resumed_run_assigns_then_splices(self, grid_paths, tmp_path):
+        def runner(**kwargs):
+            dataset = small_dataset()
+            return SimulationRunner(
+                dataset,
+                MOTIONS["intermittent-low"](dataset),
+                ThermalJoin(pair_maintenance=True),
+                **kwargs,
+            )
+
+        # The same checkpoint cadence: a checkpoint folds the pair set.
+        baseline = runner(checkpoint_dir=tmp_path / "baseline", checkpoint_every=4)
+        baseline.run(12)
+        runner(checkpoint_dir=tmp_path / "cut", checkpoint_every=4).run(8)
+        resumed = SimulationRunner.resume(
+            tmp_path / "cut", ThermalJoin(pair_maintenance=True)
+        )
+        assert resumed.algorithm.pgrid.source is None
+        step = resumed._next_step
+        for expected in ("assign", "splice"):
+            del grid_paths[:]
+            resumed.run(step + 1)
+            assert resumed.records[step].incremental["mode"] == "incremental"
+            assert grid_paths == [expected]
+            step += 1
+        resumed.run(12)
+        for a, b in zip(baseline.records, resumed.records, strict=True):
+            assert (a.n_results, a.overlap_tests) == (b.n_results, b.overlap_tests)
+            assert a.index_counters["pgrid"] == b.index_counters["pgrid"]
+            assert a.incremental == b.incremental
+
+    def test_failed_incremental_step_then_good_steps_match(self, grid_paths):
+        """A step that raises past a zero retry budget leaves no stale
+        delta behind: the next step assigns in full, later steps splice,
+        and pairs and grid counters match an uninterrupted run."""
+
+        def trajectory(fail_step=None):
+            dataset = small_dataset()
+            motion = MOTIONS["intermittent-low"](dataset)
+            algorithm = ThermalJoin(
+                pair_maintenance=True,
+                resolution=1.0,
+                executor=SerialExecutor(max_retries=0),
+            )
+            delta = None
+            steps = []
+            for step in range(8):
+                if step == fail_step:
+                    assert algorithm._incr["mode"] == "incremental"
+                    install_fault_plan(parse_faults("raise@0"))
+                    try:
+                        with pytest.raises(InjectedFault):
+                            algorithm.step_delta(dataset, delta)
+                    finally:
+                        install_fault_plan(None)
+                    assert algorithm._refresh_delta is None
+                    steps.append(None)
+                else:
+                    del grid_paths[:]
+                    result = algorithm.step_delta(dataset, delta)
+                    grid = algorithm.pgrid
+                    steps.append(
+                        (
+                            result.n_results,
+                            result_keys(result, len(dataset)),
+                            (grid.cells_created, grid.cells_recycled, grid.gc_runs),
+                            algorithm._incr["mode"],
+                            list(grid_paths),
+                        )
+                    )
+                delta = motion.step(dataset)
+            return steps
+
+        reference = trajectory()
+        faulted = trajectory(fail_step=4)
+        assert faulted[5][3:] == ("full", ["assign"])
+        assert faulted[6][3:] == ("incremental", ["splice"])
+        for step, (a, b) in enumerate(zip(reference, faulted, strict=True)):
+            if b is None:
+                continue
+            assert a[0] == b[0], step
+            assert np.array_equal(a[1], b[1]), step
+            assert a[2] == b[2], step
+
+    def test_reverify_tasks_are_sized_by_volume(self, monkeypatch):
+        """Few candidates make one task per family; a smaller batch splits
+        them up to the partition cap, with identical results."""
+        tasks = []
+        delta_plan = ThermalJoin.delta_plan
+
+        def counting(self, dataset, delta):
+            plan = delta_plan(self, dataset, delta)
+            tasks.append(len(plan.tasks))
+            return plan
+
+        monkeypatch.setattr(ThermalJoin, "delta_plan", counting)
+        _, series, modes = run_maintained("intermittent-low")
+        assert "incremental" in modes and max(tasks) <= 3
+        few = len(tasks)
+        monkeypatch.setattr("repro.core.thermal.DEFAULT_CHUNK_CANDIDATES", 1)
+        _, split_series, split_modes = run_maintained("intermittent-low")
+        assert (split_series, split_modes) == (series, modes)
+        assert max(tasks[few:]) > 3
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HillClimbingTuner, PGrid, ThermalJoin, pack_cell_ids, unpack_cell_ids
+from repro.core import (
+    HillClimbingTuner,
+    PGrid,
+    ThermalJoin,
+    neighbor_pairs,
+    pack_cell_ids,
+    unpack_cell_ids,
+)
 from repro.core.tuning import R_MAX, R_MIN
 from repro.datasets import SpatialDataset
 from repro.geometry import (
@@ -158,6 +165,116 @@ class TestHotSpotInvariant:
         sizes = grid.cell_stops - grid.cell_starts
         assert (sizes > 0).all() and sizes.size == grid.n_occupied
         assert np.array_equal(np.sort(grid.cat), np.arange(len(dataset)))
+
+
+# ----------------------------------------------------------------------
+# P-Grid splice: an incremental refresh equals a full assignment
+# ----------------------------------------------------------------------
+#: Half-unit lattice points: lower x bounds tie often, within and across cells.
+lattice = st.integers(min_value=0, max_value=24).map(lambda k: k * 0.5)
+#: A region no object starts in, so moves there open brand-new cells.
+far = st.integers(min_value=60, max_value=80).map(lambda k: k * 0.5)
+point = st.one_of(st.tuples(lattice, lattice, lattice), st.tuples(far, far, far))
+
+
+@st.composite
+def motion_runs(draw, max_size=40, max_steps=5):
+    """Objects on the lattice plus a few steps of (index, target) moves."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    centers = draw(
+        st.lists(st.tuples(lattice, lattice, lattice), min_size=n, max_size=n)
+    )
+    widths = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    moves = st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1), point))
+    steps = draw(st.lists(moves, min_size=1, max_size=max_steps))
+    return np.asarray(centers), np.asarray(widths), steps
+
+
+class _SplicingGrid(PGrid):
+    """A P-Grid that counts the refreshes it spliced."""
+
+    splices = 0
+
+    def _splice(self, *args):
+        self.splices += 1
+        return super()._splice(*args)
+
+
+def _refresh(grid, dataset, delta=None):
+    lo, _hi = dataset.boxes()
+    grid.refresh(
+        dataset.centers,
+        lo[:, 0],
+        dataset.widths,
+        dataset.max_width,
+        source=(dataset.uid, dataset.version),
+        delta=delta,
+    )
+
+
+def _move(dataset, moves):
+    before = dataset.centers.copy()
+    for index, target in moves:
+        dataset.centers[index] = target
+    return dataset.commit_motion(before)
+
+
+def _assert_same_grid(spliced, assigned):
+    for name in (
+        "cat",
+        "cell_starts",
+        "cell_stops",
+        "cell_min_width",
+        "cell_max_width",
+        "cell_center_lo",
+        "cell_center_hi",
+        "ids",
+        "vacant",
+    ):
+        a, b = getattr(spliced, name), getattr(assigned, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("cells_created", "cells_recycled", "gc_runs", "_n_links"):
+        assert getattr(spliced, name) == getattr(assigned, name), name
+    links = neighbor_pairs(spliced.ids, spliced.ids, spliced.layers)[0].size
+    assert spliced._n_links == links
+
+
+class TestPGridSplice:
+    @given(motion_runs(), st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_splice_equals_full_assign(self, run, resolution):
+        """Splicing the moved objects gives the arrays, table and counters
+        a full ``lexsort`` assignment gives — tied x bounds, new and
+        emptied cells, garbage collection and two layers (``r < 1``)
+        included."""
+        centers, widths, steps = run
+        dataset = SpatialDataset(centers, widths)
+        cell_width = resolution * dataset.max_width
+        spliced = _SplicingGrid(cell_width, np.full(3, -1.0))
+        assigned = PGrid(cell_width, np.full(3, -1.0))
+        _refresh(spliced, dataset)
+        _refresh(assigned, dataset)
+        for moves in steps:
+            delta = _move(dataset, moves)
+            _refresh(spliced, dataset, delta)
+            _refresh(assigned, dataset)
+            _assert_same_grid(spliced, assigned)
+        assert spliced.splices == len(steps)
+
+    def test_splice_through_new_cells_and_garbage_collection(self):
+        rng = np.random.default_rng(5)
+        dataset = SpatialDataset(rng.integers(0, 20, size=(30, 3)) * 0.5, 1.0)
+        spliced = _SplicingGrid(1.0, np.full(3, -1.0))
+        assigned = PGrid(1.0, np.full(3, -1.0))
+        _refresh(spliced, dataset)
+        _refresh(assigned, dataset)
+        created = spliced.cells_created
+        delta = _move(dataset, [(i, (35.0 + i, 35.0, 35.0)) for i in range(25)])
+        _refresh(spliced, dataset, delta)
+        _refresh(assigned, dataset)
+        assert spliced.splices == 1
+        assert spliced.cells_created > created and spliced.gc_runs == 1
+        _assert_same_grid(spliced, assigned)
 
 
 # ----------------------------------------------------------------------
