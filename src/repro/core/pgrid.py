@@ -336,6 +336,10 @@ class PGrid:
         """Neighbour pairs among table cells with an endpoint in ``mask``."""
         ids = self.ids[mask]
         forward, _ = neighbor_pairs(ids, self.ids, self.layers)
+        if ids.size == self.ids.size:
+            # Every cell is in the mask (a first build): the forward
+            # search alone finds each pair once.
+            return int(forward.size)
         _, backward = neighbor_pairs(ids, self.ids, self.layers, direction=-1)
         # A backward neighbour inside the mask counted the pair forward.
         return int(forward.size + np.count_nonzero(~mask[backward]))

@@ -88,6 +88,61 @@ _OPS_RESULT = 0.05
 TGRID_MIN_OBJECTS = 24
 
 
+def _split_runs(
+    cat: np.ndarray, starts: np.ndarray, stops: np.ndarray, flag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stably split each of the ``S`` runs of a grouping by ``flag``.
+
+    ``cat[starts[s]:stops[s]]`` are run ``s``'s entries, the runs tile
+    ``cat`` in order and ``flag`` is aligned with ``cat``.  Returns the
+    grouping of ``2S`` runs in which run ``s`` holds run ``s``'s unflagged
+    entries and run ``S + s`` its flagged ones, both in their old order,
+    so an x-sorted run splits into two x-sorted runs.
+    """
+    csum = np.concatenate([[0], np.cumsum(flag)])
+    flagged = csum[stops] - csum[starts]
+    counts = np.concatenate([(stops - starts) - flagged, flagged])
+    run_stops = np.cumsum(counts)
+    return np.concatenate([cat[~flag], cat[flag]]), run_stops - counts, run_stops
+
+
+def _run_pairs(
+    pair_a: np.ndarray,
+    pair_b: np.ndarray,
+    filled_a: np.ndarray,
+    filled_b: np.ndarray,
+    halo_runs: int,
+    within: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The run pairs that join the cell pairs ``(pair_a, pair_b)``.
+
+    Without a halo split (``halo_runs == 0``) a cell is one run and the
+    pairs come back as given.  With one, cell ``c``'s home run is ``c``
+    and its halo run ``c + halo_runs``; each cell pair becomes its
+    home×home, home×halo and halo×home run pairs, and never halo×halo.
+    ``filled_a`` and ``filled_b`` flag the non-empty runs of each side;
+    a run pair with an empty side is left out.  ``within`` says both
+    sides are one grouping of distinct cells: then each cell's home run
+    also meets its own halo run.
+    """
+    if not halo_runs:
+        return pair_a, pair_b
+    home_a = filled_a[:halo_runs][pair_a]
+    halo_a = filled_a[halo_runs:][pair_a]
+    home_b = filled_b[:halo_runs][pair_b]
+    halo_b = filled_b[halo_runs:][pair_b]
+    both = home_a & home_b
+    to_halo = home_a & halo_b
+    from_halo = halo_a & home_b
+    runs_a = [pair_a[both], pair_a[to_halo], pair_a[from_halo] + halo_runs]
+    runs_b = [pair_b[both], pair_b[to_halo] + halo_runs, pair_b[from_halo]]
+    if within:
+        own = np.flatnonzero(filled_a[:halo_runs] & filled_a[halo_runs:])
+        runs_a.append(own)
+        runs_b.append(own + halo_runs)
+    return np.concatenate(runs_a), np.concatenate(runs_b)
+
+
 @dataclass
 class TGridCellsTask(JoinTask):
     """Internal join of a slice of the dense cells through T-Grids.
@@ -162,6 +217,18 @@ class ThermalJoin(SpatialJoinAlgorithm):
         approaches": cell pairs are independent work units, so
         ``"thread:N"`` or ``"process:N"`` runs them on ``N`` workers
         with results and statistics identical to the serial run.
+
+    Attributes
+    ----------
+    halo:
+        Optional ``(n,)`` boolean mask over the joined dataset's objects,
+        ``None`` by default.  When set, no candidate with both objects
+        flagged is formed, so no such pair is emitted: the class-based
+        mini-join rule of Tsitsigkos et al. for objects that start
+        outside a tile.  :class:`~repro.service.ShardRing` flags each
+        shard's halo members, whose pairs among themselves another shard
+        owns.  Distance joins and the re-derive of :meth:`restore_state`
+        honour it too.
     """
 
     name = "thermal-join"
@@ -195,6 +262,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self.incremental = bool(incremental)
         self.memory_quota_bytes = memory_quota_bytes
         self.pgrid: PGrid | None = None
+        self.halo: np.ndarray | None = None
         # T-Grid diagnostics over the join's lifetime: P-Grid cells joined
         # by the fallback sweep, and the most T-cells built in one step.
         self._tgrid_fallbacks = 0
@@ -213,6 +281,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self._maintained: MaintainedPairSet | None = None
         self._maintained_uid: int | None = None
         self._maintained_version: int | None = None
+        # The halo mask the maintained set was last made under.
+        self._maintained_halo: np.ndarray | None = None
         # The delta of the incremental step in flight, for the P-Grid
         # refresh to splice the moved objects (set only by step_delta).
         self._refresh_delta: MotionDelta | None = None
@@ -366,6 +436,28 @@ class ThermalJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Join phase (Algorithm 2), as an engine plan
     # ------------------------------------------------------------------
+    def _runs(
+        self, dataset: SpatialDataset
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The P-Grid's grouping, split into home and halo runs under :attr:`halo`.
+
+        Returns ``(cat, starts, stops, halo_runs)``.  Without a mask a run
+        is a cell and ``halo_runs`` is 0; with one there are ``2S`` runs
+        (:func:`_split_runs`), cell ``c``'s home run ``c`` and its halo run
+        ``c + S``, and ``halo_runs`` is ``S``.
+        """
+        pgrid = self.pgrid
+        cat, starts, stops = pgrid.cat, pgrid.cell_starts, pgrid.cell_stops
+        if self.halo is None:
+            return cat, starts, stops, 0
+        halo = np.asarray(self.halo, dtype=bool)
+        if halo.shape != (len(dataset),):
+            raise ValueError(
+                f"halo mask of shape {halo.shape} does not match "
+                f"{len(dataset)} objects"
+            )
+        return (*_split_runs(cat, starts, stops, halo[cat]), int(starts.size))
+
     def plan(self, dataset: SpatialDataset) -> JoinPlan:
         """Partition the step into external, hot-spot, sweep and T-Grid tasks.
 
@@ -376,34 +468,54 @@ class ThermalJoin(SpatialJoinAlgorithm):
         volume-balanced :class:`TGridCellsTask` slices.  The split is
         deterministic, so every executor reproduces the serial run's
         pair set and overlap-test total exactly.
+
+        Under a :attr:`halo` mask each cell's list splits into a home and a
+        halo run (:meth:`_runs`).  The internal joins run on home runs
+        only, and the external join pairs runs by :func:`_run_pairs`,
+        each cell's home run with its own halo run included, so no
+        halo×halo candidate is formed.  A cell's aggregates bound any subset of its
+        objects, so both runs share them.
         """
         lo, hi = self._boxes
         pgrid = self.pgrid
-        # Built once per step and shared by every task over the grouping.
-        cat_values, sweep_keys = sweep_index(
-            lo, hi, pgrid.cat, pgrid.cell_starts, pgrid.cell_stops
+        cat, starts, stops, halo_runs = self._runs(dataset)
+        aggregates = (
+            pgrid.cell_center_lo,
+            pgrid.cell_center_hi,
+            pgrid.cell_min_width,
+            pgrid.cell_max_width,
         )
+        if halo_runs:
+            aggregates = tuple(np.tile(values, (2, 1)) for values in aggregates)
+        center_lo, center_hi, min_width, max_width = aggregates
+        # Built once per step and shared by every task over the grouping.
+        cat_values, sweep_keys = sweep_index(lo, hi, cat, starts, stops)
         context = {
             "lo": lo,
             "hi": hi,
             "centers": dataset.centers,
             "widths": dataset.widths,
-            "cat": pgrid.cat,
-            "starts": pgrid.cell_starts,
-            "stops": pgrid.cell_stops,
-            "center_lo": pgrid.cell_center_lo,
-            "center_hi": pgrid.cell_center_hi,
-            "cell_min_width": pgrid.cell_min_width,
-            "cell_max_width": pgrid.cell_max_width,
+            "cat": cat,
+            "starts": starts,
+            "stops": stops,
+            "center_lo": center_lo,
+            "center_hi": center_hi,
+            "cell_min_width": min_width,
+            "cell_max_width": max_width,
             "cat_values": cat_values,
             "sweep_keys": sweep_keys,
         }
         tasks = []
-        sizes = pgrid.cell_stops - pgrid.cell_starts
+        sizes = stops - starts
 
-        # ---- External join: all neighbouring cell pairs, chunked. ----
+        # ---- External join: all neighbouring run pairs, chunked. ----
         occupied = pgrid.occupied_ids
         pair_a, pair_b = neighbor_pairs(occupied, occupied, pgrid.layers)
+        if halo_runs:
+            filled = sizes > 0
+            pair_a, pair_b = _run_pairs(
+                pair_a, pair_b, filled, filled, halo_runs, within=True
+            )
         cell_pair_joins = int(pair_a.size)
         if pair_a.size:
             weights = sizes[pair_a] * sizes[pair_b]
@@ -417,7 +529,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
                 )
 
         # ---- Internal join: hot spots, small-cell sweeps, T-Grids. ----
-        multi = sizes > 1
+        # Slot s of the grid is run s: the whole cell, or its home run.
+        home = sizes[: pgrid.cell_starts.size]
+        multi = home > 1
         hot_spot_cells = 0
         tgrid_cells = 0
         if self.hot_spots:
@@ -435,7 +549,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             # take the in-cell plane sweep in one batched task (their
             # sweep cannot "degenerate into a nested-loop join" — the
             # degeneration the paper worries about needs a dense cell).
-            large = np.logical_and(not_hot, sizes >= TGRID_MIN_OBJECTS)
+            large = np.logical_and(not_hot, home >= TGRID_MIN_OBJECTS)
             small_slots = np.flatnonzero(np.logical_and(not_hot, ~large))
             if small_slots.size:
                 tasks.append(
@@ -447,7 +561,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             tgrid_cells = int(tgrid_slots.size)
             cell_lo = pgrid.cell_lo(tgrid_slots)
             for start, stop in chunk_by_volume(
-                sizes[tgrid_slots], DEFAULT_PARTITION_TASKS
+                home[tgrid_slots], DEFAULT_PARTITION_TASKS
             ):
                 tasks.append(
                     TGridCellsTask(
@@ -498,8 +612,9 @@ class ThermalJoin(SpatialJoinAlgorithm):
         """Partition the re-verification of moved-incident candidates.
 
         Objects are classified moved/settled from the delta; the refreshed
-        P-Grid's per-cell object lists are split into a *moved* grouping
-        and a *settled* grouping (both inherit the in-cell x-sort).  Any
+        P-Grid's runs (:meth:`_runs`: its cells, or their home and halo
+        runs) are split into *settled* runs ``[0, R)`` and *moved* runs
+        ``[R, 2R)`` of one grouping (both inherit the in-cell x-sort).  Any
         pair with a moved endpoint has centers closer than the largest
         object width per dimension, so its cells are at most
         ``pgrid.layers`` apart — exactly the neighbourhood the full
@@ -513,6 +628,11 @@ class ThermalJoin(SpatialJoinAlgorithm):
         * moved × moved within a cell, as a strict-upper-triangle
           self-join.
 
+        Cell pairs become run pairs through :func:`_run_pairs`, as in the
+        full plan (under a :attr:`halo` mask a cell's moved home run also
+        meets its own moved halo run), so the maintained set is the
+        halo-skipping full join, bit for bit.
+
         All tasks are pure functions of ndarray context (process-safe),
         chunked deterministically, with x-sweep test accounting — so
         executors, retries and fault injection behave exactly as on the
@@ -524,31 +644,20 @@ class ThermalJoin(SpatialJoinAlgorithm):
         """
         lo, hi = self._boxes
         pgrid = self.pgrid
-        cat = pgrid.cat
-        starts = pgrid.cell_starts
-        stops = pgrid.cell_stops
-        moved_mask = delta.moved_mask()
-        moved_in_cat = moved_mask[cat]
-        csum = np.concatenate([[0], np.cumsum(moved_in_cat)]).astype(np.int64)
-        moved_counts = csum[stops] - csum[starts]
-        settled_counts = (stops - starts) - moved_counts
-        mstops = np.cumsum(moved_counts).astype(np.int64)
-        sstops = np.cumsum(settled_counts).astype(np.int64)
-        mcat = cat[moved_in_cat]
-        scat = cat[~moved_in_cat]
-        # Every re-verify task reads both groupings: their candidate
+        n_cells = int(pgrid.cell_starts.size)
+        cat, starts, stops, halo_runs = self._runs(dataset)
+        runs = int(starts.size)
+        cat, starts, stops = _split_runs(cat, starts, stops, delta.moved_mask()[cat])
+        counts = stops - starts
+        # Every re-verify task reads the one grouping: its candidate
         # columns are built once per step, not once per task.
         context = {
             "lo": lo,
             "hi": hi,
-            "mcat": mcat,
-            "mstarts": mstops - moved_counts,
-            "mstops": mstops,
-            "mcat_values": grouped_values(lo, hi, mcat),
-            "scat": scat,
-            "sstarts": sstops - settled_counts,
-            "sstops": sstops,
-            "scat_values": grouped_values(lo, hi, scat),
+            "cat": cat,
+            "starts": starts,
+            "stops": stops,
+            "cat_values": grouped_values(lo, hi, cat),
         }
 
         # Enumerate candidate cell pairs around the cells holding moved
@@ -556,8 +665,10 @@ class ThermalJoin(SpatialJoinAlgorithm):
         # functions of the slot arrays, so the pair lists — and the task
         # chunking below — are deterministic.
         occupied = pgrid.occupied_ids
-        has_moved = moved_counts > 0
-        has_settled = settled_counts > 0
+        settled_filled = counts[:runs] > 0
+        moved_filled = counts[runs:] > 0
+        has_settled = settled_filled.reshape(-1, n_cells).any(axis=0)
+        has_moved = moved_filled.reshape(-1, n_cells).any(axis=0)
         moved_slots = np.flatnonzero(has_moved)
         src, front = neighbor_pairs(occupied[moved_slots], occupied, pgrid.layers)
         src = moved_slots[src]
@@ -569,20 +680,28 @@ class ThermalJoin(SpatialJoinAlgorithm):
         mixed = np.flatnonzero(has_moved & has_settled)
         to_settled = has_settled[front]
         back_settled = has_settled[back]
-        ms_a = np.concatenate([mixed, src[to_settled], back_src[back_settled]])
-        ms_b = np.concatenate([mixed, front[to_settled], back[back_settled]])
+        ms_a, ms_b = _run_pairs(
+            np.concatenate([mixed, src[to_settled], back_src[back_settled]]),
+            np.concatenate([mixed, front[to_settled], back[back_settled]]),
+            moved_filled,
+            settled_filled,
+            halo_runs,
+        )
         # Moved group × moved group across cells, once per unordered cell
-        # pair: only the front half neighbourhood is scanned.
+        # pair: only the front half neighbourhood is scanned.  Within a
+        # cell, the home run also meets its own halo run.
         to_moved = has_moved[front]
-        mm_a = src[to_moved]
-        mm_b = front[to_moved]
+        mm_a, mm_b = _run_pairs(
+            src[to_moved], front[to_moved], moved_filled, moved_filled, halo_runs,
+            within=True,
+        )
 
         tasks: list[JoinTask] = []
 
-        def cross_tasks(pair_a, pair_b, b_counts, b_keys):
+        def cross_tasks(pair_a, pair_b):
             if not pair_a.size:
                 return
-            weights = moved_counts[pair_a] * b_counts[pair_b]
+            weights = counts[pair_a] * counts[pair_b]
             # One task per kernel batch of candidates (a ceiling), capped.
             batches = -(-int(weights.sum()) // DEFAULT_CHUNK_CANDIDATES)
             for start, stop in chunk_by_volume(
@@ -593,23 +712,16 @@ class ThermalJoin(SpatialJoinAlgorithm):
                         pair_a=pair_a[start:stop],
                         pair_b=pair_b[start:stop],
                         count="x-sweep",
-                        a_keys=("mcat", "mstarts", "mstops"),
-                        b_keys=b_keys,
                         phase="reverify",
                     )
                 )
 
-        cross_tasks(ms_a, ms_b, settled_counts, ("scat", "sstarts", "sstops"))
-        cross_tasks(mm_a, mm_b, moved_counts, ("mcat", "mstarts", "mstops"))
-        self_slots = np.flatnonzero(moved_counts > 1)
+        cross_tasks(ms_a + runs, ms_b)
+        cross_tasks(mm_a + runs, mm_b + runs)
+        self_slots = runs + np.flatnonzero(counts[runs : runs + n_cells] > 1)
         if self_slots.size:
             tasks.append(
-                GroupSelfJoinTask(
-                    groups=self_slots,
-                    count="x-sweep",
-                    keys=("mcat", "mstarts", "mstops"),
-                    phase="reverify",
-                )
+                GroupSelfJoinTask(groups=self_slots, count="x-sweep", phase="reverify")
             )
 
         moved_cells = int(moved_slots.size)
@@ -688,6 +800,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             self._maintained = MaintainedPairSet(len(dataset), result.keys)
             self._maintained_uid = dataset.uid
             self._maintained_version = dataset.version
+            self._maintained_halo = self._halo_copy()
         else:
             self._drop_maintained()
         self.churn.observe_full(self._operations_cost(result))
@@ -717,7 +830,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         current version`` transition of *this* dataset instance, and the
         tuner must be done moving the resolution (while it still climbs,
         full steps are required anyway so it can observe comparable
-        costs; drift-retune steps re-enter that state).
+        costs; drift-retune steps re-enter that state).  The
+        :attr:`halo` mask may change only on moved objects.
         """
         return (
             self._maintained is not None
@@ -727,7 +841,28 @@ class ThermalJoin(SpatialJoinAlgorithm):
             and delta.base_version == self._maintained_version
             and delta.version == dataset.version
             and (self.tuner is None or self.tuner.converged)
+            and self._halo_kept(delta)
         )
+
+    def _halo_copy(self) -> np.ndarray | None:
+        return None if self.halo is None else np.array(self.halo, dtype=bool)
+
+    def _halo_kept(self, delta: MotionDelta) -> bool:
+        """Whether :attr:`halo` flags every settled object as the maintained set saw it.
+
+        Pairs between settled objects are reused verbatim, so a flag that
+        changed on a settled object would keep a pair the mask now skips
+        or miss one it now forms.  A moved object's pairs are all
+        re-verified under the current mask.
+        """
+        before, now = self._maintained_halo, self._halo_copy()
+        if before is None or now is None:
+            return before is None and now is None
+        if before.shape != now.shape:
+            return False
+        changed = before != now
+        changed[delta.moved] = False
+        return not changed.any()
 
     def step_delta(self, dataset: SpatialDataset, delta: MotionDelta | None) -> JoinResult:
         """Maintain the pair set through ``delta`` instead of re-joining.
@@ -763,6 +898,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             # not hand a stale delta to the next refresh.
             self._refresh_delta = None
         self._maintained_version = delta.version
+        self._maintained_halo = self._halo_copy()
         # The tuner is NOT fed here: incremental costs are not comparable
         # with the full-join costs it climbs on.  The churn policy is —
         # that is exactly the signal it adapts its threshold from.
@@ -776,7 +912,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def distance_join(self, dataset: SpatialDataset, distance: float) -> JoinResult:
         """Distance self-join, run on a fresh instance of this configuration.
 
-        The enlarged copy is a one-shot workload.  Joining it on this
+        The enlarged copy is a one-shot workload, with the same objects,
+        so :attr:`halo` applies to it unchanged.  Joining it on this
         instance would feed its cost to the tuner (a false drift that
         retunes ``r``) and re-seed the maintained pair set over a copy no
         later delta refers to (the next :meth:`step_delta` would run
@@ -788,15 +925,17 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def _fresh(self, count_only: bool) -> ThermalJoin:
         """A one-shot instance of this configuration without pair maintenance.
 
-        Built from :meth:`_settings` and sharing only the executor, so
-        nothing it joins reaches this instance's tuner, churn policy,
-        P-Grid or counters.
+        Built from :meth:`_settings` and sharing the executor and the
+        :attr:`halo` mask, so nothing it joins reaches this instance's
+        tuner, churn policy, P-Grid or counters.
         """
-        return ThermalJoin(
+        fresh = ThermalJoin(
             **{**self._settings(), "pair_maintenance": False},
             count_only=count_only,
             executor=self.executor,
         )
+        fresh.halo = self.halo
+        return fresh
 
     def _operations_cost(self, result: JoinResult) -> float:
         """Deterministic cost signal for reproducible tuning."""
@@ -932,6 +1071,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
             # freshly reconstructed dataset by construction.
             self._maintained_uid = dataset.uid
             self._maintained_version = int(maintained_meta["version"])
+            self._maintained_halo = self._halo_copy()
 
         pgrid_meta = meta["pgrid"]
         if pgrid_meta is None:
@@ -961,3 +1101,4 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self._maintained = None
         self._maintained_uid = None
         self._maintained_version = None
+        self._maintained_halo = None

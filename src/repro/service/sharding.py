@@ -75,6 +75,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import ThermalJoin
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.delta import MotionDelta
 from repro.engine.executors import Executor, resolve_executor
@@ -248,8 +249,6 @@ class ShardRing:
             self._build_shard(k, self._members(k))
 
     def _default_factory(self) -> SpatialJoinAlgorithm:
-        from repro.core import ThermalJoin
-
         return ThermalJoin(executor=self.executor)
 
     # ------------------------------------------------------------------
@@ -462,6 +461,10 @@ class ShardRing:
     ) -> np.ndarray:
         """Keys of the pairs ``shard`` owns (at least one home endpoint), over the ring.
 
+        A THERMAL-JOIN shard is handed its halo members as
+        :attr:`~repro.core.ThermalJoin.halo`, so it never forms the
+        halo×halo candidates another shard owns.
+
         A stored join answer at the shard's version is returned as is.
         Distance joins run over a halo grown by the distance, which the
         version does not track, so they are recomputed per query (the
@@ -475,20 +478,25 @@ class ShardRing:
         if distance is None and stored is not None and stored[1] == shard.version:
             return stored[2]
         assert shard.dataset is not None and shard.join is not None
+        members = (
+            shard.global_ids if distance is None else self._members(shard.shard_id, distance)
+        )
+        home = self._assignment[members] == shard.shard_id
+        if isinstance(shard.join, ThermalJoin):
+            shard.join.halo = ~home
         started = time.perf_counter()
         if distance is None:
-            members = shard.global_ids
             result = shard.join.step_delta(shard.dataset, shard.pending_delta)
             shard.pending_delta = None
             shard.join_memory_bytes = result.stats.memory_bytes
         else:
-            members = self._members(shard.shard_id, distance)
             result = shard.join.distance_join(self._local_dataset(members), distance)
             shard.distance_memory_bytes = result.stats.memory_bytes
         seconds = time.perf_counter() - started
         assert result.keys is not None
         li, lj = unpack_pairs(result.keys, members.size)
-        home = self._assignment[members] == shard.shard_id
+        # The ownership rule for any algorithm; a ThermalJoin told the
+        # halo never forms a halo×halo pair, so this drops nothing there.
         owned = home[li] | home[lj]
         # members is strictly increasing, so li < lj maps to a canonical pair.
         keys = pack_pairs(members[li[owned]], members[lj[owned]], len(self.dataset))

@@ -132,6 +132,8 @@ class TestHyperlinks:
         links = table_links(grid)
         assert len(set(links)) == len(links), "cell pair linked twice"
         assert set(links) == adjacent_table_pairs(grid)
+        # A first build counts its links with the forward search alone.
+        assert grid._n_links == len(adjacent_table_pairs(grid))
 
     def test_links_point_to_adjacent_cells_only(self):
         ds = small_dataset(300, width=10.0, side=80.0)

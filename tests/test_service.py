@@ -27,6 +27,7 @@ from repro.geometry import (
     pairs_to_adjacency,
     sorted_unique_keys,
     unique_pairs,
+    unpack_pairs,
 )
 from repro.service import (
     JoinService,
@@ -372,6 +373,72 @@ class TestRingDegradation:
 # ----------------------------------------------------------------------
 # Distance queries run on a fresh algorithm, not the shard's join
 # ----------------------------------------------------------------------
+class TestHaloSkipping:
+    """THERMAL-JOIN shards never form the halo×halo pairs another shard owns."""
+
+    def test_ring_tests_stay_near_the_direct_join(self):
+        # Before the shards skipped halo×halo candidates this ring ran
+        # 1.35x (join) and 1.39x (distance) the direct join's tests.
+        dataset, _ = scaled_uniform(4000, seed=1)
+        with ShardRing(dataset, n_shards=4, executor="serial") as ring:
+            ring.join_pairs()
+            join_tests = sum(shard.overlap_tests for shard in ring._shards)
+            ring.distance_pairs(2.0)
+            distance_tests = sum(shard.overlap_tests for shard in ring._shards) - join_tests
+        direct = ThermalJoin().step(dataset).stats.overlap_tests
+        direct_distance = ThermalJoin().distance_join(dataset, 2.0).stats.overlap_tests
+        assert join_tests <= 1.05 * direct
+        assert distance_tests <= 1.05 * direct_distance
+
+    def test_pair_maintaining_shard_equals_the_halo_skipping_join(self):
+        # Objects 0-19 are homed in slab 0 just below the edge at x = 100
+        # and objects 20-39 in slab 1 just above it, in shard 0's halo.
+        # At the second update object 0 crosses the edge next to object
+        # 20: it stays a member of shard 0, now in its halo, so shard 0
+        # keeps its members and maintains its pairs incrementally.
+        rng = np.random.default_rng(4)
+        yz = rng.uniform(2.0, 48.0, size=(20, 2))
+        left = np.column_stack([np.full(20, 98.4), yz])
+        right = np.column_stack([np.full(20, 100.2), yz])
+        far = rng.uniform([2.0, 2.0, 2.0], [198.0, 48.0, 48.0], size=(60, 3))
+        dataset = SpatialDataset(
+            np.concatenate([left, right, far]),
+            2.0,
+            bounds=(np.zeros(3), np.array([200.0, 50.0, 50.0])),
+        )
+        n = len(dataset)
+
+        def factory():
+            return ThermalJoin(resolution=1.0, pair_maintenance=True)
+
+        with ShardRing(dataset, n_shards=2, algorithm_factory=factory) as ring:
+            ring.join_pairs()
+            shard = ring._shards[0]
+            members = shard.global_ids.copy()
+            for step in range(3):
+                centers = ring.dataset.centers.copy()
+                if step == 1:
+                    centers[0, 0] = 100.25
+                else:
+                    centers[[1, 2], 1] += 0.3
+                ring.apply_update(centers)
+                answer = ring.join_pairs()
+                assert np.array_equal(shard.global_ids, members)
+                assert shard.join.metrics.snapshot()["incremental"]["mode"] == "incremental"
+
+                halo = ring._assignment[members] != 0
+                assert halo[0] == (step >= 1)
+                keys = shard.join._maintained.packed_keys()
+                i, j = unpack_pairs(keys, members.size)
+                assert not (halo[i] & halo[j]).any()
+                reference = ThermalJoin(resolution=1.0)
+                reference.halo = halo
+                assert np.array_equal(keys, np.sort(reference.step(shard.dataset).keys))
+
+                after = SpatialDataset(centers, 2.0, bounds=dataset.bounds)
+                assert np.array_equal(_keys(answer.pairs, n), _library_join_keys(after))
+
+
 class TestDistanceIsolation:
     def test_distance_query_leaves_the_join_tuner_and_grid_alone(self):
         def join_state(ring):
