@@ -19,7 +19,9 @@ division.  A pair is one key from the moment a kernel emits it
 which decodes once.  Deduplication sorts those keys
 (:func:`sorted_unique_keys`) rather than hashing them, and the CSR
 neighbour lists are one sort of the keys and their transposes
-(:func:`keys_to_adjacency`).
+(:func:`keys_to_adjacency`).  Keys over a subset of the objects, such
+as a shard's, map to keys over the whole set by a relabel of their two
+fields (:func:`relabel_keys`), with no decode.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "canonicalize_pairs",
     "pack_pairs",
     "unpack_pairs",
+    "relabel_keys",
     "sorted_unique_keys",
     "unique_pairs",
     "pairs_equal",
@@ -96,6 +99,44 @@ def unpack_pairs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     keys = np.asarray(keys, dtype=np.int64)
     bits = _index_bits(n)
     return keys >> np.int64(bits), keys & np.int64((1 << bits) - 1)
+
+
+def relabel_keys(
+    keys: np.ndarray, ids: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Map pair keys over ``len(ids)`` objects to keys over ``n`` objects.
+
+    Local object ``k`` becomes object ``ids[k]``: each key ``(i << b) |
+    j`` becomes ``(ids[i] << B) | ids[j]``, with ``b`` and ``B`` the
+    index widths of ``len(ids)`` and ``n`` objects.  ``ids`` must be
+    strictly increasing, so the map keeps ``i < j`` and canonical keys
+    stay canonical.  The result is written into ``out`` when given (an
+    ``int64`` array of the keys' length) and returned.  Raises
+    :class:`ValueError` for ``ids`` that are not strictly increasing in
+    ``[0, n)`` or a key outside ``len(ids)`` objects.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    bits = np.int64(_index_bits(n))
+    if ids.size and (ids[0] < 0 or ids[-1] >= n or (ids[1:] <= ids[:-1]).any()):
+        raise ValueError("ids must be strictly increasing in [0, n)")
+    if out is None:
+        out = np.empty(keys.size, dtype=np.int64)
+    if not keys.size:
+        return out
+    local_bits = np.int64(_index_bits(max(ids.size, 1)))
+    if keys.min() < 0 or keys.max() >> local_bits >= ids.size:
+        raise ValueError("pair key outside len(ids) objects")
+    try:
+        # Raise mode checks the low fields; the range check above covers
+        # the high fields, so that take may clip into ``out``.
+        low = np.take(ids, keys & np.int64((1 << int(local_bits)) - 1))
+    except IndexError:
+        raise ValueError("pair key outside len(ids) objects") from None
+    np.take(ids, keys >> local_bits, out=out, mode="clip")
+    out <<= bits
+    out |= low
+    return out
 
 
 def sorted_unique_keys(keys: np.ndarray) -> np.ndarray:
@@ -543,8 +584,9 @@ def keys_to_adjacency(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     transposed <<= bits
     transposed |= keys >> bits
     directed.sort()
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(directed >> bits, minlength=n), out=offsets[1:])
+    # Object k's directed keys are the range [k << b, (k + 1) << b) of
+    # the sorted array, so its bounds are the offsets.
+    offsets = np.searchsorted(directed, np.arange(n + 1, dtype=np.int64) << bits)
     directed &= low
     return offsets, directed
 

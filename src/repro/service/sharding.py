@@ -27,15 +27,20 @@ is a theorem, not a hope:
 * no other shard emits it: shard ``b`` holds only higher-homed objects
   in its halo, and any other shard holding both objects homes neither.
 
-Each shard hands over its owned pairs as pair keys over the ring's
-objects (:func:`~repro.geometry.pack_pairs`).  Member ids are strictly
-increasing, so a shard's local ``i < j`` maps to a global ``i < j``
-and the keys are canonical as emitted.  The shards' key sets are
-disjoint, so one sort of their concatenation is the library's sorted
-pair keys bit for bit — the property suite enforces it across
-executors and motion models.  An answer decodes its keys to ``(i, j)``
-arrays on first read of :attr:`RingAnswer.pairs` and builds its CSR
-neighbour lists from the keys (:func:`~repro.geometry.keys_to_adjacency`).
+Each shard hands over its owned pairs as its join emitted them: pair
+keys over its members (:func:`~repro.geometry.pack_pairs`), with the
+member ids.  A THERMAL-JOIN shard never forms a halo×halo pair, so its
+keys are its owned pairs as they are; any other algorithm's keys go
+through the owned mask first.  Assembly writes every shard's keys,
+relabelled to ring ids (:func:`~repro.geometry.relabel_keys`), into
+one array and sorts it.  Member ids are strictly increasing, so a
+shard's local ``i < j`` maps to a ring ``i < j`` and the relabelled
+keys are canonical.  The shards' key sets are disjoint, so that one
+sort is the library's sorted pair keys bit for bit — the property
+suite enforces it across executors and motion models.  An answer
+decodes its keys to ``(i, j)`` arrays on first read of
+:attr:`RingAnswer.pairs` and builds its CSR neighbour lists from the
+keys (:func:`~repro.geometry.keys_to_adjacency`).
 Distance queries run the same shard joins over a
 per-query halo grown by the distance, through the shard algorithm's
 own ``distance_join``.  THERMAL-JOIN answers it on a fresh instance of
@@ -46,12 +51,12 @@ the one that keeps an index across steps, rebuilds it because the
 enlarged extents change its cell width.
 
 Each shard keeps one bounded answer store: its latest join answer and
-its latest distance answer, each stamped with the shard version it was
-computed at.  A join whose stamp is the shard's version is served
-without recomputing, so a shard an update did not touch keeps its
-answer.  A distance answer is never served fresh (its halo depends on
-the distance, which the version does not track); it is kept only as the
-dead-shard fallback below.
+its latest distance answer, each as its keys over the members and the
+member ids, stamped with the shard version it was computed at.  A join
+whose stamp is the shard's version is served without recomputing, so a
+shard an update did not touch keeps its answer.  A distance answer is
+never served fresh (its halo depends on the distance, which the version
+does not track); it is kept only as the dead-shard fallback below.
 
 Degradation instead of death: a shard whose compute raises is re-homed
 (rebuilt from the ring's authoritative arrays under a fresh algorithm
@@ -81,7 +86,7 @@ from repro.datasets.delta import MotionDelta
 from repro.engine.executors import Executor, resolve_executor
 from repro.geometry import (
     keys_to_adjacency,
-    pack_pairs,
+    relabel_keys,
     sorted_unique_keys,
     unpack_pairs,
 )
@@ -94,6 +99,9 @@ __all__ = ["RingAnswer", "Shard", "ShardRing"]
 
 #: Query-key tuple: ``("join",)`` or ``("distance", d)``.
 QueryKey = tuple[Hashable, ...]
+
+#: A shard's owned pairs: keys over its members and the members' ring ids.
+ShardPart = tuple[np.ndarray, np.ndarray]
 
 AlgorithmFactory = Callable[[], SpatialJoinAlgorithm]
 
@@ -175,9 +183,11 @@ class Shard:
     distance_memory_bytes: int = 0
 
     #: The answer store: the latest answer per query kind (``"join"``,
-    #: ``"distance"``) as ``(query key, version computed at, owned keys)``,
-    #: the keys over the ring's objects.
-    answers: dict[str, tuple[QueryKey, int, np.ndarray]] = field(default_factory=dict)
+    #: ``"distance"``) as ``(query key, version computed at, owned keys,
+    #: member ids)``, the keys over the members the query ran on.
+    answers: dict[str, tuple[QueryKey, int, np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
 
     @property
     def memory_bytes(self) -> int:
@@ -383,16 +393,21 @@ class ShardRing:
 
         events_before = len(self._epoch_events)
         any_stale = False
-        parts: list[np.ndarray] = []
+        parts: list[ShardPart] = []
         for shard in self._shards:
             if shard.dataset is None:
                 continue
-            shard_keys, stale = self._shard_keys(shard, qkey, distance)
+            part, stale = self._shard_keys(shard, qkey, distance)
             any_stale = any_stale or stale
-            parts.append(shard_keys)
+            parts.append(part)
 
-        # A fresh array, so the shards' stored keys are never sorted.
-        keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        # One buffer holds every shard's keys relabelled to ring ids.
+        n = len(self.dataset)
+        keys = np.empty(sum(local.size for local, _ids in parts), dtype=np.int64)
+        start = 0
+        for local, ids in parts:
+            relabel_keys(local, ids, n, out=keys[start : start + local.size])
+            start += local.size
         if any_stale:
             keys = sorted_unique_keys(keys)
         else:
@@ -411,14 +426,14 @@ class ShardRing:
             keys=keys,
             degraded=degraded,
             stale=any_stale,
-            n_objects=len(self.dataset),
+            n_objects=n,
         )
         self.cache.put(kind, ring_key, answer)
         return answer
 
     def _shard_keys(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> tuple[np.ndarray, bool]:
+    ) -> tuple[ShardPart, bool]:
         """Shard contribution with the degradation ladder around it."""
         if not shard.alive and self._poison.get(shard.shard_id) == "permanent":
             stale = self._stale_answer(shard, qkey)
@@ -434,7 +449,7 @@ class ShardRing:
             )
             self._rehome(shard)
             try:
-                keys = self._compute_shard(shard, qkey, distance)
+                part = self._compute_shard(shard, qkey, distance)
             except Exception as retry_exc:
                 shard.alive = False
                 self._record_event(
@@ -446,24 +461,27 @@ class ShardRing:
                 return stale, True
             shard.alive = True
             self._record_event("shard_rehomed", shard=shard.shard_id)
-            return keys, False
+            return part, False
 
-    def _stale_answer(self, shard: Shard, qkey: QueryKey) -> np.ndarray | None:
+    def _stale_answer(self, shard: Shard, qkey: QueryKey) -> ShardPart | None:
         """The dead shard's stored answer to ``qkey``, counted as served stale."""
         stored = shard.answers.get(str(qkey[0]))
         if stored is None or stored[0] != qkey:
             return None
         self.stale_served += 1
-        return stored[2]
+        return stored[2], stored[3]
 
     def _compute_shard(
         self, shard: Shard, qkey: QueryKey, distance: float | None
-    ) -> np.ndarray:
-        """Keys of the pairs ``shard`` owns (at least one home endpoint), over the ring.
+    ) -> ShardPart:
+        """The pairs ``shard`` owns (at least one home endpoint) and its member ids.
 
+        The keys are over the members, as the shard's join emits them.
         A THERMAL-JOIN shard is handed its halo members as
         :attr:`~repro.core.ThermalJoin.halo`, so it never forms the
-        halo×halo candidates another shard owns.
+        halo×halo candidates another shard owns and its keys are kept
+        as they are; any other algorithm's keys go through the owned
+        mask.
 
         A stored join answer at the shard's version is returned as is.
         Distance joins run over a halo grown by the distance, which the
@@ -476,13 +494,14 @@ class ShardRing:
             )
         stored = shard.answers.get("join")
         if distance is None and stored is not None and stored[1] == shard.version:
-            return stored[2]
+            return stored[2], stored[3]
         assert shard.dataset is not None and shard.join is not None
         members = (
             shard.global_ids if distance is None else self._members(shard.shard_id, distance)
         )
         home = self._assignment[members] == shard.shard_id
-        if isinstance(shard.join, ThermalJoin):
+        thermal = isinstance(shard.join, ThermalJoin)
+        if thermal:
             shard.join.halo = ~home
         started = time.perf_counter()
         if distance is None:
@@ -493,13 +512,13 @@ class ShardRing:
             result = shard.join.distance_join(self._local_dataset(members), distance)
             shard.distance_memory_bytes = result.stats.memory_bytes
         seconds = time.perf_counter() - started
-        assert result.keys is not None
-        li, lj = unpack_pairs(result.keys, members.size)
-        # The ownership rule for any algorithm; a ThermalJoin told the
-        # halo never forms a halo×halo pair, so this drops nothing there.
-        owned = home[li] | home[lj]
-        # members is strictly increasing, so li < lj maps to a canonical pair.
-        keys = pack_pairs(members[li[owned]], members[lj[owned]], len(self.dataset))
+        keys = result.keys
+        assert keys is not None
+        if not thermal:
+            # The ownership rule; a ThermalJoin told the halo never forms
+            # a halo×halo pair, so it would drop nothing there.
+            li, lj = unpack_pairs(keys, members.size)
+            keys = keys[home[li] | home[lj]]
 
         shard.queries += 1
         shard.overlap_tests += result.stats.overlap_tests
@@ -509,8 +528,8 @@ class ShardRing:
         self._bump("build_seconds", result.stats.build_seconds)
         self._bump("join_seconds", result.stats.join_seconds)
 
-        shard.answers[str(qkey[0])] = (qkey, shard.version, keys)
-        return keys
+        shard.answers[str(qkey[0])] = (qkey, shard.version, keys, members)
+        return keys, members
 
     def _rehome(self, shard: Shard) -> None:
         """Revive a failed shard from the ring's arrays.

@@ -20,6 +20,7 @@ from repro.geometry import (
     pack_pairs,
     pairs_equal,
     pairs_to_adjacency,
+    relabel_keys,
     sorted_unique_keys,
     unique_pairs,
     unpack_pairs,
@@ -241,6 +242,118 @@ class TestKeysToAdjacency:
         before = keys.copy()
         keys_to_adjacency(keys, 4)
         assert np.array_equal(keys, before)
+
+    # The offsets are a search of the sorted directed keys up to n << b,
+    # so n at and just past a power of two moves the top value's width.
+    @pytest.mark.parametrize("n", [1, 2, 64, 65])
+    def test_shuffled_non_canonical_and_empty_keys(self, n):
+        rng = np.random.default_rng(n)
+        empty = keys_to_adjacency(np.empty(0, dtype=np.int64), n)
+        assert_bit_identical(empty[0], np.zeros(n + 1, dtype=np.int64))
+        assert empty[1].size == 0
+        if n == 1:
+            return
+        i_idx, j_idx = unique_pairs(*rng.integers(0, n, size=(2, 3 * n)), n)
+        # Every object's list is non-empty at both ends of the range.
+        i_idx = np.concatenate([i_idx, [0]])
+        j_idx = np.concatenate([j_idx, [n - 1]])
+        ref_offsets, ref_neighbors = lexsort_adjacency(i_idx, j_idx, n)
+        flip = rng.random(i_idx.size) < 0.5
+        keys = pack_pairs(
+            np.where(flip, j_idx, i_idx), np.where(flip, i_idx, j_idx), n
+        )
+        offsets, neighbors = keys_to_adjacency(rng.permutation(keys), n)
+        assert_bit_identical(offsets, ref_offsets)
+        assert_bit_identical(neighbors, ref_neighbors)
+        assert offsets[-1] == 2 * i_idx.size
+
+
+@st.composite
+def relabel_cases(draw):
+    """``(local_pairs, ids, n)``: canonical local pairs and strictly increasing ids."""
+    n = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 127, 128, 129, 2**31]))
+    size = draw(st.integers(0, min(n, 40)))
+    if n <= 200:
+        ids = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))))
+    else:
+        # Huge rings: members hugging both ends of the index range.
+        ends = st.one_of(st.integers(0, 64), st.integers(n - 64, n - 1))
+        ids = np.array(sorted(draw(st.sets(ends, min_size=size, max_size=size))))
+    ids = ids.astype(np.int64)
+    if size < 2:
+        return (np.empty(0, dtype=np.int64),) * 2, ids, n
+    local = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(local, local), max_size=60))
+    local_pairs = unique_pairs(
+        np.array([p[0] for p in pairs], dtype=np.int64),
+        np.array([p[1] for p in pairs], dtype=np.int64),
+        size,
+    )
+    return local_pairs, ids, n
+
+
+class TestRelabelKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(case=relabel_cases())
+    def test_matches_unpack_gather_pack(self, case):
+        (li, lj), ids, n = case
+        keys = pack_pairs(li, lj, max(ids.size, 1))
+        li_back, lj_back = unpack_pairs(keys, max(ids.size, 1))
+        expected = pack_pairs(ids[li_back], ids[lj_back], n)
+        assert_bit_identical(relabel_keys(keys, ids, n), expected)
+        buffer = np.full(keys.size + 2, -1, dtype=np.int64)
+        view = buffer[1:-1]
+        assert relabel_keys(keys, ids, n, out=view) is view
+        assert_bit_identical(view, expected)
+        assert buffer[0] == buffer[-1] == -1
+        # Canonical keys stay canonical, sorted ones stay sorted.
+        assert (np.diff(expected) > 0).all()
+
+    def test_empty_parts_and_a_one_member_shard(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert relabel_keys(empty, empty, 5).size == 0
+        assert relabel_keys(empty, np.array([4]), 5).size == 0
+        out = np.empty(0, dtype=np.int64)
+        assert relabel_keys(empty, np.array([4]), 5, out=out) is out
+
+    def test_bit_width_boundaries(self):
+        # 2 local objects have 1-bit fields; 2**31 ring objects 31-bit ones.
+        n = 2**31
+        ids = np.array([0, n - 1], dtype=np.int64)
+        key = pack_pairs([0], [1], 2)
+        assert relabel_keys(key, ids, n).tolist() == [n - 1]
+        ids = np.array([n - 2, n - 1], dtype=np.int64)
+        assert unpack_pairs(relabel_keys(key, ids, n), n) == ([n - 2], [n - 1])
+        # 65 members need 7-bit local fields, 64 need 6.
+        for size in (64, 65):
+            ids = np.arange(size, dtype=np.int64) * 3
+            key = pack_pairs([size - 2], [size - 1], size)
+            got = relabel_keys(key, ids, 3 * size)
+            assert got.tolist() == pack_pairs([ids[-2]], [ids[-1]], 3 * size).tolist()
+
+    def test_input_left_untouched_and_read_only_keys_accepted(self):
+        keys = pack_pairs([0, 1], [2, 2], 3)
+        keys.setflags(write=False)
+        relabel_keys(keys, np.array([1, 5, 9]), 10)
+        assert unpack_pairs(keys, 3)[1].tolist() == [2, 2]
+
+    @pytest.mark.parametrize(
+        ("keys", "ids", "n"),
+        [
+            (pack_pairs([0], [1], 2), [3, 3], 10),  # not strictly increasing
+            (pack_pairs([0], [1], 2), [4, 2], 10),
+            (pack_pairs([0], [1], 2), [-1, 2], 10),  # outside [0, n)
+            (pack_pairs([0], [1], 2), [2, 10], 10),
+            # 3 ids: 2-bit fields, so field value 3 names no member.
+            (np.array([(0 << 2) | 3]), [1, 2, 5], 10),  # low field past the ids
+            (np.array([(3 << 2) | 0]), [1, 2, 5], 10),  # high field past the ids
+            (np.array([-1]), [1, 2], 10),
+            (pack_pairs([0], [1], 2), [], 10),
+        ],
+    )
+    def test_bad_input_raises(self, keys, ids, n):
+        with pytest.raises(ValueError):
+            relabel_keys(keys, np.array(ids, dtype=np.int64), n)
 
 
 def _emitted_keys(n, i_idx, j_idx):

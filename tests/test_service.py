@@ -19,7 +19,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.motion import IntermittentTranslation, RandomTranslation
 from repro.engine import SerialExecutor, install_fault_plan, parse_faults
 from repro.engine import faults as faults_module
-from repro.engine.executors import _LIVE_SEGMENTS
+from repro.engine.executors import _LIVE_SEGMENTS, resolve_executor
 from repro.experiments.workloads import scaled_uniform
 from repro.geometry import (
     keys_to_adjacency,
@@ -29,6 +29,7 @@ from repro.geometry import (
     unique_pairs,
     unpack_pairs,
 )
+from repro.joins import EGOJoin, PBSMJoin, PlaneSweepJoin, ST2BJoin
 from repro.service import (
     JoinService,
     ResultCache,
@@ -266,6 +267,52 @@ class TestRingKeys:
             assert np.array_equal(
                 pack_pairs(*again.pairs, len(dataset)), expected
             )
+
+
+class TestOtherAlgorithmShards:
+    """Shards of any algorithm keep only their owned pairs.
+
+    Only a THERMAL-JOIN shard skips halo×halo pairs itself; the others
+    emit them, and the owned mask drops them, or two shards would
+    both hand the pair over and the served keys would repeat it.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [PlaneSweepJoin, PBSMJoin, ST2BJoin, EGOJoin],
+        ids=["plane-sweep", "pbsm", "st2b", "ego"],
+    )
+    def test_answers_equal_a_direct_step_across_epochs_and_a_kill(
+        self, service_dataset, algorithm
+    ):
+        baseline = service_dataset.copy()
+        motion = RandomTranslation(baseline, distance=1.5, seed=3)
+        executor = resolve_executor(None)
+        try:
+            with ShardRing(
+                baseline,
+                n_shards=4,
+                executor=executor,
+                algorithm_factory=lambda: algorithm(executor=executor),
+            ) as ring:
+                for epoch in range(3):
+                    if epoch == 1:
+                        ring.kill_shard(2)
+                    join = ring.join_pairs()
+                    _assert_served_keys(join, _direct_keys(baseline))
+                    assert not join.stale
+                    assert join.degraded == (epoch == 1)
+                    for distance in (0.5, 2.0):
+                        _assert_served_keys(
+                            ring.distance_pairs(distance),
+                            _direct_keys(baseline, distance),
+                        )
+                    motion.step(baseline)
+                    ring.apply_update(baseline.centers)
+                assert ring.rehomes == 1
+                assert all(isinstance(s.join, algorithm) for s in ring._shards if s.join)
+        finally:
+            executor.close()
 
 
 # ----------------------------------------------------------------------
