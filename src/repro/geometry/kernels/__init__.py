@@ -11,8 +11,8 @@ emission — is one of the five primitives re-exported here from
 ``cross_join_groups``
     All object pairs across explicit (group A, group B) pairs.
 ``cell_pair_sweep``
-    Two-direction sweep over many cell pairs with the paper's enclosure
-    shortcut; returns ``(overlap_tests, shortcut_pairs)``.
+    Plane sweep over many cell pairs, one window per kept row, with the
+    paper's enclosure shortcut; returns ``(overlap_tests, shortcut_pairs)``.
 ``strip_sweep``
     One strip of the partitioned global plane sweep.
 ``hot_cell_emit``
@@ -20,8 +20,8 @@ emission — is one of the five primitives re-exported here from
 
 Each returns plain ``int`` counters.  ``grouped_values`` (the candidate
 columns of a grouping) and ``sweep_index`` (those columns plus the
-external join's rank keys) let a plan build per-step inputs once for
-all of its tasks.  The five primitives are the seam
+external join's rank and reach keys) let a plan build per-step inputs
+once for all of its tasks.  The five primitives are the seam
 where a compiled implementation can be slotted in once one can be
 installed and measured against this one.
 """

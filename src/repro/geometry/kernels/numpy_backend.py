@@ -9,7 +9,7 @@ most ``chunk_candidates`` candidate pairs: per-group calls would drown
 in call overhead.  Candidates are tested on the ``(6, n)`` coordinate
 rows of :func:`grouped_values`; a plan whose tasks share one grouping
 builds those once per step (and, for the external join, the
-:func:`sweep_index` rank keys with them).
+:func:`sweep_index` window keys with them).
 
 Overlap-test accounting (the machine-independent cost metric of the
 paper's Figure 7(c)) is preserved exactly:
@@ -107,9 +107,10 @@ def _test_and_emit(
     """
     (xlo_a, xhi_a, ylo_a, yhi_a, zlo_a, zhi_a), cat_a = side_a
     (xlo_b, xhi_b, ylo_b, yhi_b, zlo_b, zhi_b), cat_b = side_b
+    # ``take`` gathers 1-D rows faster than fancy indexing.
     x_overlap = np.logical_and(
-        xlo_a[left_pos] < xhi_b[right_pos],
-        xlo_b[right_pos] < xhi_a[left_pos],
+        xlo_a.take(left_pos) < xhi_b.take(right_pos),
+        xlo_b.take(right_pos) < xhi_a.take(left_pos),
     )
     # "x-sweep" charges only the x-overlapping candidates.
     tests = int(left_pos.size) if count == "full" else int(x_overlap.sum())
@@ -120,12 +121,12 @@ def _test_and_emit(
     pair_groups = pair_groups[x_overlap]
     keep = np.logical_and(
         np.logical_and(
-            ylo_a[left_pos] < yhi_b[right_pos],
-            ylo_b[right_pos] < yhi_a[left_pos],
+            ylo_a.take(left_pos) < yhi_b.take(right_pos),
+            ylo_b.take(right_pos) < yhi_a.take(left_pos),
         ),
         np.logical_and(
-            zlo_a[left_pos] < zhi_b[right_pos],
-            zlo_b[right_pos] < zhi_a[left_pos],
+            zlo_a.take(left_pos) < zhi_b.take(right_pos),
+            zlo_b.take(right_pos) < zhi_a.take(left_pos),
         ),
     )
     if keep.any():
@@ -288,42 +289,49 @@ def sweep_index(
 
     * ``values`` — ``(6, n)`` float64 rows xlo, xhi, ylo, yhi, zlo, zhi;
     * ``keys`` — ``(4, n)`` int64 rows: the rank key
-      ``run_start * (n + 1) + x_rank``, then the number of xlo values
-      ``< xlo[p]``, ``<= xlo[p]`` and ``< xhi[p]``.
+      ``run_start * (n + 1) + x_rank``; ``below_lo``, the number of xlo
+      values ``< xlo[p]``; ``below_hi``, the number of xlo values
+      ``< xhi[p]``; and the reach key ``run_start * (n + 1)`` plus the
+      running maximum of ``below_hi`` over the run's members up to ``p``.
 
     ``x_rank`` is ``p``'s place in a stable sort of all xlo values, so
     ``xlo[p] >= t`` exactly when ``x_rank`` is at least the count of xlo
-    values ``< t``.  Every run is x-sorted, so the rank keys increase
-    strictly over all positions, and a sweep window edge inside any
-    occupied run is one ``searchsorted`` on them, exact under ties.
+    values ``< t``, and ``xhi[q] > xlo[p]`` exactly when
+    ``below_hi[q] > below_lo[p]``.  Every run is x-sorted and runs take
+    disjoint, increasing key ranges, so the rank keys increase strictly
+    and the reach keys never decrease over all positions: a window edge
+    inside any occupied run is one ``searchsorted``, exact under ties.
+    Positions outside every run count as runs of their own.
     """
     n = cat.size
     values = grouped_values(lo, hi, cat)
     order = np.argsort(values[0], kind="stable")
     sorted_xlo = values[0][order]
     keys = np.empty((4, n), dtype=np.int64)
-    # Positions outside every run count as runs of their own.
     run_start = np.arange(n, dtype=np.int64)
     rows, positions = window_pairs(starts, stops)
     run_start[positions] = np.asarray(starts, dtype=np.int64)[rows]
+    run_base = run_start * (n + 1)
     keys[0, order] = np.arange(n, dtype=np.int64)
-    keys[0] += run_start * (n + 1)
+    keys[0] += run_base
     keys[1, order] = np.searchsorted(sorted_xlo, sorted_xlo, side="left")
-    keys[2, order] = np.searchsorted(sorted_xlo, sorted_xlo, side="right")
-    keys[3] = np.searchsorted(sorted_xlo, values[1], side="left")
+    keys[2] = np.searchsorted(sorted_xlo, values[1], side="left")
+    keys[3] = np.maximum.accumulate(run_base + keys[2])
     return values, keys
 
 
 def _sweep_windows(
     values: np.ndarray, cat: np.ndarray, row_pos: np.ndarray, left: np.ndarray,
-    right: np.ndarray, members: np.ndarray | None, accumulator: PairAccumulator,
+    right: np.ndarray, accumulator: PairAccumulator,
 ) -> int:
     """Test each row against its window ``[left, right)``; emit the hits.
 
-    Window entries are grouped positions, or indices into ``members``.
-    The row side's y/z values are repeated over the window counts, and
-    object ids are taken only for the pairs that overlap.  Returns the
-    candidate count: the windows hold exactly the x-overlapping pairs.
+    Every window member starts below the row's xhi; the window may also
+    hold members that end at or before the row's xlo, so x is tested
+    here and only the x-overlapping candidates are charged.  The row
+    side's values are repeated over the window counts, and object ids
+    are taken only for the pairs that overlap.  Returns the charged
+    test count.
     """
     counts = np.maximum(right - left, 0)
     ends = np.cumsum(counts)
@@ -332,19 +340,19 @@ def _sweep_windows(
         return 0
     window_pos = np.repeat(left - (ends - counts), counts)
     window_pos += np.arange(total, dtype=np.int64)
-    if members is not None:
-        window_pos = members.take(window_pos)
-    ylo, yhi, zlo, zhi = values[2:]
-    hit = np.repeat(ylo[row_pos], counts) < yhi.take(window_pos)
-    hit &= ylo.take(window_pos) < np.repeat(yhi[row_pos], counts)
-    hit &= np.repeat(zlo[row_pos], counts) < zhi.take(window_pos)
-    hit &= zlo.take(window_pos) < np.repeat(zhi[row_pos], counts)
+    xlo, xhi, ylo, yhi, zlo, zhi = values
+    hit = np.repeat(xlo.take(row_pos), counts) < xhi.take(window_pos)
+    tests = int(np.count_nonzero(hit))
+    hit &= np.repeat(ylo.take(row_pos), counts) < yhi.take(window_pos)
+    hit &= ylo.take(window_pos) < np.repeat(yhi.take(row_pos), counts)
+    hit &= np.repeat(zlo.take(row_pos), counts) < zhi.take(window_pos)
+    hit &= zlo.take(window_pos) < np.repeat(zhi.take(row_pos), counts)
     hits = np.flatnonzero(hit)
     if hits.size:
         accumulator.extend(
-            np.repeat(cat[row_pos], counts).take(hits), cat.take(window_pos.take(hits))
+            np.repeat(cat.take(row_pos), counts).take(hits), cat.take(window_pos.take(hits))
         )
-    return total
+    return tests
 
 
 def cell_pair_sweep(
@@ -377,6 +385,15 @@ def cell_pair_sweep(
     first exactly as in the sequential version: objects of cell A whose
     MBR encloses cell B's tight center bounds pair with all of B without
     any tests.
+
+    Every other A member gets one window of B's run, found with two
+    searches of the :func:`sweep_index` keys: it opens at the first
+    member whose running max of xhi exceeds the row's xlo (the reach
+    key) and closes before the first member with xlo at or past the
+    row's xhi (the rank key).  The window holds every x-overlapping
+    member of B; x is tested inside it, so only those are charged.  It
+    holds nothing else when x-upper order follows x-lower order, as for
+    equal-width boxes.
 
     Parameters
     ----------
@@ -414,15 +431,20 @@ def cell_pair_sweep(
     if pair_a.size == 0:
         return 0, 0
     xlo, xhi, ylo, yhi, zlo, zhi = values
-    rank_key, below_lo, upto_lo, below_hi = keys
+    rank_key, below_lo, below_hi, reach = keys
     stride = cat.size + 1
     sizes = stops - starts
     counts = sizes[pair_a] * sizes[pair_b]
-    # An empty run shares its rank-key range with the run after it, so
-    # cell pairs with an empty side are dropped before any search.
+    # An empty run shares its key range with the run after it, so cell
+    # pairs with an empty side are dropped before any search.
     occupied = np.flatnonzero(counts)
     pair_a, pair_b, counts = pair_a[occupied], pair_b[occupied], counts[occupied]
     chunk_edges = chunk_edges_by_volume(counts, max_volume=chunk_candidates)
+    if enclosure_shortcut:
+        # Contiguous per-dimension rows: ``take`` on them is several
+        # times cheaper than 2-D fancy indexing of ``(cells, 3)``.
+        cx_lo, cy_lo, cz_lo = np.ascontiguousarray(np.transpose(center_lo))
+        cx_hi, cy_hi, cz_hi = np.ascontiguousarray(np.transpose(center_hi))
 
     total_tests = 0
     total_shortcuts = 0
@@ -433,44 +455,32 @@ def cell_pair_sweep(
 
         # Rows are (cell pair, A-member), grouped by cell pair in x order.
         row_of_a, a_pos = window_pairs(starts[c_pair_a], stops[c_pair_a])
-        b_start = starts[c_pair_b][row_of_a]
+        b_cell = c_pair_b.take(row_of_a)
         if enclosure_shortcut:
             # The enclosure predicate depends only on (A-object, B-cell):
             # evaluate per row and emit those rows against all of B.
-            b_cell = c_pair_b[row_of_a]
-            encl = xlo[a_pos] <= center_lo[b_cell, 0]
-            encl &= ylo[a_pos] <= center_lo[b_cell, 1]
-            encl &= zlo[a_pos] <= center_lo[b_cell, 2]
-            encl &= xhi[a_pos] >= center_hi[b_cell, 0]
-            encl &= yhi[a_pos] >= center_hi[b_cell, 1]
-            encl &= zhi[a_pos] >= center_hi[b_cell, 2]
+            encl = xlo.take(a_pos) <= cx_lo.take(b_cell)
+            encl &= ylo.take(a_pos) <= cy_lo.take(b_cell)
+            encl &= zlo.take(a_pos) <= cz_lo.take(b_cell)
+            encl &= xhi.take(a_pos) >= cx_hi.take(b_cell)
+            encl &= yhi.take(a_pos) >= cy_hi.take(b_cell)
+            encl &= zhi.take(a_pos) >= cz_hi.take(b_cell)
             if encl.any():
                 er = np.flatnonzero(encl)
-                rr, b_all = window_pairs(b_start[er], stops[b_cell[er]])
+                rr, b_all = window_pairs(starts[b_cell[er]], stops[b_cell[er]])
                 accumulator.extend(cat[a_pos[er][rr]], cat[b_all])
                 total_shortcuts += int(rr.size)
                 keep = ~encl
-                row_of_a = row_of_a[keep]
                 a_pos = a_pos[keep]
-                b_start = b_start[keep]
+                b_cell = b_cell[keep]
 
-        # ---- Direction 1: scan from A over B (xlo_b in [a.xlo, a.xhi)).
-        # Each window edge is one search of the rank keys inside B's run.
-        base = b_start * stride
-        left = np.searchsorted(rank_key, base + below_lo[a_pos])
-        right = np.searchsorted(rank_key, base + below_hi[a_pos])
-        total_tests += _sweep_windows(values, cat, a_pos, left, right, None, accumulator)
-
-        # ---- Direction 2: scan from B over A (xlo_a in (b.xlo, b.xhi);
-        # ties on xlo break toward direction 1, so no pair repeats).  It
-        # searches only the kept A rows of the same cell pair, keyed by
-        # the pair's row, so enclosure-shortcut pairs are never repeated.
-        kept_key = rank_key[a_pos] + (row_of_a - starts[c_pair_a][row_of_a]) * stride
-        row_of_b, b_pos = window_pairs(starts[c_pair_b], stops[c_pair_b])
-        base = row_of_b * stride
-        left = np.searchsorted(kept_key, base + upto_lo[b_pos])
-        right = np.searchsorted(kept_key, base + below_hi[b_pos])
-        total_tests += _sweep_windows(values, cat, b_pos, left, right, a_pos, accumulator)
+        # One window per row inside B's run: from the first member whose
+        # running max of xhi passes a.xlo to the first member with
+        # xlo >= a.xhi.  It holds every x-overlapping member of B.
+        base = starts.take(b_cell) * stride
+        left = np.searchsorted(reach, base + below_lo.take(a_pos), side="right")
+        right = np.searchsorted(rank_key, base + below_hi.take(a_pos))
+        total_tests += _sweep_windows(values, cat, a_pos, left, right, accumulator)
     return total_tests, total_shortcuts
 
 

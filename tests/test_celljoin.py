@@ -33,27 +33,33 @@ def make_grouped_boxes(rng, n=150, n_groups=6, span=40.0, width=6.0):
 
 
 def _rank_windows(index, starts):
-    """Every window edge found through the rank keys, for every
-    (run, query position): the first run member ``>= xlo``, ``> xlo``
-    and ``>= xhi`` of the query's box."""
+    """Both window edges found through the keys, for every (run, query
+    position): the first run member whose running max of ``xhi`` is
+    ``> xlo`` of the query's box, and the first member ``>= xhi``."""
     _values, keys = index
-    rank_key, below_lo, upto_lo, below_hi = keys
+    rank_key, below_lo, below_hi, reach = keys
     base = (np.asarray(starts, dtype=np.int64) * (rank_key.size + 1))[:, None]
     return np.stack(
-        [np.searchsorted(rank_key, base + k[None, :]) for k in (below_lo, upto_lo, below_hi)],
+        [
+            np.searchsorted(reach, base + below_lo[None, :], side="right"),
+            np.searchsorted(rank_key, base + below_hi[None, :]),
+        ],
         axis=-1,
     )
 
 
-def _searchsorted_windows(lo, hi, cat, starts, stops):
-    """The same edges by one ``np.searchsorted`` per run and side."""
+def _per_run_windows(lo, hi, cat, starts, stops):
+    """The same edges by a plain loop over each run's members."""
     xlo, xhi = lo[cat, 0], hi[cat, 0]
-    out = np.empty((starts.size, cat.size, 3), dtype=np.int64)
+    out = np.empty((starts.size, cat.size, 2), dtype=np.int64)
     for g, (a, b) in enumerate(zip(starts, stops, strict=True)):
-        run = xlo[a:b]
-        out[g, :, 0] = a + np.searchsorted(run, xlo, side="left")
-        out[g, :, 1] = a + np.searchsorted(run, xlo, side="right")
-        out[g, :, 2] = a + np.searchsorted(run, xhi, side="left")
+        running_max = []
+        for p in range(a, b):
+            running_max.append(max(running_max[-1], xhi[p]) if running_max else xhi[p])
+        for q in range(cat.size):
+            lower = [a + k for k, reach in enumerate(running_max) if reach > xlo[q]]
+            upper = [p for p in range(a, b) if xlo[p] >= xhi[q]]
+            out[g, q] = (lower[0] if lower else b, upper[0] if upper else b)
     return out
 
 
@@ -64,9 +70,10 @@ def _check_windows(lo, hi, cat, starts, stops):
     assert values.shape == (6, cat.size) and keys.shape == (4, cat.size)
     assert np.array_equal(values[0], lo[cat, 0]) and np.array_equal(values[5], hi[cat, 2])
     assert (np.diff(keys[0]) > 0).all(), "rank keys must strictly increase"
+    assert (np.diff(keys[3]) >= 0).all(), "reach keys must never decrease"
     occupied = stops > starts
     got = _rank_windows(index, starts[occupied])
-    assert np.array_equal(got, _searchsorted_windows(lo, hi, cat, starts, stops)[occupied])
+    assert np.array_equal(got, _per_run_windows(lo, hi, cat, starts, stops)[occupied])
     return got
 
 
@@ -79,7 +86,7 @@ def _boxes_from_x(xlo, xhi):
 
 
 class TestSweepIndex:
-    """Window edges through the rank keys against per-run ``searchsorted``."""
+    """Window edges through the sweep-index keys against a per-run loop."""
 
     def test_matches_searchsorted_per_run(self, rng):
         # Integer xlo values: ties inside runs and across runs.
@@ -98,9 +105,10 @@ class TestSweepIndex:
         starts = np.asarray([0, 3], dtype=np.int64)
         stops = np.asarray([3, 5], dtype=np.int64)
         got = _check_windows(lo, hi, cat, starts, stops)
-        # -0.0 == 0.0: for the box [-0.0, 0.0] in run 0, both ">= xlo"
-        # and ">= xhi" skip only the -1.0 box, and "> xlo" skips every zero.
-        assert got[0, 1].tolist() == [1, 3, 1]
+        # -0.0 == 0.0: for the box [-0.0, 0.0] in run 0, only the box
+        # [0.0, 1.0] reaches past its xlo, and every box from [-0.0, 0.0]
+        # on starts at or past its xhi, so its window is empty.
+        assert got[0, 1].tolist() == [2, 1]
 
     def test_box_rounding_to_zero_width(self):
         # Center 1e17, width 1: both bounds round to 1e17.
@@ -110,8 +118,9 @@ class TestSweepIndex:
         starts = np.asarray([0, 1], dtype=np.int64)
         stops = np.asarray([1, 3], dtype=np.int64)
         got = _check_windows(lo, hi, cat, starts, stops)
-        # Its window ">= xlo" .. ">= xhi" in run 1 is empty.
-        assert got[1, 1, 0] == got[1, 1, 2] == 1
+        # Every bound rounds to 1e17: no member of run 1 reaches past
+        # its xlo, and each starts at its xhi, so its window is empty.
+        assert got[1, 1].tolist() == [3, 1]
 
     def test_empty_run_between_occupied(self, rng):
         xlo = rng.integers(0, 6, size=7).astype(float)
@@ -127,7 +136,7 @@ class TestSweepIndex:
         lo, hi = _boxes_from_x([2.0], [5.0])
         one = np.asarray([0], dtype=np.int64)
         got = _check_windows(lo, hi, one, np.asarray([0]), np.asarray([1]))
-        assert got.tolist() == [[[0, 1, 1]]]
+        assert got.tolist() == [[[0, 1]]]
 
     def test_empty_grouping(self):
         empty = np.empty(0, dtype=np.int64)

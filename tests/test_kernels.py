@@ -14,8 +14,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ThermalJoin
+from repro.core.celljoin import join_sorted_lists
 from repro.datasets import IntermittentTranslation, make_uniform_workload
 from repro.engine import chunk_by_volume
 from repro.geometry import (
@@ -120,6 +123,39 @@ def _grouped_boxes(rng, n=160, n_groups=6, span=40.0, integer=False):
     center_hi = np.stack(
         [centers[cat[starts[g]:stops[g]]].max(axis=0) for g in range(starts.size)]
     )
+    return lo, hi, cat, starts, stops, center_lo, center_hi
+
+
+def _integer_runs(rng, sizes, wide_share):
+    """Integer boxes in x-sorted runs of ``sizes`` objects; a size of 0
+    is an empty run between its neighbours.
+
+    Bounds tie within and across runs.  A ``wide_share`` of the boxes
+    start early and are wide in x, so a wide box early in a run is
+    followed by narrow ones and x-upper order does not follow x-lower
+    order.
+    """
+    n = int(sum(sizes))
+    lo = rng.integers(0, 12, size=(n, 3)).astype(float)
+    width = rng.integers(1, 4, size=(n, 3)).astype(float)
+    wide = rng.random(n) < wide_share
+    lo[wide, 0] = rng.integers(0, 3, size=int(wide.sum()))
+    width[wide, 0] = rng.integers(8, 14, size=int(wide.sum()))
+    hi = lo + width
+    stops = np.cumsum(np.asarray(sizes, dtype=np.int64))
+    starts = stops - np.asarray(sizes, dtype=np.int64)
+    ids = rng.permutation(n).astype(np.int64)
+    cat = np.concatenate([
+        ids[a:b][np.argsort(lo[ids[a:b], 0], kind="stable")]
+        for a, b in zip(starts, stops, strict=True)
+    ])
+    centers = (lo + hi) / 2.0
+    center_lo = np.zeros((len(sizes), 3))
+    center_hi = np.zeros((len(sizes), 3))
+    for g, (a, b) in enumerate(zip(starts, stops, strict=True)):
+        if b > a:
+            center_lo[g] = centers[cat[a:b]].min(axis=0)
+            center_hi[g] = centers[cat[a:b]].max(axis=0)
     return lo, hi, cat, starts, stops, center_lo, center_hi
 
 
@@ -241,8 +277,8 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_cell_pair_sweep_ties(self, chunk, rng):
-        # Tied xlo/xhi values are where the window search's "<" and "<="
-        # counts decide which direction finds a pair.
+        # Tied xlo/xhi values are where the window search's "<" counts
+        # and its "side" decide whether a member opens or closes a window.
         lo, hi, cat, starts, stops, c_lo, c_hi = _grouped_boxes(rng, integer=True)
         n = lo.shape[0]
         assert np.unique(lo[:, 0]).size < n // 2
@@ -276,6 +312,55 @@ class TestKernelParity:
                 lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b,
                 PairAccumulator(n), index=stale,
             )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 9), min_size=2, max_size=6),
+        wide_share=st.sampled_from([0.0, 0.25, 0.6]),
+        shortcut=st.booleans(),
+        chunk=st.sampled_from([16, 17, 100, 4096, 10**9]),
+    )
+    @example(seed=5, sizes=[6, 0, 6], wide_share=0.6, shortcut=False, chunk=10**9)
+    @settings(max_examples=120, deadline=None)
+    def test_cell_pair_sweep_windows(self, seed, sizes, wide_share, shortcut, chunk):
+        # One window per row opens at the running max of the run's xhi:
+        # with a wide box early in a run, a member's own xhi would close
+        # the window's lower edge too early.
+        assume(sum(sizes) > 0)
+        rng = np.random.default_rng(seed)
+        lo, hi, cat, starts, stops, c_lo, c_hi = _integer_runs(rng, sizes, wide_share)
+        n = lo.shape[0]
+        pair_a, pair_b = np.triu_indices(len(sizes), k=1)
+        flip = rng.random(pair_a.size) < 0.5
+        pair_a, pair_b = np.where(flip, pair_b, pair_a), np.where(flip, pair_a, pair_b)
+        index = kernels.sweep_index(lo, hi, cat, starts, stops)
+        # The sequential sweep of each cell pair; bounds nothing encloses
+        # turn its enclosure shortcut off.
+        never = (np.full(3, -np.inf), np.full(3, np.inf))
+        summed = np.zeros(2, dtype=np.int64)
+        for a, b in zip(pair_a, pair_b, strict=True):
+            got, want = PairAccumulator(n), PairAccumulator(n)
+            counters = kernels.cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, [a], [b], got,
+                chunk_candidates=chunk, enclosure_shortcut=shortcut, index=index,
+            )
+            target = (c_lo[b], c_hi[b]) if shortcut else never
+            assert counters == join_sorted_lists(
+                lo, hi, cat[starts[a]:stops[a]], cat[starts[b]:stops[b]], *target, want
+            )
+            assert np.array_equal(np.sort(got.as_keys()), np.sort(want.as_keys()))
+            summed += counters
+        acc = PairAccumulator(n)
+        tests, shortcuts = kernels.cell_pair_sweep(
+            lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc,
+            chunk_candidates=chunk, enclosure_shortcut=shortcut,
+        )
+        assert [tests, shortcuts] == summed.tolist()
+        expected, tests_expected = _oracle(lo, hi, _group_of(cat, starts, stops, n))["cross"]
+        assert _canonical(acc, n) == expected
+        assert len(acc) == len(expected), "a pair was emitted more than once"
+        assert tests + shortcuts == tests_expected["x-sweep"]
+        assert shortcut or shortcuts == 0
 
     def test_strip_sweep(self, rng):
         n = 200
