@@ -376,6 +376,9 @@ def cell_pair_sweep(
     cell pair with the sequential optimized sweep
     (:func:`repro.core.celljoin.join_sorted_lists`), but with all
     candidate object pairs of a batch generated and tested at once.
+    One degenerate case differs: a zero-width B box at exactly an A
+    box's xlo fails the strict x test here, as in a brute-force join,
+    but the sequential sweep charges and may emit it untested.
 
     The overlap-test count reproduces the plane sweep's accounting: a
     candidate pair is charged one test when its x-intervals overlap (the

@@ -313,6 +313,26 @@ class TestKernelParity:
                 PairAccumulator(n), index=stale,
             )
 
+    def test_cell_pair_sweep_zero_width_at_xlo(self):
+        # Box 1 has zero x-width at box 0's xlo (bounds can round to
+        # that) and overlaps it in y and z: the strict "<" of the
+        # brute-force test rejects it, so it is neither charged nor
+        # emitted, in either pair order.
+        lo = np.asarray([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        hi = np.asarray([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [6.0, 1.0, 1.0]])
+        cat = np.arange(3, dtype=np.int64)
+        starts, stops = np.asarray([0, 1]), np.asarray([1, 3])
+        centers = (lo + hi) / 2.0
+        c_lo = np.stack([centers[:1].min(axis=0), centers[1:].min(axis=0)])
+        c_hi = np.stack([centers[:1].max(axis=0), centers[1:].max(axis=0)])
+        assert not lo[0, 0] < hi[1, 0], "boxes 0 and 1 are x-disjoint"
+        for pair_a, pair_b in (([0], [1]), ([1], [0])):
+            acc = PairAccumulator(3)
+            assert kernels.cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, acc
+            ) == (0, 0)
+            assert len(acc) == 0
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.integers(0, 9), min_size=2, max_size=6),
