@@ -33,6 +33,17 @@ _UID_COUNTER = itertools.count()
 OBJECT_RECORD_BYTES = 48 + 8 + 16
 
 
+def _validate_placement(centers: np.ndarray, widths: np.ndarray) -> None:
+    """Refuse centers whose boxes are non-finite or round to zero extent.
+
+    Every join tests overlap strictly, so a box whose bounds round to
+    one value (a width of 1 at 1e17) overlaps nothing; refusing it keeps
+    all joins on the domain that the brute-force oracle accepts.
+    """
+    half = widths / 2.0
+    mbr.validate_boxes(centers - half, centers + half)
+
+
 class SpatialDataset:
     """A collection of moving 3-D spatial objects.
 
@@ -87,6 +98,7 @@ class SpatialDataset:
             )
         if not np.isfinite(widths_full).all() or not (widths_full > 0).all():
             raise ValueError("object widths must be strictly positive and finite")
+        _validate_placement(centers, widths_full)
         self.centers = centers
         self.widths = np.ascontiguousarray(widths_full)
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
@@ -170,13 +182,15 @@ class SpatialDataset:
                 f"new centers shape {new_centers.shape} does not match "
                 f"{self.centers.shape}"
             )
+        _validate_placement(new_centers, self.widths)
         self.centers[:] = new_centers
         self.version += 1
 
     def translate(self, deltas: np.ndarray) -> None:
         """Add per-object displacement vectors to the centers in place."""
-        deltas = np.asarray(deltas, dtype=np.float64)
-        self.centers += deltas
+        new_centers = self.centers + np.asarray(deltas, dtype=np.float64)
+        _validate_placement(new_centers, self.widths)
+        self.centers[:] = new_centers
         self.version += 1
 
     def commit_motion(self, before: np.ndarray) -> MotionDelta:
@@ -188,6 +202,11 @@ class SpatialDataset:
         version bump and the :class:`~repro.datasets.delta.MotionDelta`
         are produced together, so the delta provably describes exactly
         the ``version → version + 1`` transition.
+
+        Only the moved rows are checked against the box domain.  A motion
+        that leaves one of them with a non-finite or zero-extent box is
+        refused with ``ValueError``: the moved rows are restored from
+        ``before`` and the version is not bumped.
         """
         before = np.asarray(before, dtype=np.float64)
         if before.shape != self.centers.shape:
@@ -195,15 +214,23 @@ class SpatialDataset:
                 f"snapshot shape {before.shape} does not match centers "
                 f"shape {self.centers.shape}"
             )
-        base_version = self.version
-        self.version += 1
-        return MotionDelta.from_positions(
+        delta = MotionDelta.from_positions(
             before,
             self.centers,
             dataset_uid=self.uid,
-            base_version=base_version,
-            version=self.version,
+            base_version=self.version,
+            version=self.version + 1,
         )
+        # When every object moved, check the arrays themselves: a gather
+        # of all rows would cost more than the check.
+        moved = slice(None) if delta.moved.size == len(self) else delta.moved
+        try:
+            _validate_placement(self.centers[moved], self.widths[moved])
+        except ValueError:
+            self.centers[moved] = before[moved]
+            raise
+        self.version = delta.version
+        return delta
 
     # ------------------------------------------------------------------
     # Derived datasets
@@ -217,8 +244,9 @@ class SpatialDataset:
         center array (so simulation updates remain visible) but has its
         own enlarged width array.
         """
-        if distance < 0:
-            raise ValueError(f"distance must be non-negative, got {distance}")
+        # Finite and non-negative keeps every enlarged box in the domain.
+        if not 0 <= distance < np.inf:
+            raise ValueError(f"distance must be finite and non-negative, got {distance}")
         enlarged = SpatialDataset.__new__(SpatialDataset)
         enlarged.centers = self.centers
         enlarged.widths = self.widths + distance

@@ -335,6 +335,6 @@ class SweepStripTask(JoinTask):
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
         tests = strip_sweep(
-            ctx["lo"], ctx["hi"], ctx["ids"], self.start, self.stop, self.carry, accumulator
+            ctx["values"], ctx["ids"], self.start, self.stop, self.carry, accumulator
         )
         return {"overlap_tests": tests}

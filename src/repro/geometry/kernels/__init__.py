@@ -14,7 +14,8 @@ emission — is one of the five primitives re-exported here from
     Plane sweep over many cell pairs, one window per kept row, with the
     paper's enclosure shortcut; returns ``(overlap_tests, shortcut_pairs)``.
 ``strip_sweep``
-    One strip of the partitioned global plane sweep.
+    One strip of the partitioned global plane sweep, through the same
+    window test as ``cell_pair_sweep``.
 ``hot_cell_emit``
     Combinatorial within-cell emission for hot-spot cells (no tests).
 

@@ -22,6 +22,11 @@ paper's Figure 7(c)) is preserved exactly:
   THERMAL-JOIN's external join); group object lists must then be sorted
   by lower x bound.
 
+The two plane sweeps, :func:`cell_pair_sweep` and :func:`strip_sweep`,
+share one test loop: each finds one x-sorted window per row with binary
+search and hands the rows in candidate-bounded batches to
+``_sweep_windows``, which tests x, then y and z, and emits the hits.
+
 Emission goes through an ``on_pairs`` callback (group joins) or a
 :class:`~repro.geometry.pairs.PairAccumulator` (sweeps), so algorithms
 can layer their own deduplication — PBSM's reference-point test — on
@@ -35,7 +40,7 @@ import numpy as np
 from typing import TYPE_CHECKING, Callable
 
 from repro.geometry.chunking import chunk_edges_by_volume
-from repro.geometry.sweep import sweep_self, window_pairs
+from repro.geometry.sweep import window_pairs
 
 if TYPE_CHECKING:
     from repro.geometry.pairs import PairAccumulator
@@ -372,22 +377,22 @@ def cell_pair_sweep(
 ) -> tuple[int, int]:
     """External join over *many* cell pairs in vectorised batches.
 
-    Semantically identical to joining each ``(pair_a[k], pair_b[k])``
-    cell pair with the sequential optimized sweep
-    (:func:`repro.core.celljoin.join_sorted_lists`), but with all
-    candidate object pairs of a batch generated and tested at once.
-    One degenerate case differs: a zero-width B box at exactly an A
-    box's xlo fails the strict x test here, as in a brute-force join,
-    but the sequential sweep charges and may emit it untested.
+    The paper's optimized plane sweep (Section 4.2.1) between each
+    ``(pair_a[k], pair_b[k])`` cell pair, with all candidate object
+    pairs of a batch generated and tested at once.
 
-    The overlap-test count reproduces the plane sweep's accounting: a
-    candidate pair is charged one test when its x-intervals overlap (the
-    pairs the forward sweep would actually visit); x-disjoint candidates
-    are pruned for free by the sort in the sequential formulation and are
-    therefore not charged here either.  The enclosure shortcut is applied
-    first exactly as in the sequential version: objects of cell A whose
-    MBR encloses cell B's tight center bounds pair with all of B without
-    any tests.
+    The enclosure shortcut comes first: objects of cell A whose MBR
+    encloses cell B's tight center bounds pair with all of B without
+    any tests, since a box that contains another box's center overlaps
+    it.  The tight center bounds lie inside the nominal cell box, so
+    every shortcut the paper's cell-extent check takes is taken here
+    too, and the guarantee holds for objects that sit exactly on a cell
+    boundary.
+
+    The overlap-test count is the plane sweep's accounting: a candidate
+    pair is charged one test when its x-intervals overlap (the pairs a
+    forward sweep visits); x-disjoint candidates are pruned by the sort
+    and are not charged.
 
     Every other A member gets one window of B's run, found with two
     searches of the :func:`sweep_index` keys: it opens at the first
@@ -488,8 +493,7 @@ def cell_pair_sweep(
 
 
 def strip_sweep(
-    lo: np.ndarray,
-    hi: np.ndarray,
+    values: np.ndarray,
     ids: np.ndarray,
     start: int,
     stop: int,
@@ -498,40 +502,31 @@ def strip_sweep(
 ) -> int:
     """One strip of the partitioned global plane sweep.
 
-    ``lo``/``hi``/``ids`` are the *whole* dataset sorted ascending by
-    lower x bound; the strip owns the contiguous sorted positions
-    ``[start, stop)``.  Runs the forward sweep within the strip plus the
-    carried-in windows of ``carry`` (sorted positions ``< start`` whose
-    x-extent reaches into the strip), so each x-overlapping pair is
-    charged exactly once, in the strip of its later object — the global
-    sweep's candidate set and test count, decomposed.
+    ``values`` is the :func:`grouped_values` of the *whole* dataset in
+    ascending lower-x order and ``ids`` that order's object ids; the
+    strip owns the contiguous sorted positions ``[start, stop)``.  The
+    rows are the carried positions ``carry`` (sorted positions
+    ``< start`` whose x-extent reaches into the strip), then the strip's
+    own.  Each row gets one window of later strip members: it opens at
+    ``start`` for a carried row and just past the row for a strip row,
+    and closes before the first member with xlo at or past the row's
+    xhi.  The windows run through the external join's test in batches,
+    so each x-overlapping pair is charged exactly once, in the strip of
+    its later object: the global sweep's candidate set and test count,
+    decomposed.
 
     Returns the number of overlap tests charged.
     """
-    i_ids, j_ids, tests = sweep_self(lo[start:stop], hi[start:stop], ids[start:stop])
-    accumulator.extend(i_ids, j_ids)
-
-    if carry.size:
-        # Each carried object scans strip members while xlo < its xhi
-        # (members' xlo ≥ the carried xlo by sort order).
-        strip_xlo = lo[start:stop, 0]
-        windows = np.searchsorted(strip_xlo, hi[carry, 0], side="left")
-        left, right = window_pairs(
-            np.zeros(carry.size, dtype=np.int64), windows.astype(np.int64)
-        )
-        tests += int(left.size)
-        if left.size:
-            c_pos = carry[left]
-            s_pos = right + start
-            keep = np.logical_and(
-                np.logical_and(
-                    lo[c_pos, 1] < hi[s_pos, 1], lo[s_pos, 1] < hi[c_pos, 1]
-                ),
-                np.logical_and(
-                    lo[c_pos, 2] < hi[s_pos, 2], lo[s_pos, 2] < hi[c_pos, 2]
-                ),
-            )
-            accumulator.extend(ids[c_pos[keep]], ids[s_pos[keep]])
+    rows = np.concatenate([carry, np.arange(start, stop, dtype=np.int64)])
+    left = np.maximum(rows + 1, start)
+    right = start + np.searchsorted(values[0, start:stop], values[1].take(rows))
+    edges = chunk_edges_by_volume(
+        np.maximum(right - left, 0), max_volume=DEFAULT_CHUNK_CANDIDATES
+    )
+    tests = 0
+    for e in range(len(edges) - 1):
+        sel = slice(int(edges[e]), int(edges[e + 1]))
+        tests += _sweep_windows(values, ids, rows[sel], left[sel], right[sel], accumulator)
     return tests
 
 

@@ -7,11 +7,12 @@ towards the nested loop as objects grow (Figure 2), which is precisely
 the regime THERMAL-JOIN targets.
 
 Under the engine the sweep is decomposed into strips of the sorted
-order: a strip runs the forward sweep within its own slice plus the
-carried-in windows of earlier objects whose x-extent reaches into the
-strip.  Every x-overlapping pair is charged exactly once — in the strip
-of its later object — so the strip decomposition reproduces the global
-sweep's pair set and test count for any strip boundaries.
+order: a strip sweeps its own slice plus the carried-in windows of
+earlier objects whose x-extent reaches into the strip, through the same
+window test as THERMAL-JOIN's external join.  Every x-overlapping pair
+is charged exactly once — in the strip of its later object — so the
+strip decomposition reproduces the global sweep's pair set and test
+count for any strip boundaries.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.engine import (
     SweepStripTask,
     chunk_by_volume,
 )
-from repro.geometry import sort_by_x
+from repro.geometry.kernels import grouped_values
 from repro.joins.base import ID_BYTES, SpatialJoinAlgorithm
 
 from typing import TYPE_CHECKING
@@ -47,7 +48,8 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
 
     def _build(self, dataset: SpatialDataset) -> None:
         lo, hi = dataset.boxes()
-        self._sorted = sort_by_x(lo, hi)
+        order = np.argsort(lo[:, 0], kind="stable")
+        self._sorted = grouped_values(lo, hi, order), order
 
     def plan(self, dataset: SpatialDataset) -> JoinPlan:
         """Split the sorted order into sweep strips of balanced volume.
@@ -57,19 +59,20 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
         set of a strip is every earlier position whose upper x bound
         exceeds the strip's first lower x bound.
         """
-        lo, hi, ids = self._sorted
-        context = {"lo": lo, "hi": hi, "ids": ids}
+        values, ids = self._sorted
+        context = {"values": values, "ids": ids}
+        xlo, xhi = values[0], values[1]
         n = ids.size
         tasks = []
         if n:
-            windows = np.searchsorted(lo[:, 0], hi[:, 0], side="left")
+            windows = np.searchsorted(xlo, xhi, side="left")
             window_sizes = np.maximum(
                 windows - np.arange(1, n + 1, dtype=np.int64), 0
             )
             for start, stop in chunk_by_volume(
                 window_sizes, DEFAULT_PARTITION_TASKS
             ):
-                carry = np.flatnonzero(hi[:start, 0] > lo[start, 0])  # repro-lint: ignore[RPL201] sorted-x carry-in window, not a pairwise predicate; the sweep kernel charges candidates
+                carry = np.flatnonzero(xhi[:start] > xlo[start])  # repro-lint: ignore[RPL201] sorted-x carry-in window, not a pairwise predicate; the sweep kernel charges candidates
                 tasks.append(SweepStripTask(start=start, stop=stop, carry=carry))
 
         def on_complete(_results):
@@ -81,4 +84,4 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
         # Only the transient sort permutation is held during a step.
         if self._sorted is None:
             return 0
-        return self._sorted[2].size * ID_BYTES
+        return self._sorted[1].size * ID_BYTES

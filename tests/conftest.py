@@ -10,7 +10,7 @@ from repro.datasets import (
     make_neural_dataset,
     make_uniform_dataset,
 )
-from repro.geometry import brute_force_pairs, pack_pairs, unique_pairs
+from repro.geometry import brute_force_pairs, mbr, pack_pairs, unique_pairs
 
 
 def random_boxes(rng, n, span=100.0, width_low=1.0, width_high=8.0):
@@ -24,6 +24,27 @@ def oracle_keys(lo, hi):
     """Canonical packed pair keys from the brute-force oracle."""
     i_idx, j_idx = brute_force_pairs(lo, hi)
     return pack_pairs(i_idx, j_idx, lo.shape[0])
+
+
+def cell_pair_brute_force(lo, hi, a_ids, b_ids, center_lo, center_hi, shortcut=True):
+    """Brute-force counters and pairs of one cell pair's external join.
+
+    Returns ``(tests, shortcuts, keys)``: ``shortcuts`` is the number of
+    A members whose box encloses B's center bounds (none without the
+    shortcut) times ``|B|``; ``tests`` the x-overlapping (other A member,
+    B member) pairs; ``keys`` the sorted packed A×B overlaps.
+    """
+    a_ids = np.asarray(a_ids, dtype=np.int64)
+    b_ids = np.asarray(b_ids, dtype=np.int64)
+    n = lo.shape[0]
+    enclosing = np.zeros(a_ids.size, dtype=bool)
+    if shortcut:
+        enclosing = mbr.encloses(lo[a_ids], hi[a_ids], center_lo, center_hi)
+    others = a_ids[~enclosing]
+    x_overlap = (lo[others, None, 0] < hi[None, b_ids, 0]) & (lo[None, b_ids, 0] < hi[others, None, 0])
+    a_hit, b_hit = np.nonzero(mbr.overlap_matrix(lo[a_ids], hi[a_ids], lo[b_ids], hi[b_ids]))
+    keys = pack_pairs(*unique_pairs(a_ids[a_hit], b_ids[b_hit], n), n)
+    return int(x_overlap.sum()), int(enclosing.sum()) * b_ids.size, keys
 
 
 def assert_matches_oracle(algorithm, dataset):

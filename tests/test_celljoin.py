@@ -1,11 +1,11 @@
-"""Tests for THERMAL-JOIN's cell-pair kernels against the sequential
-reference :func:`repro.core.celljoin.join_sorted_lists`."""
+"""Tests for THERMAL-JOIN's cell-pair kernels: the sweep index's window
+edges, the batched external join and hot-cell emission, each against a
+plain loop or brute force."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.celljoin import join_sorted_lists
 from repro.geometry import (
     PairAccumulator,
     all_combinations,
@@ -15,6 +15,7 @@ from repro.geometry import (
     unique_pairs,
 )
 from repro.geometry.kernels import cell_pair_sweep, hot_cell_emit, sweep_index
+from tests.conftest import cell_pair_brute_force
 
 
 def make_grouped_boxes(rng, n=150, n_groups=6, span=40.0, width=6.0):
@@ -205,40 +206,32 @@ class TestJoinCellPairsBatched:
         assert got_big == got_small == expected
         assert tests_big == tests_small
 
-    def test_matches_sequential_join_sorted_lists(self, rng):
-        """The batched kernel is semantically the per-pair sequential
-        join (same pairs, same plane-sweep test accounting)."""
+    def test_matches_per_cell_pair_brute_force(self, rng):
+        """Per cell pair, the batched kernel shortcuts the enclosing A
+        members against all of B, charges the x-overlapping rest and
+        emits exactly the brute-force overlaps."""
         lo, hi, centers, cat, starts, stops, c_lo, c_hi = make_grouped_boxes(
             rng, n=80, n_groups=4
         )
         pair_a = np.asarray([0, 1, 2])
         pair_b = np.asarray([1, 2, 3])
-        batched_acc = PairAccumulator(lo.shape[0])
-        batched_tests, batched_shortcuts = cell_pair_sweep(
-            lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b, batched_acc
-        )
-        seq_acc = PairAccumulator(lo.shape[0])
-        seq_tests = 0
-        seq_shortcuts = 0
+        total = np.zeros(2, dtype=np.int64)
         for ga, gb in zip(pair_a, pair_b, strict=True):
-            t, s = join_sorted_lists(
-                lo,
-                hi,
-                cat[starts[ga]:stops[ga]],
-                cat[starts[gb]:stops[gb]],
-                c_lo[gb],
-                c_hi[gb],
-                seq_acc,
+            acc = PairAccumulator(lo.shape[0])
+            counters = cell_pair_sweep(
+                lo, hi, cat, starts, stops, c_lo, c_hi, [ga], [gb], acc
             )
-            seq_tests += t
-            seq_shortcuts += s
-        n = lo.shape[0]
-        assert np.array_equal(
-            pack_pairs(*batched_acc.as_unique_arrays(), n),
-            pack_pairs(*seq_acc.as_unique_arrays(), n),
-        )
-        assert batched_tests == seq_tests
-        assert batched_shortcuts == seq_shortcuts
+            tests, shortcuts, keys = cell_pair_brute_force(
+                lo, hi, cat[starts[ga]:stops[ga]], cat[starts[gb]:stops[gb]],
+                c_lo[gb], c_hi[gb],
+            )
+            assert counters == (tests, shortcuts)
+            assert np.array_equal(np.sort(acc.as_keys()), keys)
+            total += counters
+        assert total.tolist() == list(cell_pair_sweep(
+            lo, hi, cat, starts, stops, c_lo, c_hi, pair_a, pair_b,
+            PairAccumulator(lo.shape[0]),
+        ))
 
     def test_empty_pairs(self, rng):
         lo, hi, _c, cat, starts, stops, c_lo, c_hi = make_grouped_boxes(rng, n=20)

@@ -90,6 +90,64 @@ class TestInPlaceUpdates:
         assert ds.version == 1
 
 
+def far_out_centers():
+    """Centers x = 1e17, 1e17 + 8 and 1e17 + 100 with overlapping y/z:
+    with widths 1, 16 and 1 every box rounds to zero x-extent."""
+    centers = np.zeros((3, 3))
+    centers[:, 0] = [1e17, 1e17 + 8, 1e17 + 100]
+    return centers
+
+
+class TestBoxDomain:
+    """Boxes that are non-finite or round to zero extent are refused."""
+
+    def test_zero_extent_refused_at_construction(self):
+        centers = far_out_centers()
+        assert centers[0, 0] - 0.5 == centers[0, 0] + 0.5, "zero x-extent"
+        with pytest.raises(ValueError):
+            SpatialDataset(centers, np.asarray([1.0, 16.0, 1.0]))
+
+    def test_non_finite_refused_at_construction(self):
+        centers = np.zeros((2, 3))
+        centers[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            SpatialDataset(centers, 1.0)
+
+    def test_refused_motion_leaves_last_committed_state(self):
+        ds = make_simple(4)
+        committed = ds.centers.copy()
+        version = ds.version
+        before = ds.centers.copy()
+        ds.centers[1] += 1.0
+        ds.centers[2, 0] = 1e17
+        with pytest.raises(ValueError):
+            ds.commit_motion(before)
+        assert ds.version == version
+        assert np.array_equal(ds.centers, committed)
+        # A valid motion afterwards commits as usual.
+        ds.centers[1] += 1.0
+        delta = ds.commit_motion(committed)
+        assert delta.moved.tolist() == [1] and ds.version == version + 1
+
+    def test_enlarged_extent_refuses_non_finite_distance(self):
+        ds = make_simple(3)
+        for distance in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ds.with_enlarged_extent(distance)
+
+    def test_update_positions_and_translate_refused(self):
+        ds = make_simple(3)
+        committed = ds.centers.copy()
+        far = committed.copy()
+        far[0, 0] = 1e17
+        with pytest.raises(ValueError):
+            ds.update_positions(far)
+        with pytest.raises(ValueError):
+            ds.translate(far - committed)
+        assert ds.version == 0
+        assert np.array_equal(ds.centers, committed)
+
+
 class TestDerivedDatasets:
     def test_enlarged_extent_shares_centers(self):
         ds = make_simple(5, 2.0)

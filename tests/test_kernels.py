@@ -18,8 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ThermalJoin
-from repro.core.celljoin import join_sorted_lists
-from repro.datasets import IntermittentTranslation, make_uniform_workload
+from repro.datasets import IntermittentTranslation, SpatialDataset, make_uniform_workload
 from repro.engine import chunk_by_volume
 from repro.geometry import (
     PairAccumulator,
@@ -33,6 +32,7 @@ from repro.geometry import kernels
 from repro.geometry.kernels import DEFAULT_CHUNK_CANDIDATES
 from repro.joins import EGOJoin, PBSMJoin, PlaneSweepJoin
 from repro.simulation import SimulationRunner
+from tests.conftest import cell_pair_brute_force
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "kernel_refactor_oracle.json"
 
@@ -354,21 +354,19 @@ class TestKernelParity:
         flip = rng.random(pair_a.size) < 0.5
         pair_a, pair_b = np.where(flip, pair_b, pair_a), np.where(flip, pair_a, pair_b)
         index = kernels.sweep_index(lo, hi, cat, starts, stops)
-        # The sequential sweep of each cell pair; bounds nothing encloses
-        # turn its enclosure shortcut off.
-        never = (np.full(3, -np.inf), np.full(3, np.inf))
         summed = np.zeros(2, dtype=np.int64)
         for a, b in zip(pair_a, pair_b, strict=True):
-            got, want = PairAccumulator(n), PairAccumulator(n)
+            got = PairAccumulator(n)
             counters = kernels.cell_pair_sweep(
                 lo, hi, cat, starts, stops, c_lo, c_hi, [a], [b], got,
                 chunk_candidates=chunk, enclosure_shortcut=shortcut, index=index,
             )
-            target = (c_lo[b], c_hi[b]) if shortcut else never
-            assert counters == join_sorted_lists(
-                lo, hi, cat[starts[a]:stops[a]], cat[starts[b]:stops[b]], *target, want
+            tests, shortcuts, keys = cell_pair_brute_force(
+                lo, hi, cat[starts[a]:stops[a]], cat[starts[b]:stops[b]],
+                c_lo[b], c_hi[b], shortcut=shortcut,
             )
-            assert np.array_equal(np.sort(got.as_keys()), np.sort(want.as_keys()))
+            assert counters == (tests, shortcuts)
+            assert np.array_equal(np.sort(got.as_keys()), keys)
             summed += counters
         acc = PairAccumulator(n)
         tests, shortcuts = kernels.cell_pair_sweep(
@@ -388,22 +386,58 @@ class TestKernelParity:
         widths = rng.uniform(1.0, 10.0, size=(n, 3))
         lo = centers - widths / 2.0
         hi = centers + widths / 2.0
-        order = np.argsort(lo[:, 0], kind="stable").astype(np.int64)
-        slo, shi, ids = lo[order], hi[order], order
+        ids = np.argsort(lo[:, 0], kind="stable")
+        values = kernels.grouped_values(lo, hi, ids)
+        xlo, xhi = values[0], values[1]
         union = PairAccumulator(n)
         total_tests = 0
         for start, stop in ((0, 70), (70, 140), (140, n)):
-            if start:
-                carry = np.flatnonzero(shi[:start, 0] > slo[start, 0]).astype(np.int64)
-            else:
-                carry = np.empty(0, dtype=np.int64)
-            total_tests += kernels.strip_sweep(slo, shi, ids, start, stop, carry, union)
+            carry = np.flatnonzero(xhi[:start] > xlo[start])
+            total_tests += kernels.strip_sweep(values, ids, start, stop, carry, union)
         # The strips decompose the global sweep: their union is the
         # answer, each x-overlapping candidate charged exactly once.
         expected = brute_force_pairs(lo, hi)
         assert _canonical(union, n) == pack_pairs(*expected, n).tolist()
         no_groups = np.zeros(n, dtype=np.int64)
         assert total_tests == _oracle(lo, hi, no_groups)["same"][1]["x-sweep"]
+
+        # Boxes x=[0, 2] and x=[0, 0] overlap in y and z, but the strict
+        # x test rejects them, whether the second is in the strip or
+        # the first is carried into it.
+        values = np.asarray([[0.0, 0.0], [2.0, 0.0], [0, 0], [1, 1], [0, 0], [1, 1]])
+        ids = np.arange(2, dtype=np.int64)
+        for start, carry in ((0, []), (1, [0])):
+            acc = PairAccumulator(2)
+            carry = np.asarray(carry, dtype=np.int64)
+            assert kernels.strip_sweep(values, ids, start, 2, carry, acc) == 0
+            assert len(acc) == 0
+
+    def test_plane_sweep_join_matches_brute_force(self):
+        # Mixed widths and enough x-overlaps that strips run in more
+        # than one batch of the default candidate bound.
+        rng = np.random.default_rng(17)
+        n = 2000
+        centers = rng.uniform(0.0, 60.0, size=(n, 3))
+        centers[:, 1:] *= 2.0
+        widths = rng.uniform(1.0, 40.0, size=(n, 3))
+        dataset = SpatialDataset(centers, widths)
+        lo, hi = dataset.boxes()
+        expected = pack_pairs(*brute_force_pairs(lo, hi), n)
+        x_tests = _oracle(lo, hi, np.zeros(n, dtype=np.int64))["same"][1]["x-sweep"]
+        join = PlaneSweepJoin()
+        join._build(dataset)
+        plan = join.plan(dataset)
+        assert len(plan.tasks) > 1
+        strip_tests = []
+        union = PairAccumulator(n)
+        for task in plan.tasks:
+            strip_tests.append(task.run(plan.context, union)["overlap_tests"])
+        assert max(strip_tests) > DEFAULT_CHUNK_CANDIDATES
+        assert sum(strip_tests) == x_tests
+        assert _canonical(union, n) == expected.tolist()
+        result = PlaneSweepJoin().step(dataset)
+        assert np.array_equal(np.sort(result.keys), expected)
+        assert result.stats.overlap_tests == x_tests
 
     def test_hot_cell_emit(self, rng):
         # Hot cells: every member box contains its cell's anchor point,

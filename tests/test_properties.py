@@ -24,13 +24,13 @@ from repro.core import (
 from repro.core.tuning import R_MAX, R_MIN
 from repro.datasets import SpatialDataset
 from repro.geometry import (
+    PairAccumulator,
     brute_force_pairs,
     mbr,
     pack_pairs,
-    sort_by_x,
-    sweep_self,
     unique_pairs,
 )
+from repro.geometry import kernels
 from repro.joins import EGOJoin, PBSMJoin, SynchronousRTreeJoin, TouchJoin
 
 # ----------------------------------------------------------------------
@@ -118,9 +118,13 @@ class TestJoinOracleEquivalence:
         centers, widths = boxes
         lo, hi = mbr.boxes_from_centers(centers, widths)
         n = lo.shape[0]
-        s_lo, s_hi, ids = sort_by_x(lo, hi)
-        i_ids, j_ids, _tests = sweep_self(s_lo, s_hi, ids)
-        got = pack_pairs(*unique_pairs(i_ids, j_ids, n), n)
+        ids = np.argsort(lo[:, 0], kind="stable")
+        acc = PairAccumulator(n)
+        kernels.strip_sweep(
+            kernels.grouped_values(lo, hi, ids), ids, 0, n, np.empty(0, dtype=np.int64), acc
+        )
+        got = pack_pairs(*unique_pairs(*acc.as_arrays(), n), n)
+        assert got.size == len(acc)
         exp = pack_pairs(*brute_force_pairs(lo, hi), n)
         assert np.array_equal(got, exp)
 
